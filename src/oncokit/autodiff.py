@@ -46,21 +46,15 @@ def _active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """Immutable dense array of float64 values, optionally tracked on a tape.
+    """Immutable dense array of float64 values, optionally tracked on a tape."""
 
-    ``node_id`` holds the handle assigned by the most recent tape that saw
-    this tensor; tapes keep their own identity maps, so the field is purely
-    informational.
-    """
-
-    __slots__ = ("data", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
         arr.setflags(write=False)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.node_id: int | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
@@ -70,7 +64,6 @@ class Tensor:
         a.setflags(write=False)
         t.data = a
         t.requires_grad = requires_grad
-        t.node_id = None
         return t
 
     @property
@@ -87,12 +80,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data, requires_grad=False)
 
     # arithmetic sugar
     def __add__(self, other):
@@ -192,7 +179,6 @@ class Tape:
             nid = len(self._tensors)
             self._ids[id(t)] = nid
             self._tensors.append(t)
-            t.node_id = nid
         return nid
 
     def _lookup(self, t: Tensor) -> int | None:
@@ -200,9 +186,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def backward(self, loss: Tensor) -> "GradMap":
-        return backward(self, loss)
 
 
 class GradMap:
@@ -528,17 +511,6 @@ def gelu(a) -> Tensor:
     return _record("gelu", out, (a,), bw)
 
 
-def activation(a, kind: str) -> Tensor:
-    """Dispatch on name: relu, gelu or sigmoid."""
-    if kind == "relu":
-        return relu(a)
-    if kind == "gelu":
-        return gelu(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    raise ContractError(f"unknown activation kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
@@ -687,20 +659,14 @@ def _col2im(cols: np.ndarray, channels: int, kernel: tuple[int, ...],
     return acc
 
 
-def conv(x, weight, bias=None, stride: int = 1, padding: int = 0,
-         rank: int | None = None) -> Tensor:
+def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of a (C_in, spatial...) input with a
     (C_out, C_in, k...) kernel, plus an optional per-channel bias.
-
-    ``rank`` (2 or 3), when given, is validated against the spatial rank of
-    the operands.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     sp_rank = weight.ndim - 2
     if sp_rank not in (2, 3):
         raise ShapeError(f"conv weight must be rank 4 or 5, got shape {weight.shape}")
-    if rank is not None and rank != sp_rank:
-        raise ShapeError(f"conv rank mismatch: weight implies {sp_rank}, asked for {rank}")
     if x.ndim != sp_rank + 1:
         raise ShapeError(f"conv input {x.shape} does not match weight {weight.shape}")
     c_out, c_in = weight.shape[0], weight.shape[1]
@@ -749,7 +715,7 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0,
     return _record("conv", out, inputs, bw)
 
 
-def transposed_conv(x, weight, stride: int = 2, rank: int | None = None) -> Tensor:
+def transposed_conv(x, weight, stride: int = 2) -> Tensor:
     """Adjoint of ``conv`` with the same weight, stride and zero padding.
 
     Weight layout is (C_in, C_out, k...), i.e. the first axis matches the
@@ -760,9 +726,6 @@ def transposed_conv(x, weight, stride: int = 2, rank: int | None = None) -> Tens
     sp_rank = weight.ndim - 2
     if sp_rank not in (2, 3):
         raise ShapeError(f"transposed_conv weight must be rank 4 or 5, got {weight.shape}")
-    if rank is not None and rank != sp_rank:
-        raise ShapeError(
-            f"transposed_conv rank mismatch: weight implies {sp_rank}, asked for {rank}")
     if x.ndim != sp_rank + 1:
         raise ShapeError(f"transposed_conv input {x.shape} does not match weight {weight.shape}")
     c_in, c_out = weight.shape[0], weight.shape[1]
@@ -788,15 +751,13 @@ def transposed_conv(x, weight, stride: int = 2, rank: int | None = None) -> Tens
     return _record("transposed_conv", out, (x, weight), bw)
 
 
-def maxpool(x, rank: int | None = None) -> Tensor:
+def maxpool(x) -> Tensor:
     """Kernel-2 / stride-2 max pooling; every spatial extent must be even.
 
     Ties route the gradient to the first maximal element of the window.
     """
     x = as_tensor(x)
     sp_rank = x.ndim - 1
-    if rank is not None and rank != sp_rank:
-        raise ShapeError(f"maxpool rank mismatch: input implies {sp_rank}, asked for {rank}")
     sp = x.shape[1:]
     if any(s % 2 for s in sp):
         raise ShapeError(f"maxpool needs even spatial extents, got {sp}")
@@ -838,7 +799,3 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor._wrap(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor._wrap(np.ones(shape), requires_grad=requires_grad)

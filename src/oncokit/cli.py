@@ -10,32 +10,18 @@ Verbs:
     stats model   parameter / MAC accounting for an architecture
 
 Exit codes: 0 success, 2 configuration error, 3 data/format error,
-4 numeric divergence. ``ONCOKIT_THREADS`` caps the numeric worker pools
-(it is exported to the BLAS thread knobs before numpy loads, so it must be
-respected from process start; the entry point handles that ordering).
+4 numeric divergence. ``ONCOKIT_THREADS`` caps the numeric worker pools;
+importing the package applies it (see ``oncokit/__init__.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-
-def _cap_threads() -> None:
-    cap = os.environ.get("ONCOKIT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_cap_threads()   # must run before the numpy import chain below
-
-from .errors import (  # noqa: E402
+from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
@@ -126,8 +112,13 @@ def cmd_predict(args) -> int:
     from .ehr import load_ehr
     from .mtlr import load_mtlr, mtlr_cohort_risks
 
-    cohort = load_ehr(args.ehr)
-    model_obj = json.loads(Path(args.model).read_text())
+    try:
+        cohort = load_ehr(args.ehr)
+        model_obj = json.loads(Path(args.model).read_text())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read predict input: {exc}") from exc
+    if not isinstance(model_obj, dict):
+        raise DataError(f"{args.model}: not a model object")
     kind = model_obj.get("type")
     if kind == "cox":
         risks = cox_cohort_risks(load_cox(args.model), cohort)

@@ -3,8 +3,10 @@
 The risk for covariates x is exp(w . x); ties are handled with the Breslow
 approximation (every event in a tie group shares the full risk set) both in
 the likelihood and in the baseline cumulative hazard estimator. Newton steps
-are halved until the log-likelihood increases, so the trajectory is
-monotone; iteration stops when the score norm drops below 1e-8.
+are halved until the log-likelihood increases, or drops by no more than
+1e-11 * (1 + |ll|), the rounding of a flat step near the optimum; so the
+trajectory is monotone up to that allowance. Iteration stops when the score
+norm drops below 1e-8.
 """
 
 from __future__ import annotations

@@ -39,9 +39,11 @@ from .mtlr import (
     mtlr_fit,
     nmtlr_cohort_risks,
     nmtlr_fit,
+    risk_from_scores,
     save_mtlr,
+    time_grid,
 )
-from .optim import OptimState, adamw_step, cosine_lr
+from .optim import OptimState, ParamTree, adamw_step, cosine_lr
 from .preprocess import ct_window_normalize, pet_zscore, resample_isotropic
 from .segnets import UNet, UnetrDecoder, predict_mask
 from .superimage import SuperImageLayout, from_super_image, to_super_image
@@ -224,13 +226,39 @@ def _prepped_triplet(subject) -> tuple[Volume, Volume, Volume]:
 
 # --------------------------------------------------------------------- training
 
-def _accumulate(total: dict, grads, params: dict) -> None:
-    for name, p in params.items():
-        g = grads[p].data
-        if name in total:
-            total[name] = total[name] + g
-        else:
-            total[name] = g.copy()
+def _minibatch_train(params: dict[str, Tensor], set_params, loss, n: int,
+                     epochs: int, batch_size: int, state: OptimState,
+                     seed: int) -> list[float]:
+    """AdamW over seeded minibatches of samples 0..n-1; returns epoch losses.
+
+    Each epoch draws a permutation from the seeded generator and takes its
+    learning rate from the warm-restart cosine schedule. ``loss(index,
+    epoch)`` builds one sample's scalar loss on its own tape; gradients are
+    summed over the batch, divided by its size and applied in one AdamW
+    step, and ``set_params`` hands the updated dict back to the model.
+    """
+    rng = np.random.default_rng(seed)
+    history = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        lr_now = cosine_lr(epoch, state)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            totals: dict[str, np.ndarray] = {}
+            for idx in batch:
+                with Tape() as tape:
+                    value = loss(int(idx), epoch)
+                grads = backward(tape, value)
+                for name, p in params.items():
+                    g = grads[p].data
+                    totals[name] = totals[name] + g if name in totals else g
+                epoch_loss += float(value.data)
+            gmap = {k: v / len(batch) for k, v in totals.items()}
+            params = adamw_step(params, gmap, state, lr=lr_now)
+            set_params(params)
+        history.append(epoch_loss / n)
+    return history
 
 
 def train_segmentation(net, samples, epochs: int, batch_size: int,
@@ -242,36 +270,21 @@ def train_segmentation(net, samples, epochs: int, batch_size: int,
 
     When an augmentation config is given, ``raw_triplets`` supplies the
     (ct, pet, mask) volumes to re-augment each epoch; samples are then
-    rebuilt on the fly with a per-epoch generator so runs stay seeded.
+    rebuilt on the fly with a per-epoch generator so runs stay seeded, in
+    the sample's own layout (a 2D input means a super image).
     """
+    def loss(idx: int, epoch: int) -> Tensor:
+        x, y = samples[idx]
+        if augment_cfg is not None and raw_triplets is not None:
+            worker = np.random.default_rng((seed, epoch, idx))
+            triplet = augment(*raw_triplets[idx], augment_cfg, rng=worker)
+            x, y = _seg_pair(*triplet, super_image=x.ndim == 3)
+        return combined_loss(sigmoid(net.forward(Tensor(x))), Tensor(y))
+
     state = OptimState(base_lr=lr, weight_decay=weight_decay, period=period,
                        floor_lr=floor_lr)
-    rng = np.random.default_rng(seed)
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(samples))
-        lr_now = cosine_lr(epoch, state)
-        epoch_loss = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            totals: dict[str, np.ndarray] = {}
-            for idx in batch:
-                x, y = samples[idx]
-                if augment_cfg is not None and raw_triplets is not None:
-                    worker = np.random.default_rng((seed, epoch, int(idx)))
-                    ct, pet, mask = augment(*raw_triplets[idx], augment_cfg, rng=worker)
-                    x = np.stack([ct.data, pet.data]).astype(np.float64)
-                    y = mask.data[None].astype(np.float64)
-                with Tape() as tape:
-                    logits = net.forward(Tensor(x))
-                    loss = combined_loss(sigmoid(logits), Tensor(y))
-                grads = backward(tape, loss)
-                _accumulate(totals, grads, net.params)
-                epoch_loss += float(loss.data)
-            gmap = {k: v / len(batch) for k, v in totals.items()}
-            net.params = adamw_step(net.params, gmap, state, lr=lr_now)
-        history.append(epoch_loss / len(samples))
-    return history
+    return _minibatch_train(net.params, lambda p: setattr(net, "params", p),
+                            loss, len(samples), epochs, batch_size, state, seed)
 
 
 def _segmentation_metrics(pairs) -> dict:
@@ -304,20 +317,15 @@ class _UnetrSeg:
     def __init__(self, enc: ViTEncoder, dec: UnetrDecoder):
         self.enc = enc
         self.dec = dec
+        self._tree = ParamTree(("enc.", enc.params), ("dec.", dec.params))
 
     @property
     def params(self):
-        merged = {f"enc.{k}": v for k, v in self.enc.params.items()}
-        merged.update({f"dec.{k}": v for k, v in self.dec.params.items()})
-        return merged
+        return self._tree.flat()
 
     @params.setter
     def params(self, flat):
-        for name, value in flat.items():
-            if name.startswith("enc."):
-                self.enc.params[name[4:]] = value
-            else:
-                self.dec.params[name[4:]] = value
+        self._tree.assign(flat)
 
     def forward(self, x: Tensor) -> Tensor:
         axes = tuple(range(1, x.ndim)) + (0,)
@@ -325,26 +333,22 @@ class _UnetrSeg:
         return self.dec.forward(self.enc.forward(channels_last), x)
 
 
+def _seg_pair(ct: Volume, pet: Volume, mask: Volume, super_image: bool):
+    """Channels-first (ct, pet) input and one-channel mask target, both
+    tiled into one 2D super image when ``super_image`` is set."""
+    if super_image:
+        stack = np.stack([ct.data, pet.data, mask.data], axis=-1)
+        si = to_super_image(stack, SuperImageLayout.for_volume(stack.shape))
+        return (si[:, :, :2].transpose(2, 0, 1).astype(np.float64),
+                si[:, :, 2][None].astype(np.float64))
+    return (np.stack([ct.data, pet.data]).astype(np.float64),
+            mask.data[None].astype(np.float64))
+
+
 def _seg_samples(cohort: Cohort, indices, as_super_image: bool):
-    samples = []
-    triplets = []
-    layouts = {}
-    for i in indices:
-        s = cohort.subjects[i]
-        ct, pet, mask = _prepped_triplet(s)
-        triplets.append((ct, pet, mask))
-        if as_super_image:
-            stack = np.stack([ct.data, pet.data, mask.data], axis=-1)
-            layout = SuperImageLayout.for_volume(stack.shape)
-            si = to_super_image(stack, layout)
-            x = si[:, :, :2].transpose(2, 0, 1).astype(np.float64)
-            y = si[:, :, 2][None].astype(np.float64)
-            layouts[s.id] = layout
-        else:
-            x = np.stack([ct.data, pet.data]).astype(np.float64)
-            y = mask.data[None].astype(np.float64)
-        samples.append((x, y))
-    return samples, triplets, layouts
+    """(input, target) pairs plus the prepped triplets they came from."""
+    triplets = [_prepped_triplet(cohort.subjects[i]) for i in indices]
+    return [_seg_pair(*t, as_super_image) for t in triplets], triplets
 
 
 def _seg_model(task: str, preset: str, sample_shape, seed: int,
@@ -370,8 +374,8 @@ def _seg_model(task: str, preset: str, sample_shape, seed: int,
 def _run_seg_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                   fold_seed: int, out_dir: Path, fold_index: int) -> dict:
     as_si = cfg.task == "seg2d-si"
-    train_samples, train_triplets, _ = _seg_samples(cohort, train_idx, as_si)
-    val_samples, _, _ = _seg_samples(cohort, val_idx, as_si)
+    train_samples, train_triplets = _seg_samples(cohort, train_idx, as_si)
+    val_samples, _ = _seg_samples(cohort, val_idx, as_si)
     net = _seg_model(cfg.task, cfg.model_preset, train_samples[0][0].shape,
                      fold_seed, cfg.decoder_width, cfg.patch)
     aug = AugmentConfig.recommended(seed=cfg.augment_seed) \
@@ -438,8 +442,6 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
 
 def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                    fold_seed: int, out_dir: Path, fold_index: int) -> dict:
-    from .mtlr import time_grid
-
     tabular = _maybe_project(cfg, cohort)
     boundaries = time_grid(tabular.subset(train_idx).times(),
                            tabular.subset(train_idx).events(),
@@ -458,39 +460,25 @@ def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
         enc_cfg = EncoderConfig(tuple(spatial), 2, cfg.patch or 16, 768, 12, 12, 4, ehr_dim)
     model = TmssModel(enc_cfg, boundaries, decoder_width=cfg.decoder_width,
                       seed=fold_seed)
+
+    def loss(pos: int, epoch: int) -> Tensor:
+        s = tabular.subjects[train_idx[pos]]
+        vol, mask = samples[train_idx[pos]]
+        out = model.forward(Tensor(vol), Tensor(s.covariates))
+        return tmss_loss(out.logits, Tensor(mask), out.scores, s.time, s.event,
+                         boundaries, beta=cfg.survival_weight)
+
     state = OptimState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
                        period=cfg.schedule_period)
-    rng = np.random.default_rng(fold_seed)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_idx)
-        lr_now = cosine_lr(epoch, state)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            totals: dict[str, np.ndarray] = {}
-            params = model.params
-            for i in batch:
-                s = tabular.subjects[i]
-                vol, mask = samples[i]
-                with Tape() as tape:
-                    out = model.forward(Tensor(vol), Tensor(s.covariates))
-                    loss = tmss_loss(out.logits, Tensor(mask), out.scores,
-                                     s.time, s.event, boundaries,
-                                     beta=cfg.survival_weight)
-                grads = backward(tape, loss)
-                _accumulate(totals, grads, params)
-            gmap = {k: v / len(batch) for k, v in totals.items()}
-            model.set_params(adamw_step(params, gmap, state, lr=lr_now))
-    from .mtlr import MtlrModel, mtlr_risk
-
-    identity_head = MtlrModel(boundaries, np.eye(boundaries.shape[0]),
-                              np.zeros(boundaries.shape[0]), 0.0)
+    _minibatch_train(model.params, model.set_params, loss, len(train_idx),
+                     cfg.epochs, cfg.batch_size, state, fold_seed)
     risks = []
     dscs = []
     for i in val_idx:
         s = tabular.subjects[i]
         vol, mask = samples[i]
         out = model.forward(Tensor(vol), Tensor(s.covariates))
-        risks.append(mtlr_risk(identity_head, out.scores.data[0]))
+        risks.append(risk_from_scores(boundaries, out.scores.data[0]))
         dscs.append(dsc(predict_mask(out.logits)[0], mask[0]))
     val = tabular.subset(val_idx)
     metrics = _survival_metrics(val.times(), np.array(risks), val.events())

@@ -56,6 +56,10 @@ class SurvivalCurve:
 
 @dataclass
 class MtlrModel:
+    """Linear MTLR head. ``iterations`` counts the AdamW updates of the fit;
+    when the iteration cap stops it, ``final_grad_norm`` is the norm before
+    the last update, not at the returned parameters."""
+
     boundaries: np.ndarray           # (m,), strictly increasing, > 0
     theta: np.ndarray                # (m, p)
     bias: np.ndarray                 # (m,)
@@ -199,10 +203,10 @@ def _fit_params(param_init: dict[str, Tensor], loss_fn, cfg: FitConfig):
         grads = backward(tape, loss)
         gmap = {name: grads[p].data for name, p in params.items()}
         grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in gmap.values())))
-        iterations = step
         if grad_norm <= cfg.grad_tol:
             break
         params = adamw_step(params, gmap, state, lr=cosine_lr(step, state))
+        iterations = step + 1
     return params, iterations, grad_norm
 
 
@@ -241,32 +245,46 @@ def _interval_probabilities(scores_row: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def mtlr_survival(model: MtlrModel, covariates) -> SurvivalCurve:
-    """Survival probabilities at the grid boundaries (prefixed with S(0)=1).
+def survival_from_scores(boundaries: np.ndarray, scores) -> SurvivalCurve:
+    """Survival probabilities at the grid boundaries (prefixed with S(0)=1)
+    from one subject's per-boundary scores g_j = theta_j . x + b_j.
 
     S(tau_j) sums the probability mass of every sequence that is still
     alive at tau_j, i.e. death regions j..m.
     """
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.shape != (model.theta.shape[1],):
-        raise ContractError(
-            f"covariate width {x.shape} != model width ({model.theta.shape[1]},)")
-    g = model.theta @ x + model.bias
-    probs = _interval_probabilities(g)
-    m = model.boundaries.shape[0]
+    probs = _interval_probabilities(scores)
+    m = boundaries.shape[0]
     surv = np.array([probs[j:].sum() for j in range(1, m + 1)])
-    times = np.concatenate([[0.0], model.boundaries])
+    times = np.concatenate([[0.0], boundaries])
     return SurvivalCurve(times, np.concatenate([[1.0], np.clip(surv, 0.0, 1.0)]))
 
 
-def mtlr_risk(model: MtlrModel, covariates) -> float:
+def risk_from_scores(boundaries: np.ndarray, scores) -> float:
     """Scalar risk: cumulative incidence mass sum_j (1 - S(tau_j)).
 
     Monotone under shifting probability mass to earlier intervals, bounded
     by the grid size, and higher for earlier expected events.
     """
-    curve = mtlr_survival(model, covariates)
+    curve = survival_from_scores(boundaries, scores)
     return float((1.0 - curve.survival[1:]).sum())
+
+
+def _head_scores(model: MtlrModel, covariates) -> np.ndarray:
+    x = np.asarray(covariates, dtype=np.float64)
+    if x.shape != (model.theta.shape[1],):
+        raise ContractError(
+            f"covariate width {x.shape} != model width ({model.theta.shape[1]},)")
+    return model.theta @ x + model.bias
+
+
+def mtlr_survival(model: MtlrModel, covariates) -> SurvivalCurve:
+    """Survival curve of one subject under the linear head."""
+    return survival_from_scores(model.boundaries, _head_scores(model, covariates))
+
+
+def mtlr_risk(model: MtlrModel, covariates) -> float:
+    """Scalar risk of one subject under the linear head."""
+    return risk_from_scores(model.boundaries, _head_scores(model, covariates))
 
 
 def mtlr_cohort_risks(model: MtlrModel, cohort: Cohort) -> np.ndarray:
@@ -283,6 +301,9 @@ def mtlr_c_index(model: MtlrModel, cohort: Cohort):
 
 @dataclass
 class NMtlrModel:
+    """MTLR head over a relu MLP; ``iterations`` and ``final_grad_norm``
+    mean what they mean on ``MtlrModel``."""
+
     boundaries: np.ndarray
     hidden_widths: tuple[int, ...]
     mlp_params: dict[str, np.ndarray]
@@ -352,17 +373,8 @@ def nmtlr_fit(cohort: Cohort, hidden_widths=(16,), m: int | None = None,
 
 
 def nmtlr_risk(model: NMtlrModel, covariates) -> float:
-    x = np.asarray(covariates, dtype=np.float64)
-    feats = model.features(x)
-    head = MtlrModel(model.boundaries, model.theta, model.bias, model.smoothing)
-    return mtlr_risk(head, feats)
-
-
-def nmtlr_survival(model: NMtlrModel, covariates) -> SurvivalCurve:
-    x = np.asarray(covariates, dtype=np.float64)
-    feats = model.features(x)
-    head = MtlrModel(model.boundaries, model.theta, model.bias, model.smoothing)
-    return mtlr_survival(head, feats)
+    feats = model.features(np.asarray(covariates, dtype=np.float64))
+    return risk_from_scores(model.boundaries, model.theta @ feats + model.bias)
 
 
 def nmtlr_cohort_risks(model: NMtlrModel, cohort: Cohort) -> np.ndarray:

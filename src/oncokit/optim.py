@@ -2,7 +2,9 @@
 
 Parameters live in plain name -> Tensor dicts; a step returns a fresh dict
 so the tensors themselves stay immutable. Given the same state and inputs
-the update is bit-deterministic.
+the update is bit-deterministic. A model built from several parts exposes
+one flat dict through ``ParamTree``, which namespaces each part's names
+with a prefix.
 """
 
 from __future__ import annotations
@@ -38,6 +40,30 @@ class OptimState:
     def __post_init__(self):
         if self.step < 0:
             raise ContractError("optimizer step counter must be >= 0")
+
+
+class ParamTree:
+    """One flat name -> Tensor view over several parts' parameter dicts.
+
+    Parts are (prefix, dict) pairs; the flat names are prefix + part name,
+    in part order. ``assign`` writes flat entries back into the first part
+    whose prefix they carry, so a "" prefix catches names stored whole.
+    """
+
+    def __init__(self, *parts: tuple[str, dict[str, Tensor]]):
+        self.parts = parts
+
+    def flat(self) -> dict[str, Tensor]:
+        return {prefix + name: t for prefix, params in self.parts
+                for name, t in params.items()}
+
+    def assign(self, flat: dict[str, Tensor]) -> None:
+        for name, value in flat.items():
+            owners = [part for part in self.parts if name.startswith(part[0])]
+            if not owners:
+                raise ContractError(f"parameter {name!r} matches no part prefix")
+            prefix, params = owners[0]
+            params[name[len(prefix):]] = value
 
 
 def cosine_lr(epoch: float, state: OptimState) -> float:

@@ -28,7 +28,8 @@ from .autodiff import (
 )
 from .errors import ContractError
 from .losses import combined_loss
-from .mtlr import MtlrModel, mtlr_nll_from_scores, mtlr_risk, mtlr_survival
+from .mtlr import mtlr_nll_from_scores, risk_from_scores, survival_from_scores
+from .optim import ParamTree
 from .segnets import UnetrDecoder
 from .vit import EncoderConfig, ViTEncoder
 
@@ -59,23 +60,15 @@ class TmssModel:
             "surv.w": trunc_normal(rng, (2 * k, m), std=0.02),
             "surv.b": zeros((m,), requires_grad=True),
         }
+        self._tree = ParamTree(("enc.", self.encoder.params),
+                               ("dec.", self.decoder.params), ("", self.head))
 
     @property
     def params(self) -> dict[str, Tensor]:
-        merged = {}
-        merged.update({f"enc.{k}": v for k, v in self.encoder.params.items()})
-        merged.update({f"dec.{k}": v for k, v in self.decoder.params.items()})
-        merged.update(self.head)
-        return merged
+        return self._tree.flat()
 
     def set_params(self, flat: dict[str, Tensor]) -> None:
-        for name, value in flat.items():
-            if name.startswith("enc."):
-                self.encoder.params[name[4:]] = value
-            elif name.startswith("dec."):
-                self.decoder.params[name[4:]] = value
-            else:
-                self.head[name] = value
+        self._tree.assign(flat)
 
     def forward(self, volume_hwdc: Tensor, covariates: Tensor) -> TmssOutput:
         """volume_hwdc is channels-last (spatial..., C) as the embedder expects."""
@@ -92,17 +85,11 @@ class TmssModel:
 
     def predict_risk(self, volume_hwdc: Tensor, covariates: Tensor) -> float:
         out = self.forward(volume_hwdc, covariates)
-        scores = out.scores.data[0]
-        head = MtlrModel(self.boundaries, np.eye(self.boundaries.shape[0]),
-                         np.zeros(self.boundaries.shape[0]), 0.0)
-        return mtlr_risk(head, scores)
+        return risk_from_scores(self.boundaries, out.scores.data[0])
 
     def predict_survival(self, volume_hwdc: Tensor, covariates: Tensor):
         out = self.forward(volume_hwdc, covariates)
-        scores = out.scores.data[0]
-        head = MtlrModel(self.boundaries, np.eye(self.boundaries.shape[0]),
-                         np.zeros(self.boundaries.shape[0]), 0.0)
-        return mtlr_survival(head, scores)
+        return survival_from_scores(self.boundaries, out.scores.data[0])
 
 
 def tmss_loss(logits: Tensor, mask: Tensor, scores: Tensor, time: float,

@@ -92,14 +92,6 @@ def vit_b16(input_shape, channels: int = 2, ehr_dim: int | None = None) -> Encod
     return EncoderConfig(tuple(input_shape), channels, 16, 768, 12, 12, 4, ehr_dim)
 
 
-def vit_toy(input_shape, channels: int = 2, ehr_dim: int | None = None,
-            patch: int = 8, embed_dim: int = 64, layers: int = 4,
-            heads: int = 4) -> EncoderConfig:
-    """Desk-scale preset exercising the same code path in seconds."""
-    return EncoderConfig(tuple(input_shape), channels, patch, embed_dim,
-                         layers, heads, 4, ehr_dim)
-
-
 @dataclass
 class EncoderOutput:
     final: Tensor                     # (N [+1], K)
@@ -130,20 +122,6 @@ def extract_patches(x: Tensor, patch: int, rank: int) -> Tensor:
     t = reshape(x, (h, patch, w, patch, c))
     t = transpose(t, (0, 2, 1, 3, 4))
     return reshape(t, (h * w, patch ** 2 * c))
-
-
-def self_attention(tokens: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Single-head scaled dot-product attention over an (N, K) sequence.
-
-    Rows of the attention matrix are probability vectors; the scale is the
-    square root of the head width (the column count of the projections).
-    """
-    q = matmul(tokens, wq)
-    k = matmul(tokens, wk)
-    v = matmul(tokens, wv)
-    scale = 1.0 / math.sqrt(wq.shape[1])
-    att = softmax(matmul(q, transpose(k, (1, 0))) * scale, axis=-1)
-    return matmul(att, v)
 
 
 class ViTEncoder:

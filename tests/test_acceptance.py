@@ -290,8 +290,8 @@ def test_criterion_06_toy_segmentation_comparability(tmp_path):
     epochs_used = {}
     for task in ("seg2d-si", "seg3d"):
         as_si = task == "seg2d-si"
-        train_samples, _, _ = _seg_samples(cohort, train_idx, as_si)
-        val_samples, _, _ = _seg_samples(cohort, val_idx, as_si)
+        train_samples, _ = _seg_samples(cohort, train_idx, as_si)
+        val_samples, _ = _seg_samples(cohort, val_idx, as_si)
         rank = 2 if as_si else 3
         net = UNet(rank, in_channels=2, depth=2, base_width=8, seed=1)
         probe = val_samples[:24]

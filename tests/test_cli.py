@@ -1,9 +1,14 @@
 """End-to-end CLI verbs and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import oncokit
 from oncokit.cli import main
 from oncokit.volume import Volume, read_volume, write_volume
 
@@ -88,6 +93,39 @@ def test_predict_and_eval_survival(tmp_path):
                  str(data / "ehr.csv"), "--out", str(pred_csv)]) == 0
     assert main(["eval", "--task", "surv", "--pred", str(pred_csv),
                  "--truth", str(data / "ehr.csv")]) == 0
+
+
+def test_predict_unreadable_inputs_exit_code(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "20", "--seed", "5"])
+    ehr = str(data / "ehr.csv")
+    not_json = tmp_path / "model.json"
+    not_json.write_text("not json")
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    cases = [(tmp_path / "nope.json", ehr),           # missing model
+             (not_json, str(tmp_path / "nope.csv")),  # missing ehr
+             (tmp_path, ehr),                         # model is a directory
+             (not_json, ehr),                         # model is not JSON
+             (not_object, ehr)]                       # model is not an object
+    for model, ehr_path in cases:
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--ehr", ehr_path,
+                     "--out", str(tmp_path / "r.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_thread_cap_applies_on_package_import():
+    code = ("import oncokit.experiment, os; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(PYTHONPATH=str(Path(oncokit.__file__).resolve().parents[1]),
+               ONCOKIT_THREADS="1", OMP_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    # the cap fills unset variables; an explicitly set one keeps its value
+    assert done.stdout.split() == ["1", "2"]
 
 
 def test_eval_segmentation_missing_flagged(tmp_path):

@@ -173,7 +173,8 @@ class TestRunExperiment:
             cfg = ExperimentConfig(task="seg2d-si", data_dir=str(tmp_path / "d"),
                                    output_dir=str(out), seed=13, cv_folds=2,
                                    epochs=1, batch_size=4, augment_seed=99)
-            run_experiment(cfg)
+            report = run_experiment(cfg)
+            assert report.aggregate["failed_folds"] == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 

@@ -217,6 +217,11 @@ class TestFit:
         assert a.theta.tobytes() == b.theta.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
 
+    def test_iterations_count_updates_at_cap(self):
+        cohort = gen_synthetic_cohort(40, seed=16, beta=[1.0], censor_frac=0.2)
+        model = mtlr_fit(cohort, m=3, config=FitConfig(iterations=10, grad_tol=0.0))
+        assert model.iterations == 10
+
 
 class TestNeuralFit:
     def test_no_hidden_layers_matches_linear_fit(self):

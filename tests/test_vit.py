@@ -13,7 +13,6 @@ from oncokit.vit import (
     EncoderConfig,
     ViTEncoder,
     extract_patches,
-    self_attention,
     tokens_to_grid,
     vit_b16,
 )
@@ -74,18 +73,28 @@ class TestPatchEmbed:
         assert list(nonzero_rows) == [1 * (2 * 1) + 0 * 1 + 0]
 
 
+def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """The encoder's attention with one head, zero biases and an identity
+    output projection: plain scaled dot-product attention of width K."""
+    k = wq.shape[0]
+    enc = ViTEncoder(EncoderConfig((2, 2), 1, 2, k, 1, 1, 1))
+    enc.params.update({"blocks.0.wq": wq, "blocks.0.wk": wk, "blocks.0.wv": wv,
+                       "blocks.0.w_msa": Tensor(np.eye(k))})
+    return enc._msa(z, "blocks.0.")
+
+
 class TestSelfAttention:
     def test_single_token_passthrough(self):
-        wq = Tensor(RNG.normal(size=(4, 2)))
-        wk = Tensor(RNG.normal(size=(4, 2)))
-        wv = Tensor(RNG.normal(size=(4, 2)))
+        wq = Tensor(RNG.normal(size=(4, 4)))
+        wk = Tensor(RNG.normal(size=(4, 4)))
+        wv = Tensor(RNG.normal(size=(4, 4)))
         z = Tensor(RNG.normal(size=(1, 4)))
         out = self_attention(z, wq, wk, wv)
         assert np.allclose(out.data, z.data @ wv.data)
 
     def test_identical_tokens_uniform_attention(self):
         z = Tensor(np.tile(RNG.normal(size=(1, 4)), (5, 1)))
-        wq, wk, wv = (Tensor(RNG.normal(size=(4, 2))) for _ in range(3))
+        wq, wk, wv = (Tensor(RNG.normal(size=(4, 4))) for _ in range(3))
         out = self_attention(z, wq, wk, wv)
         # uniform weights over identical values reproduce the value row
         assert np.allclose(out.data, z.data @ wv.data, atol=1e-12)
