@@ -444,6 +444,17 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _record("narrow", out, (a,), bw)
 
 
+def rcumsum(a, axis: int = -1) -> Tensor:
+    """Reverse cumulative sum: out[..., k, ...] = sum over j >= k along axis.
+
+    Each input element feeds every output at or before its position, so the
+    gradient is the forward cumulative sum of the upstream gradient.
+    """
+    a = as_tensor(a)
+    out = Tensor._wrap(np.flip(np.cumsum(np.flip(a.data, axis), axis=axis), axis))
+    return _record("rcumsum", out, (a,), lambda g: (np.cumsum(g, axis=axis),))
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------

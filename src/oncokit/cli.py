@@ -110,7 +110,7 @@ def cmd_predict(args) -> int:
 
     from .cox import cox_cohort_risks, load_cox
     from .ehr import load_ehr
-    from .mtlr import load_mtlr, mtlr_cohort_risks
+    from .mtlr import load_mtlr, load_nmtlr, mtlr_cohort_risks, nmtlr_cohort_risks
 
     try:
         cohort = load_ehr(args.ehr)
@@ -124,6 +124,8 @@ def cmd_predict(args) -> int:
         risks = cox_cohort_risks(load_cox(args.model), cohort)
     elif kind == "mtlr":
         risks = mtlr_cohort_risks(load_mtlr(args.model), cohort)
+    elif kind == "nmtlr":
+        risks = nmtlr_cohort_risks(load_nmtlr(args.model), cohort)
     else:
         raise ConfigError(f"{args.model}: unknown model type {kind!r}")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

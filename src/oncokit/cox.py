@@ -2,7 +2,10 @@
 
 The risk for covariates x is exp(w . x); ties are handled with the Breslow
 approximation (every event in a tie group shares the full risk set) both in
-the likelihood and in the baseline cumulative hazard estimator. Newton steps
+the likelihood and in the baseline cumulative hazard estimator. Both are
+array sweeps, not per-subject loops: rows are sorted by descending time once,
+and cumulative sums of w, w x and w x x^T read at the last row of each tie
+group give every event's risk-set sums. Newton steps
 are halved until the log-likelihood increases, or drops by no more than
 1e-11 * (1 + |ll|), the rounding of a flat step near the optimum; so the
 trajectory is monotone up to that allowance. Iteration stops when the score
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ehr import Cohort
-from .errors import ContractError, DivergenceError, NumericError
+from .errors import ContractError, DivergenceError, NumericError, malformed
 from .metrics import concordance_detail
 
 MAX_ABS_COEF = 50.0
@@ -37,44 +40,42 @@ class CoxModel:
     ridge: float = 0.0
 
 
+def _risk_set_order(times):
+    """Rows by descending time, and for each sorted row the position of the
+    last row of its tie group.
+
+    A cumulative sum over the sorted rows read at that position covers the
+    whole risk set {j : t_j >= t_i}, so every event of a tie group sees the
+    full group (Breslow).
+    """
+    order = np.argsort(-times, kind="stable")
+    ascending = -times[order]
+    return order, np.searchsorted(ascending, ascending, side="right") - 1
+
+
 def _loglik_parts(beta, x, times, events, ridge):
     """Breslow partial log-likelihood, score and Hessian in one sweep.
 
-    Subjects are processed by descending time so the running sums always
-    cover the risk set {j : t_j >= t_i}; a tie group is added to the sums
-    before its events are scored.
+    Cumulative sums of w, w x and w x x^T over the rows sorted by descending
+    time, read at each event's tie-group end, are the risk-set sums S0, S1
+    and S2 of that event; ll, score and Hessian are sums over the events.
     """
-    n, p = x.shape
+    p = x.shape[1]
     eta = x @ beta
     shift = eta.max()
     w = np.exp(eta - shift)
-    order = np.argsort(-times, kind="stable")
+    order, ends = _risk_set_order(times)
+    xs, ws = x[order], w[order]
+    is_event = events[order] == 1
+    at = ends[is_event]
 
-    s0 = 0.0
-    s1 = np.zeros(p)
-    s2 = np.zeros((p, p))
-    ll = 0.0
-    score = np.zeros(p)
-    hess = np.zeros((p, p))
-
-    pos = 0
-    while pos < n:
-        end = pos
-        t = times[order[pos]]
-        while end < n and times[order[end]] == t:
-            end += 1
-        for idx in order[pos:end]:
-            wi = w[idx]
-            s0 += wi
-            s1 += wi * x[idx]
-            s2 += wi * np.outer(x[idx], x[idx])
-        for idx in order[pos:end]:
-            if events[idx] == 1:
-                ll += eta[idx] - (np.log(s0) + shift)
-                mean = s1 / s0
-                score += x[idx] - mean
-                hess -= s2 / s0 - np.outer(mean, mean)
-        pos = end
+    s0 = np.cumsum(ws)[at]
+    s1 = np.cumsum(ws[:, None] * xs, axis=0)[at]
+    s2 = np.cumsum(ws[:, None, None] * (xs[:, :, None] * xs[:, None, :]), axis=0)[at]
+    mean = s1 / s0[:, None]
+    ll = float((eta[order][is_event] - (np.log(s0) + shift)).sum())
+    score = (xs[is_event] - mean).sum(axis=0)
+    hess = -(s2 / s0[:, None, None] - mean[:, :, None] * mean[:, None, :]).sum(axis=0)
 
     if ridge > 0:
         ll -= 0.5 * ridge * float(beta @ beta)
@@ -143,33 +144,22 @@ def cox_fit(cohort: Cohort, ridge: float = 0.0) -> CoxModel:
 
 
 def _breslow_baseline(beta, x, times, events) -> list[tuple[float, float]]:
+    """Cumulative hazard steps d_g / S0(t_g) at each event time, ascending.
+
+    S0 is read the way ``_loglik_parts`` reads it, at tie-group ends of the
+    descending-time cumulative sum.
+    """
     eta = x @ beta
     shift = eta.max()
     w = np.exp(eta - shift)
-    order = np.argsort(times, kind="stable")
-    total = float(w.sum())
-    cumulative = 0.0
-    steps = []
-    pos = 0
-    n = len(times)
-    removed = 0.0
-    while pos < n:
-        end = pos
-        t = times[order[pos]]
-        d = 0
-        group_w = 0.0
-        while end < n and times[order[end]] == t:
-            idx = order[end]
-            d += events[idx]
-            group_w += w[idx]
-            end += 1
-        at_risk = total - removed
-        if d > 0 and at_risk > 0:
-            cumulative += d / (at_risk * np.exp(shift))
-            steps.append((float(t), float(cumulative)))
-        removed += group_w
-        pos = end
-    return steps
+    order, ends = _risk_set_order(times)
+    last = np.flatnonzero(ends == np.arange(ends.shape[0]))[::-1]   # ascending time
+    at_risk = np.cumsum(w[order])[last]
+    at_or_after = np.cumsum(events[order])[last]     # events at times >= t_g
+    deaths = at_or_after - np.append(at_or_after[1:], 0)
+    keep = (deaths > 0) & (at_risk > 0)
+    cumulative = np.cumsum(deaths[keep] / (at_risk[keep] * np.exp(shift)))
+    return [(float(t), float(h)) for t, h in zip(times[order][last][keep], cumulative)]
 
 
 def cox_risk(model: CoxModel, covariates) -> np.ndarray | float:
@@ -211,11 +201,16 @@ def load_cox(path) -> CoxModel:
     obj = json.loads(Path(path).read_text())
     if obj.get("type") != "cox":
         raise ContractError(f"{path} does not hold a cox model")
-    return CoxModel(
-        np.array(obj["coefficients"], dtype=np.float64),
-        list(obj["feature_names"]),
-        [(float(t), float(h)) for t, h in obj["baseline_hazard"]],
-        iterations=int(obj["iterations"]),
-        log_likelihood=float(obj["log_likelihood"]),
-        ridge=float(obj.get("ridge", 0.0)),
-    )
+    with malformed(f"{path}: cox model"):
+        model = CoxModel(
+            np.array(obj["coefficients"], dtype=np.float64),
+            list(obj["feature_names"]),
+            [(float(t), float(h)) for t, h in obj["baseline_hazard"]],
+            iterations=int(obj["iterations"]),
+            log_likelihood=float(obj["log_likelihood"]),
+            ridge=float(obj.get("ridge", 0.0)),
+        )
+        if model.coefficients.shape != (len(model.feature_names),):
+            raise ValueError(f"coefficients of shape {model.coefficients.shape} "
+                             f"for {len(model.feature_names)} feature names")
+    return model

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataError and
 FormatError -> 3, NumericError and DivergenceError -> 4.
 """
 
+from contextlib import contextmanager
+
 
 class OncokitError(Exception):
     """Base class for all toolkit errors."""
@@ -39,3 +41,15 @@ class ConfigError(OncokitError):
 
 class EvaluationError(OncokitError):
     """A metric is undefined for the given inputs."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Report a missing field, or a value of the wrong type or shape, met
+    while decoding ``what`` (a parsed JSON object) as a DataError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{what}: missing field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{what}: {exc}") from exc

@@ -41,6 +41,7 @@ from .mtlr import (
     nmtlr_fit,
     risk_from_scores,
     save_mtlr,
+    save_nmtlr,
     time_grid,
 )
 from .optim import OptimState, ParamTree, adamw_step, cosine_lr
@@ -425,6 +426,7 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                           m=cfg.m_intervals, smoothing=cfg.smoothing,
                           config=fit_cfg)
         risks = nmtlr_cohort_risks(model, val)
+        save_nmtlr(model, out_dir / f"fold_{fold_index}_nmtlr.json")
         extra = {"hidden_widths": list(cfg.hidden_widths)}
     elif cfg.task == "fusion":
         cox_model = cox_fit(train)

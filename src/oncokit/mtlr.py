@@ -14,8 +14,16 @@ exponentiated scores over all m+1 sequences. A subject censored at time c
 is marginalized: its numerator sums exp f over every sequence consistent
 with being alive at c (all k with at least as many leading zeros as there
 are boundaries at or before c).
-Log-sum-exps are max-subtracted; masked-out sequences get a -1e30 offset,
-which underflows to an exact zero weight in 64-bit.
+The sequence scores are one reverse cumulative sum over the boundary
+axis, a differentiable tape op, so the likelihood costs O(n m). The
+admissible sequences come from two ``searchsorted`` calls over the whole
+cohort. Log-sum-exps are max-subtracted; masked-out sequences get a -1e30
+offset, which underflows to an exact zero weight in 64-bit.
+
+``survival_from_scores`` and ``risk_from_scores`` take one subject's (m,)
+boundary scores or an (n, m) batch; a batch is scored with one row-wise
+max-subtracted softmax between the reverse cumulative sums, which is how
+cohort risks are computed.
 
 The smoothness penalty C/2 * sum ||theta_j||^2 is part of the objective.
 Fitting runs full-batch AdamW under the shared warm-restart cosine
@@ -31,9 +39,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, logsumexp, matmul, relu, transpose, trunc_normal, tsum, zeros
+from .autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    concat,
+    logsumexp,
+    matmul,
+    rcumsum,
+    relu,
+    transpose,
+    trunc_normal,
+    tsum,
+    zeros,
+)
 from .ehr import Cohort
-from .errors import ContractError
+from .errors import ContractError, malformed
 from .metrics import concordance_detail
 from .optim import OptimState, adamw_step, cosine_lr
 
@@ -42,15 +63,17 @@ _MASK_OFF = -1e30
 
 @dataclass
 class SurvivalCurve:
+    """One curve, or a batch of curves on shared times (one per row)."""
+
     times: np.ndarray        # starts at 0
-    survival: np.ndarray     # starts at 1, nonincreasing, within [0, 1]
+    survival: np.ndarray     # (..., len(times)): starts at 1, nonincreasing, within [0, 1]
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.survival = np.asarray(self.survival, dtype=np.float64)
-        if self.survival[0] > 1.0 + 1e-12:
+        if np.any(self.survival[..., 0] > 1.0 + 1e-12):
             raise ContractError("survival curve must start at or below 1")
-        if np.any(np.diff(self.survival) > 1e-12):
+        if np.any(np.diff(self.survival, axis=-1) > 1e-12):
             raise ContractError("survival curve must be nonincreasing")
 
 
@@ -91,39 +114,45 @@ def time_grid(times, events, m: int | None = None) -> np.ndarray:
     return grid
 
 
-def _suffix_matrix(m: int) -> np.ndarray:
-    """A[k, j] = 1 when boundary column j belongs to sequence k's suffix."""
-    a = np.zeros((m + 1, m))
-    for k in range(m + 1):
-        a[k, k:] = 1.0
-    return a
-
-
-def event_interval(boundaries: np.ndarray, t: float) -> int:
-    """Number of boundaries strictly before an event at time t."""
-    k = int(np.searchsorted(boundaries, t, side="left"))
-    if t > boundaries[-1]:
+def event_interval(boundaries: np.ndarray, t):
+    """Number of boundaries strictly before an event at time t (a scalar, or
+    elementwise over an array of times)."""
+    t = np.asarray(t, dtype=np.float64)
+    late = t > boundaries[-1]
+    if np.any(late):
         raise ContractError(
-            f"event time {t} lies beyond the last boundary {boundaries[-1]}")
-    return k
+            f"event time {t[late].flat[0]} lies beyond the last boundary {boundaries[-1]}")
+    k = np.searchsorted(boundaries, t, side="left")
+    return int(k) if k.ndim == 0 else k
 
 
-def censor_interval(boundaries: np.ndarray, c: float) -> int:
-    """Number of boundaries at or before a censoring time c."""
-    return int(np.searchsorted(boundaries, c, side="right"))
+def censor_interval(boundaries: np.ndarray, c):
+    """Number of boundaries at or before a censoring time c (a scalar, or
+    elementwise over an array of times)."""
+    k = np.searchsorted(boundaries, c, side="right")
+    return int(k) if np.ndim(k) == 0 else k
 
 
 def _admissible_offsets(boundaries, times, events) -> np.ndarray:
-    """(n, m+1) additive mask: 0 where a sequence is consistent, -1e30 not."""
+    """(n, m+1) additive mask: 0 where a sequence is consistent, -1e30 not.
+
+    An event admits the one sequence k = event_interval; a censored subject
+    admits every k from censor_interval to m.
+    """
     m = boundaries.shape[0]
-    n = times.shape[0]
-    offs = np.full((n, m + 1), _MASK_OFF)
-    for i in range(n):
-        if events[i] == 1:
-            offs[i, event_interval(boundaries, times[i])] = 0.0
-        else:
-            offs[i, censor_interval(boundaries, times[i]):] = 0.0
-    return offs
+    died = events == 1
+    first = censor_interval(boundaries, times)
+    first[died] = event_interval(boundaries, times[died])
+    last = np.where(died, first, m)
+    k = np.arange(m + 1)
+    admitted = (k >= first[:, None]) & (k <= last[:, None])
+    return np.where(admitted, 0.0, _MASK_OFF)
+
+
+def _sequence_scores(scores: Tensor) -> Tensor:
+    """(n, m) boundary scores -> (n, m+1) sequence scores: column k is the
+    suffix sum of boundary columns k..m-1 (0-based), and column m is 0."""
+    return rcumsum(concat([scores, zeros((scores.shape[0], 1))], axis=1), axis=1)
 
 
 def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
@@ -141,8 +170,7 @@ def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
         raise ContractError(
             f"scores shape {scores.shape} does not match (n, m) = "
             f"({times.shape[0]}, {m})")
-    suffix = Tensor(_suffix_matrix(m))
-    f = matmul(scores, transpose(suffix, (1, 0)))          # (n, m+1)
+    f = _sequence_scores(scores)                           # (n, m+1)
     offs = Tensor(_admissible_offsets(boundaries, times, events))
     return tsum(logsumexp(f, axis=1) - logsumexp(f + offs, axis=1))
 
@@ -236,37 +264,41 @@ def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
 
 # ----------------------------------------------------------------- inference
 
-def _interval_probabilities(scores_row: np.ndarray) -> np.ndarray:
-    """softmax over the m+1 sequence scores for one subject."""
-    m = scores_row.shape[0]
-    f = _suffix_matrix(m) @ scores_row
-    f = f - f.max()
-    e = np.exp(f)
-    return e / e.sum()
+def _sequence_probabilities(scores) -> np.ndarray:
+    """Row-wise softmax over the m+1 sequence scores: (..., m) -> (..., m+1)."""
+    g = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    f = _sequence_scores(Tensor(g)).data
+    e = np.exp(f - f.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return probs.reshape(np.shape(scores)[:-1] + (g.shape[1] + 1,))
 
 
 def survival_from_scores(boundaries: np.ndarray, scores) -> SurvivalCurve:
     """Survival probabilities at the grid boundaries (prefixed with S(0)=1)
-    from one subject's per-boundary scores g_j = theta_j . x + b_j.
+    from per-boundary scores g_j = theta_j . x + b_j: one subject's (m,)
+    scores give one curve, an (n, m) batch gives n curves in one
+    (n, m+1) array.
 
     S(tau_j) sums the probability mass of every sequence that is still
-    alive at tau_j, i.e. death regions j..m.
+    alive at tau_j, i.e. death regions j..m: a reverse cumulative sum.
     """
-    probs = _interval_probabilities(scores)
-    m = boundaries.shape[0]
-    surv = np.array([probs[j:].sum() for j in range(1, m + 1)])
+    probs = _sequence_probabilities(scores)
+    surv = np.flip(np.cumsum(np.flip(probs[..., 1:], -1), axis=-1), -1)
+    ones = np.ones(surv.shape[:-1] + (1,))
     times = np.concatenate([[0.0], boundaries])
-    return SurvivalCurve(times, np.concatenate([[1.0], np.clip(surv, 0.0, 1.0)]))
+    return SurvivalCurve(times, np.concatenate([ones, np.clip(surv, 0.0, 1.0)], axis=-1))
 
 
-def risk_from_scores(boundaries: np.ndarray, scores) -> float:
-    """Scalar risk: cumulative incidence mass sum_j (1 - S(tau_j)).
+def risk_from_scores(boundaries: np.ndarray, scores):
+    """Scalar risk: cumulative incidence mass sum_j (1 - S(tau_j)); a float
+    for one subject's (m,) scores, an (n,) array for an (n, m) batch.
 
     Monotone under shifting probability mass to earlier intervals, bounded
     by the grid size, and higher for earlier expected events.
     """
     curve = survival_from_scores(boundaries, scores)
-    return float((1.0 - curve.survival[1:]).sum())
+    risk = (1.0 - curve.survival[..., 1:]).sum(axis=-1)
+    return float(risk) if risk.ndim == 0 else risk
 
 
 def _head_scores(model: MtlrModel, covariates) -> np.ndarray:
@@ -288,7 +320,11 @@ def mtlr_risk(model: MtlrModel, covariates) -> float:
 
 
 def mtlr_cohort_risks(model: MtlrModel, cohort: Cohort) -> np.ndarray:
-    return np.array([mtlr_risk(model, s.covariates) for s in cohort.subjects])
+    x = cohort.covariate_matrix()
+    if x.shape[1] != model.theta.shape[1]:
+        raise ContractError(
+            f"covariate width ({x.shape[1]},) != model width ({model.theta.shape[1]},)")
+    return risk_from_scores(model.boundaries, x @ model.theta.T + model.bias)
 
 
 def mtlr_c_index(model: MtlrModel, cohort: Cohort):
@@ -372,33 +408,75 @@ def nmtlr_fit(cohort: Cohort, hidden_widths=(16,), m: int | None = None,
                       list(cohort.feature_names), iterations, grad_norm)
 
 
-def nmtlr_risk(model: NMtlrModel, covariates) -> float:
-    feats = model.features(np.asarray(covariates, dtype=np.float64))
-    return risk_from_scores(model.boundaries, model.theta @ feats + model.bias)
-
-
 def nmtlr_cohort_risks(model: NMtlrModel, cohort: Cohort) -> np.ndarray:
-    return np.array([nmtlr_risk(model, s.covariates) for s in cohort.subjects])
+    feats = model.features(cohort.covariate_matrix())
+    return risk_from_scores(model.boundaries, feats @ model.theta.T + model.bias)
 
 
 # ----------------------------------------------------------------- storage
 
-def save_mtlr(model: MtlrModel, path) -> None:
-    payload = {
-        "type": "mtlr",
+def _head_payload(kind: str, model) -> dict:
+    return {
+        "type": kind,
         "boundaries": [float(v) for v in model.boundaries],
         "theta": [[float(v) for v in row] for row in model.theta],
         "bias": [float(v) for v in model.bias],
         "smoothing": model.smoothing,
         "feature_names": model.feature_names,
     }
+
+
+def save_mtlr(model: MtlrModel, path) -> None:
+    Path(path).write_text(json.dumps(_head_payload("mtlr", model), indent=2))
+
+
+def save_nmtlr(model: NMtlrModel, path) -> None:
+    """The MTLR head plus the relu MLP's widths and weights."""
+    payload = _head_payload("nmtlr", model)
+    payload["hidden_widths"] = list(model.hidden_widths)
+    payload["mlp"] = {name: arr.tolist() for name, arr in model.mlp_params.items()}
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def load_mtlr(path) -> MtlrModel:
+def _load_head(path, kind: str):
+    """A saved model's JSON object and its head arrays (boundaries, theta,
+    bias), checked against each other; theta's width is left to the caller."""
     obj = json.loads(Path(path).read_text())
-    if obj.get("type") != "mtlr":
-        raise ContractError(f"{path} does not hold an mtlr model")
-    return MtlrModel(np.array(obj["boundaries"]), np.array(obj["theta"]),
-                     np.array(obj["bias"]), float(obj["smoothing"]),
-                     list(obj["feature_names"]))
+    if obj.get("type") != kind:
+        raise ContractError(f"{path} does not hold an {kind} model")
+    boundaries = np.array(obj["boundaries"], dtype=np.float64)
+    theta = np.array(obj["theta"], dtype=np.float64)
+    bias = np.array(obj["bias"], dtype=np.float64)
+    m = boundaries.shape[0]
+    if boundaries.shape != (m,) or bias.shape != (m,) or theta.ndim != 2 \
+            or theta.shape[0] != m:
+        raise ValueError(f"boundaries {boundaries.shape}, theta {theta.shape} "
+                         f"and bias {bias.shape} do not agree")
+    return obj, boundaries, theta, bias
+
+
+def load_mtlr(path) -> MtlrModel:
+    with malformed(f"{path}: mtlr model"):
+        obj, boundaries, theta, bias = _load_head(path, "mtlr")
+        names = list(obj["feature_names"])
+        if theta.shape[1] != len(names):
+            raise ValueError(f"theta of shape {theta.shape} for {len(names)} feature names")
+        return MtlrModel(boundaries, theta, bias, float(obj["smoothing"]), names)
+
+
+def load_nmtlr(path) -> NMtlrModel:
+    with malformed(f"{path}: nmtlr model"):
+        obj, boundaries, theta, bias = _load_head(path, "nmtlr")
+        names = list(obj["feature_names"])
+        widths = tuple(int(wd) for wd in obj["hidden_widths"])
+        mlp = {}
+        width = len(names)
+        for i, wd in enumerate(widths):
+            mlp[f"mlp.{i}.w"] = np.array(obj["mlp"][f"mlp.{i}.w"], dtype=np.float64)
+            mlp[f"mlp.{i}.b"] = np.array(obj["mlp"][f"mlp.{i}.b"], dtype=np.float64)
+            if mlp[f"mlp.{i}.w"].shape != (width, wd) or mlp[f"mlp.{i}.b"].shape != (wd,):
+                raise ValueError(f"layer {i} weights do not map width {width} to {wd}")
+            width = wd
+        if theta.shape[1] != width:
+            raise ValueError(f"theta of shape {theta.shape} after a width-{width} MLP")
+        return NMtlrModel(boundaries, widths, mlp, theta, bias, float(obj["smoothing"]), names)

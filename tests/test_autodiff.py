@@ -19,6 +19,7 @@ from oncokit.autodiff import (
     matmul,
     maxpool,
     narrow,
+    rcumsum,
     relu,
     sigmoid,
     softmax,
@@ -271,6 +272,20 @@ class TestShapeOps:
         assert np.array_equal(out.data, [[[5.0, 7.0], [13.0, 15.0]]])
         a = RNG.normal(size=(2, 4, 4, 4))
         err = check_op(lambda t: (maxpool(t) ** 2).sum(), [a])
+        assert err <= 1e-6
+
+    def test_rcumsum_values(self):
+        a = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        assert np.array_equal(rcumsum(Tensor(a), axis=1).data,
+                              [[7.0, 6.0, 4.0], [56.0, 48.0, 32.0]])
+        assert np.array_equal(rcumsum(Tensor(a), axis=0).data, [[9.0, 18.0, 36.0], a[1]])
+
+    @pytest.mark.parametrize("shape, axis", [((6,), 0), ((6,), -1), ((4, 5), 0),
+                                             ((4, 5), 1), ((4, 5), -1)])
+    def test_rcumsum_gradient(self, shape, axis):
+        a = RNG.normal(size=shape)
+        r = RNG.normal(size=shape)
+        err = check_op(lambda x: ((rcumsum(x, axis=axis) * r) ** 2).sum(), [a])
         assert err <= 1e-6
 
 

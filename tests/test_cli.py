@@ -103,17 +103,57 @@ def test_predict_unreadable_inputs_exit_code(tmp_path, capsys):
     not_json.write_text("not json")
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
+    bare = []
+    for kind in ("cox", "mtlr", "nmtlr"):                # right type, no fields
+        bare.append(tmp_path / f"bare_{kind}.json")
+        bare[-1].write_text(json.dumps({"type": kind}))
+    bad_shape = tmp_path / "bad_shape.json"              # theta rows != boundaries
+    bad_shape.write_text(json.dumps({
+        "type": "mtlr", "boundaries": [1.0, 2.0], "theta": [[0.0, 0.0]],
+        "bias": [0.0, 0.0], "smoothing": 1.0, "feature_names": ["x0", "x1"]}))
     cases = [(tmp_path / "nope.json", ehr),           # missing model
              (not_json, str(tmp_path / "nope.csv")),  # missing ehr
              (tmp_path, ehr),                         # model is a directory
              (not_json, ehr),                         # model is not JSON
-             (not_object, ehr)]                       # model is not an object
+             (not_object, ehr),                       # model is not an object
+             *((path, ehr) for path in bare),
+             (bad_shape, ehr)]
     for model, ehr_path in cases:
         capsys.readouterr()
         assert main(["predict", "--model", str(model), "--ehr", ehr_path,
                      "--out", str(tmp_path / "r.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_predict_from_saved_nmtlr_reproduces_fold_risks(tmp_path, monkeypatch):
+    import oncokit.experiment as experiment
+
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "40", "--seed", "8", "--beta", "1.0,-0.5"])
+    in_fold = []
+
+    def recording(model, cohort):
+        risks = real(model, cohort)
+        in_fold.append(dict(zip((s.id for s in cohort.subjects), risks)))
+        return risks
+
+    real = experiment.nmtlr_cohort_risks
+    monkeypatch.setattr(experiment, "nmtlr_cohort_risks", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": "surv-nmtlr", "data_dir": str(data), "output_dir": str(tmp_path / "out"),
+        "seed": 4, "cv_folds": 2, "fit_iterations": 60, "hidden_widths": [5]}))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert len(in_fold) == 2
+    for fold, expected in enumerate(in_fold):
+        out = tmp_path / f"risks_{fold}.csv"
+        assert main(["predict", "--model", str(tmp_path / "out" / f"fold_{fold}_nmtlr.json"),
+                     "--ehr", str(data / "ehr.csv"), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        predicted = {sid: float(risk) for sid, risk in rows}
+        for sid, risk in expected.items():
+            assert abs(predicted[sid] - risk) <= 1e-12 * max(1.0, abs(risk))
 
 
 def test_thread_cap_applies_on_package_import():

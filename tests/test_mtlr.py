@@ -171,12 +171,12 @@ class TestSurvivalCurves:
             assert (curve.survival >= -1e-12).all()
 
     def test_interval_probabilities_sum_to_one(self):
-        from oncokit.mtlr import _interval_probabilities
+        from oncokit.mtlr import _sequence_probabilities
         for _ in range(200):
             m = int(RNG.integers(1, 9))
-            probs = _interval_probabilities(RNG.normal(size=m) * 5)
-            assert probs.shape == (m + 1,)
-            assert abs(probs.sum() - 1.0) <= 1e-12
+            probs = _sequence_probabilities(RNG.normal(size=(3, m)) * 5)
+            assert probs.shape == (3, m + 1)
+            assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
             assert (probs >= 0).all()
 
     def test_risk_monotone_under_earlier_mass(self):
