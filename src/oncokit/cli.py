@@ -110,7 +110,7 @@ def cmd_predict(args) -> int:
 
     from .cox import cox_cohort_risks, load_cox
     from .ehr import load_ehr
-    from .mtlr import load_mtlr, load_nmtlr, mtlr_cohort_risks, nmtlr_cohort_risks
+    from .mtlr import load_mtlr, mtlr_cohort_risks
 
     try:
         cohort = load_ehr(args.ehr)
@@ -121,13 +121,15 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.model}: not a model object")
     kind = model_obj.get("type")
     if kind == "cox":
-        risks = cox_cohort_risks(load_cox(args.model), cohort)
-    elif kind == "mtlr":
-        risks = mtlr_cohort_risks(load_mtlr(args.model), cohort)
-    elif kind == "nmtlr":
-        risks = nmtlr_cohort_risks(load_nmtlr(args.model), cohort)
+        model, cohort_risks = load_cox(args.model), cox_cohort_risks
+    elif kind in ("mtlr", "nmtlr"):
+        model, cohort_risks = load_mtlr(args.model), mtlr_cohort_risks
     else:
         raise ConfigError(f"{args.model}: unknown model type {kind!r}")
+    if cohort.feature_names != model.feature_names:
+        raise DataError(f"{args.ehr} has features {cohort.feature_names}, but "
+                        f"{args.model} was fit on {model.feature_names}")
+    risks = cohort_risks(model, cohort)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "risk"])

@@ -22,7 +22,6 @@ import numpy as np
 
 from .ehr import Cohort
 from .errors import ContractError, DivergenceError, NumericError, malformed
-from .metrics import concordance_detail
 
 MAX_ABS_COEF = 50.0
 SCORE_TOL = 1e-8
@@ -175,13 +174,6 @@ def cox_risk(model: CoxModel, covariates) -> np.ndarray | float:
 
 def cox_cohort_risks(model: CoxModel, cohort: Cohort) -> np.ndarray:
     return cox_risk(model, cohort.covariate_matrix())
-
-
-def cox_c_index(model: CoxModel, cohort: Cohort):
-    """Concordance of model risks on a cohort, hazard orientation."""
-    risks = cox_cohort_risks(model, cohort)
-    return concordance_detail(cohort.times(), risks, cohort.events(),
-                              orientation="hazard")
 
 
 def save_cox(model: CoxModel, path) -> None:

@@ -7,15 +7,19 @@ mandatory seed fully determine the report bytes. Wall-clock timing is kept
 out of ``report.json`` (it goes to ``timing.json``) precisely so identical
 reruns produce identical report files.
 
-Per-fold failures are recorded in the report with their stack context and
-do not abort the remaining folds. A completed fold leaves a
-``fold_<k>.json`` marker; rerunning with ``resume`` set skips those folds
-and reuses their recorded metrics.
+Per-fold failures (any ``Exception``) are recorded in the report with their
+stack context and do not abort the remaining folds. A completed fold leaves
+a ``fold_<k>.json`` marker, written after the fold's checkpoint or model
+file; rerunning with ``resume`` set skips those folds and reuses their
+recorded metrics, and retries every other fold. Markers and reports are
+written through a temp file and a rename, so none is ever half-written; an
+unreadable marker is a ``DataError``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -33,24 +37,14 @@ from .errors import ConfigError, DataError, OncokitError
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
 from .metrics import concordance_detail, confusion, dsc, precision_recall
-from .mtlr import (
-    FitConfig,
-    mtlr_cohort_risks,
-    mtlr_fit,
-    nmtlr_cohort_risks,
-    nmtlr_fit,
-    risk_from_scores,
-    save_mtlr,
-    save_nmtlr,
-    time_grid,
-)
+from .mtlr import FitConfig, mtlr_cohort_risks, mtlr_fit, risk_from_scores, save_mtlr, time_grid
 from .optim import OptimState, ParamTree, adamw_step, cosine_lr
 from .preprocess import ct_window_normalize, pet_zscore, resample_isotropic
 from .segnets import UNet, UnetrDecoder, predict_mask
 from .superimage import SuperImageLayout, from_super_image, to_super_image
 from .synthetic import gen_synthetic_cohort
 from .tmss import TmssModel, tmss_loss
-from .vit import EncoderConfig, ViTEncoder
+from .vit import ViTEncoder, encoder_preset
 from .volume import Volume, read_volume, write_volume
 
 TASKS = ("seg2d-si", "seg3d", "unetr", "surv-cox", "surv-mtlr", "surv-nmtlr",
@@ -355,17 +349,11 @@ def _seg_samples(cohort: Cohort, indices, as_super_image: bool):
 def _seg_model(task: str, preset: str, sample_shape, seed: int,
                decoder_width: int, patch: int | None = None):
     spatial = sample_shape[1:]
-    if task == "seg2d-si":
+    if task in ("seg2d-si", "seg3d"):        # a 2D sample is a super image
         depth, width = (3, 8) if preset == "toy" else (4, 16)
-        return UNet(2, in_channels=2, depth=depth, base_width=width, seed=seed)
-    if task == "seg3d":
-        depth, width = (3, 8) if preset == "toy" else (4, 16)
-        return UNet(3, in_channels=2, depth=depth, base_width=width, seed=seed)
+        return UNet(len(spatial), in_channels=2, depth=depth, base_width=width, seed=seed)
     if task == "unetr":
-        if preset == "toy":
-            cfg = EncoderConfig(tuple(spatial), 2, patch or 8, 64, 4, 4, 2)
-        else:
-            cfg = EncoderConfig(tuple(spatial), 2, patch or 16, 768, 12, 12, 4)
+        cfg = encoder_preset(preset, spatial, patch=patch)
         enc = ViTEncoder(cfg, seed=seed)
         dec = UnetrDecoder(cfg, width=decoder_width, seed=seed + 1)
         return _UnetrSeg(enc, dec)
@@ -415,19 +403,14 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
         save_cox(model, out_dir / f"fold_{fold_index}_cox.json")
         extra = {"coefficients": [float(v) for v in model.coefficients],
                  "iterations": model.iterations}
-    elif cfg.task == "surv-mtlr":
-        model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing,
-                         config=fit_cfg)
+    elif cfg.task in ("surv-mtlr", "surv-nmtlr"):
+        neural = cfg.task == "surv-nmtlr"
+        model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing, config=fit_cfg,
+                         hidden_widths=cfg.hidden_widths if neural else ())
         risks = mtlr_cohort_risks(model, val)
-        save_mtlr(model, out_dir / f"fold_{fold_index}_mtlr.json")
-        extra = {"intervals": int(model.boundaries.shape[0])}
-    elif cfg.task == "surv-nmtlr":
-        model = nmtlr_fit(train, hidden_widths=cfg.hidden_widths,
-                          m=cfg.m_intervals, smoothing=cfg.smoothing,
-                          config=fit_cfg)
-        risks = nmtlr_cohort_risks(model, val)
-        save_nmtlr(model, out_dir / f"fold_{fold_index}_nmtlr.json")
-        extra = {"hidden_widths": list(cfg.hidden_widths)}
+        save_mtlr(model, out_dir / f"fold_{fold_index}_{cfg.task[5:]}.json")
+        extra = {"hidden_widths": list(cfg.hidden_widths)} if neural \
+            else {"intervals": int(model.boundaries.shape[0])}
     elif cfg.task == "fusion":
         cox_model = cox_fit(train)
         mtlr_model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing,
@@ -455,11 +438,8 @@ def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
         vol = np.stack([ct.data, pet.data], axis=-1).astype(np.float64)
         samples[i] = (vol, mask.data[None].astype(np.float64))
     spatial = samples[train_idx[0]][0].shape[:-1]
-    ehr_dim = len(tabular.feature_names)
-    if cfg.model_preset == "toy":
-        enc_cfg = EncoderConfig(tuple(spatial), 2, cfg.patch or 8, 64, 4, 4, 2, ehr_dim)
-    else:
-        enc_cfg = EncoderConfig(tuple(spatial), 2, cfg.patch or 16, 768, 12, 12, 4, ehr_dim)
+    enc_cfg = encoder_preset(cfg.model_preset, spatial, patch=cfg.patch,
+                             ehr_dim=len(tabular.feature_names))
     model = TmssModel(enc_cfg, boundaries, decoder_width=cfg.decoder_width,
                       seed=fold_seed)
 
@@ -505,8 +485,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     for fold_index, (train_idx, val_idx) in enumerate(folds):
         marker = out_dir / f"fold_{fold_index}.json"
         if cfg.resume and marker.exists():
-            fold_reports.append(json.loads(marker.read_text()))
-            continue
+            entry = _read_marker(marker)
+            if "metrics" in entry:
+                fold_reports.append(entry)
+                continue
+        marker.unlink(missing_ok=True)
         fold_seed = cfg.seed + 1000 * (fold_index + 1)
         entry = {"fold": fold_index, "train_size": int(len(train_idx)),
                  "val_size": int(len(val_idx))}
@@ -521,10 +504,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 metrics = _run_surv_fold(cfg, cohort, train_idx, val_idx,
                                          fold_seed, out_dir, fold_index)
             entry["metrics"] = metrics
-        except OncokitError as exc:
+        except Exception as exc:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc),
                               "trace": traceback.format_exc(limit=6)}
-        marker.write_text(json.dumps(entry, indent=2, sort_keys=True))
+        else:
+            _write_atomic(marker, json.dumps(entry, indent=2, sort_keys=True))
         fold_reports.append(entry)
 
     aggregate = _aggregate([f.get("metrics", {}) for f in fold_reports
@@ -540,10 +524,30 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         versions={"oncokit": __version__, "numpy": np.__version__},
         wall_clock_seconds=time.time() - started,
     )
-    (out_dir / "report.json").write_text(report.to_json())
-    (out_dir / "timing.json").write_text(json.dumps(
-        {"wall_clock_seconds": report.wall_clock_seconds}))
+    _write_atomic(out_dir / "report.json", report.to_json())
+    _write_atomic(out_dir / "timing.json",
+                  json.dumps({"wall_clock_seconds": report.wall_clock_seconds}))
     return report
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory renamed over ``path``,
+    so a reader sees the old file or the whole new one, never a torn one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _read_marker(path: Path) -> dict:
+    try:
+        entry = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: unreadable fold marker ({exc}); "
+                        "delete it to rerun the fold") from exc
+    if not isinstance(entry, dict):
+        raise DataError(f"{path}: fold marker is not a JSON object; "
+                        "delete it to rerun the fold")
+    return entry
 
 
 def _aggregate(metric_dicts: list[dict]) -> dict:

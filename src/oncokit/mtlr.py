@@ -1,5 +1,5 @@
-"""Multi-task logistic regression over discretized time, and its neural
-extension.
+"""Multi-task logistic regression over discretized time, with a relu MLP
+front end of zero or more hidden layers (N-MTLR when there is at least one).
 
 Time is cut at boundaries 0 < tau_1 < ... < tau_m (event-time quantiles by
 default, with the last boundary pushed to the data maximum). A subject's
@@ -7,7 +7,10 @@ outcome is encoded as the monotone binary sequence y_j = [dead by tau_j];
 the k-th admissible sequence has k leading zeros, so there are m+1 of them
 and the sequence score is the suffix sum
 
-    f(x, k) = sum_{j > k} (theta_j . x + b_j),     f(x, m) = 0.
+    f(x, k) = sum_{j > k} (theta_j . h(x) + b_j),     f(x, m) = 0,
+
+where h is the front end: the identity without hidden layers (the linear
+model), otherwise relu(... relu(x W_1 + c_1) ... W_L + c_L).
 
 An uncensored subject contributes -f(x, k) + log Z with Z the sum of
 exponentiated scores over all m+1 sequences. A subject censored at time c
@@ -26,9 +29,9 @@ max-subtracted softmax between the reverse cumulative sums, which is how
 cohort risks are computed.
 
 The smoothness penalty C/2 * sum ||theta_j||^2 is part of the objective.
-Fitting runs full-batch AdamW under the shared warm-restart cosine
-schedule until the gradient norm drops below 1e-6 (or the iteration cap),
-and is deterministic for a fixed seed.
+Fitting runs full-batch AdamW on the head and the front end together under
+the shared warm-restart cosine schedule until the gradient norm drops below
+1e-6 (or the iteration cap), and is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .autodiff import (
 )
 from .ehr import Cohort
 from .errors import ContractError, malformed
-from .metrics import concordance_detail
 from .optim import OptimState, adamw_step, cosine_lr
 
 _MASK_OFF = -1e30
@@ -79,17 +81,34 @@ class SurvivalCurve:
 
 @dataclass
 class MtlrModel:
-    """Linear MTLR head. ``iterations`` counts the AdamW updates of the fit;
-    when the iteration cap stops it, ``final_grad_norm`` is the norm before
-    the last update, not at the returned parameters."""
+    """MTLR head over a relu MLP front end; with no ``hidden_widths`` the
+    front end is the identity and the model is linear MTLR. ``iterations``
+    counts the AdamW updates of the fit; when the iteration cap stops it,
+    ``final_grad_norm`` is the norm before the last update, not at the
+    returned parameters."""
 
     boundaries: np.ndarray           # (m,), strictly increasing, > 0
-    theta: np.ndarray                # (m, p)
+    theta: np.ndarray                # (m, width of the last hidden layer, or p)
     bias: np.ndarray                 # (m,)
     smoothing: float                 # C
     feature_names: list[str] = field(default_factory=list)
     iterations: int = 0
     final_grad_norm: float = 0.0
+    hidden_widths: tuple[int, ...] = ()
+    mlp_params: dict[str, np.ndarray] = field(default_factory=dict)   # mlp.<i>.w / .b
+
+    def features(self, covariates) -> np.ndarray:
+        """Front-end output for one subject's (p,) covariates or an (n, p)
+        matrix; the covariates themselves when there are no hidden layers."""
+        x = np.asarray(covariates, dtype=np.float64)
+        width = self.mlp_params["mlp.0.w"].shape[0] if self.hidden_widths \
+            else self.theta.shape[1]
+        if x.shape[-1:] != (width,):
+            raise ContractError(f"covariate width {x.shape[-1:]} != model width ({width},)")
+        for i in range(len(self.hidden_widths)):
+            x = np.maximum(x @ self.mlp_params[f"mlp.{i}.w"] + self.mlp_params[f"mlp.{i}.b"],
+                           0.0)
+        return x
 
 
 def time_grid(times, events, m: int | None = None) -> np.ndarray:
@@ -175,34 +194,33 @@ def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
     return tsum(logsumexp(f, axis=1) - logsumexp(f + offs, axis=1))
 
 
-def _linear_scores(theta: Tensor, bias: Tensor, x: np.ndarray) -> Tensor:
-    return matmul(Tensor(x), transpose(theta, (1, 0))) + bias
-
-
-def mtlr_objective(theta: Tensor, bias: Tensor, cohort_x, boundaries, times,
+def mtlr_objective(theta: Tensor, bias: Tensor, features: Tensor, boundaries, times,
                    events, smoothing: float) -> Tensor:
-    nll = mtlr_nll_from_scores(_linear_scores(theta, bias, cohort_x),
-                               boundaries, times, events)
+    """Penalized negative log-likelihood of the head over front-end features."""
+    scores = matmul(features, transpose(theta, (1, 0))) + bias
+    nll = mtlr_nll_from_scores(scores, boundaries, times, events)
     if smoothing != 0.0:
         nll = nll + (smoothing / 2.0) * tsum(theta * theta)
     return nll
 
 
+def _model_objective(model: MtlrModel, cohort: Cohort, theta: Tensor, bias: Tensor) -> Tensor:
+    return mtlr_objective(theta, bias, Tensor(model.features(cohort.covariate_matrix())),
+                          model.boundaries, cohort.times(), cohort.events(), model.smoothing)
+
+
 def mtlr_loss(model: MtlrModel, cohort: Cohort) -> float:
     """Objective value at the model's parameters (regularizer included)."""
-    obj = mtlr_objective(Tensor(model.theta), Tensor(model.bias),
-                         cohort.covariate_matrix(), model.boundaries,
-                         cohort.times(), cohort.events(), model.smoothing)
-    return float(obj.data)
+    return float(_model_objective(model, cohort, Tensor(model.theta), Tensor(model.bias)).data)
 
 
 def mtlr_loss_and_grads(model: MtlrModel, cohort: Cohort):
+    """Objective value and its gradients in the head's theta and bias, with
+    the front end held fixed."""
     theta = Tensor(model.theta, requires_grad=True)
     bias = Tensor(model.bias, requires_grad=True)
     with Tape() as tape:
-        obj = mtlr_objective(theta, bias, cohort.covariate_matrix(),
-                             model.boundaries, cohort.times(), cohort.events(),
-                             model.smoothing)
+        obj = _model_objective(model, cohort, theta, bias)
     grads = backward(tape, obj)
     return float(obj.data), grads[theta].data, grads[bias].data
 
@@ -219,7 +237,8 @@ class FitConfig:
 
 
 def _fit_params(param_init: dict[str, Tensor], loss_fn, cfg: FitConfig):
-    """Full-batch AdamW loop shared by the linear and neural fits."""
+    """Full-batch AdamW loop: returns the parameters, the number of updates
+    and the last gradient norm."""
     params = dict(param_init)
     state = OptimState(base_lr=cfg.base_lr, weight_decay=cfg.weight_decay,
                        period=cfg.period, floor_lr=cfg.floor_lr)
@@ -238,28 +257,51 @@ def _fit_params(param_init: dict[str, Tensor], loss_fn, cfg: FitConfig):
     return params, iterations, grad_norm
 
 
+def _mlp_forward(params: dict[str, Tensor], x: Tensor, depth: int) -> Tensor:
+    """The front end on the tape (``MtlrModel.features`` is its numpy twin)."""
+    h = x
+    for i in range(depth):
+        h = relu(matmul(h, params[f"mlp.{i}.w"]) + params[f"mlp.{i}.b"])
+    return h
+
+
 def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
-             config: FitConfig | None = None) -> MtlrModel:
+             config: FitConfig | None = None, hidden_widths=()) -> MtlrModel:
+    """MTLR head and relu MLP front end trained end to end.
+
+    Hidden weights start truncated-normal from ``config.seed``, the head at
+    zero. An empty ``hidden_widths`` (the default) fits linear MTLR.
+    """
     cfg = config or FitConfig()
     boundaries = time_grid(cohort.times(), cohort.events(), m)
     x = cohort.covariate_matrix()
     times = cohort.times()
     events = cohort.events()
     n_bounds = boundaries.shape[0]
-    p = x.shape[1]
-    init = {
-        "theta": zeros((n_bounds, p), requires_grad=True),
-        "bias": zeros((n_bounds,), requires_grad=True),
-    }
+    hidden_widths = tuple(int(wd) for wd in hidden_widths)
+
+    rng = np.random.default_rng(cfg.seed)
+    init: dict[str, Tensor] = {}
+    width = x.shape[1]
+    for i, wd in enumerate(hidden_widths):
+        init[f"mlp.{i}.w"] = trunc_normal(rng, (width, wd), std=1.0 / np.sqrt(width))
+        init[f"mlp.{i}.b"] = zeros((wd,), requires_grad=True)
+        width = wd
+    init["theta"] = zeros((n_bounds, width), requires_grad=True)
+    init["bias"] = zeros((n_bounds,), requires_grad=True)
+    depth = len(hidden_widths)
+    xt = Tensor(x)
 
     def loss_fn(params):
-        return mtlr_objective(params["theta"], params["bias"], x, boundaries,
-                              times, events, smoothing)
+        return mtlr_objective(params["theta"], params["bias"],
+                              _mlp_forward(params, xt, depth), boundaries, times,
+                              events, smoothing)
 
     params, iterations, grad_norm = _fit_params(init, loss_fn, cfg)
-    return MtlrModel(boundaries, params["theta"].data.copy(),
-                     params["bias"].data.copy(), smoothing,
-                     list(cohort.feature_names), iterations, grad_norm)
+    mlp = {name: t.data.copy() for name, t in params.items() if name.startswith("mlp.")}
+    return MtlrModel(boundaries, params["theta"].data.copy(), params["bias"].data.copy(),
+                     smoothing, list(cohort.feature_names), iterations, grad_norm,
+                     hidden_widths, mlp)
 
 
 # ----------------------------------------------------------------- inference
@@ -302,173 +344,55 @@ def risk_from_scores(boundaries: np.ndarray, scores):
 
 
 def _head_scores(model: MtlrModel, covariates) -> np.ndarray:
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.shape != (model.theta.shape[1],):
-        raise ContractError(
-            f"covariate width {x.shape} != model width ({model.theta.shape[1]},)")
-    return model.theta @ x + model.bias
+    return model.features(covariates) @ model.theta.T + model.bias
 
 
 def mtlr_survival(model: MtlrModel, covariates) -> SurvivalCurve:
-    """Survival curve of one subject under the linear head."""
+    """Survival curve of one subject."""
     return survival_from_scores(model.boundaries, _head_scores(model, covariates))
 
 
 def mtlr_risk(model: MtlrModel, covariates) -> float:
-    """Scalar risk of one subject under the linear head."""
+    """Scalar risk of one subject."""
     return risk_from_scores(model.boundaries, _head_scores(model, covariates))
 
 
 def mtlr_cohort_risks(model: MtlrModel, cohort: Cohort) -> np.ndarray:
-    x = cohort.covariate_matrix()
-    if x.shape[1] != model.theta.shape[1]:
-        raise ContractError(
-            f"covariate width ({x.shape[1]},) != model width ({model.theta.shape[1]},)")
-    return risk_from_scores(model.boundaries, x @ model.theta.T + model.bias)
-
-
-def mtlr_c_index(model: MtlrModel, cohort: Cohort):
-    risks = mtlr_cohort_risks(model, cohort)
-    return concordance_detail(cohort.times(), risks, cohort.events(),
-                              orientation="hazard")
-
-
-# ----------------------------------------------------------------- neural
-
-@dataclass
-class NMtlrModel:
-    """MTLR head over a relu MLP; ``iterations`` and ``final_grad_norm``
-    mean what they mean on ``MtlrModel``."""
-
-    boundaries: np.ndarray
-    hidden_widths: tuple[int, ...]
-    mlp_params: dict[str, np.ndarray]
-    theta: np.ndarray
-    bias: np.ndarray
-    smoothing: float
-    feature_names: list[str] = field(default_factory=list)
-    iterations: int = 0
-    final_grad_norm: float = 0.0
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for i in range(len(self.hidden_widths)):
-            h = h @ self.mlp_params[f"mlp.{i}.w"] + self.mlp_params[f"mlp.{i}.b"]
-            h = np.maximum(h, 0.0)
-        return h
-
-
-def _mlp_forward(params: dict[str, Tensor], x: Tensor, depth: int) -> Tensor:
-    h = x
-    for i in range(depth):
-        h = relu(matmul(h, params[f"mlp.{i}.w"]) + params[f"mlp.{i}.b"])
-    return h
-
-
-def nmtlr_fit(cohort: Cohort, hidden_widths=(16,), m: int | None = None,
-              smoothing: float = 1.0, config: FitConfig | None = None) -> NMtlrModel:
-    """MTLR head on top of a relu MLP, trained end to end.
-
-    An empty ``hidden_widths`` makes the front end the identity, which
-    reproduces the linear fit exactly (same objective, same optimizer
-    trajectory).
-    """
-    cfg = config or FitConfig()
-    boundaries = time_grid(cohort.times(), cohort.events(), m)
-    x = cohort.covariate_matrix()
-    times = cohort.times()
-    events = cohort.events()
-    n_bounds = boundaries.shape[0]
-    hidden_widths = tuple(int(wd) for wd in hidden_widths)
-
-    rng = np.random.default_rng(cfg.seed)
-    init: dict[str, Tensor] = {}
-    width = x.shape[1]
-    for i, wd in enumerate(hidden_widths):
-        init[f"mlp.{i}.w"] = trunc_normal(rng, (width, wd), std=1.0 / np.sqrt(width))
-        init[f"mlp.{i}.b"] = zeros((wd,), requires_grad=True)
-        width = wd
-    init["theta"] = zeros((n_bounds, width), requires_grad=True)
-    init["bias"] = zeros((n_bounds,), requires_grad=True)
-    depth = len(hidden_widths)
-    xt = Tensor(x)
-
-    def loss_fn(params):
-        feats = _mlp_forward(params, xt, depth)
-        scores = matmul(feats, transpose(params["theta"], (1, 0))) + params["bias"]
-        nll = mtlr_nll_from_scores(scores, boundaries, times, events)
-        if smoothing != 0.0:
-            nll = nll + (smoothing / 2.0) * tsum(params["theta"] * params["theta"])
-        return nll
-
-    params, iterations, grad_norm = _fit_params(init, loss_fn, cfg)
-    mlp = {name: t.data.copy() for name, t in params.items() if name.startswith("mlp.")}
-    return NMtlrModel(boundaries, hidden_widths, mlp, params["theta"].data.copy(),
-                      params["bias"].data.copy(), smoothing,
-                      list(cohort.feature_names), iterations, grad_norm)
-
-
-def nmtlr_cohort_risks(model: NMtlrModel, cohort: Cohort) -> np.ndarray:
-    feats = model.features(cohort.covariate_matrix())
-    return risk_from_scores(model.boundaries, feats @ model.theta.T + model.bias)
+    return risk_from_scores(model.boundaries, _head_scores(model, cohort.covariate_matrix()))
 
 
 # ----------------------------------------------------------------- storage
 
-def _head_payload(kind: str, model) -> dict:
-    return {
-        "type": kind,
+def save_mtlr(model: MtlrModel, path) -> None:
+    """JSON of type "mtlr", or "nmtlr" with the front end's ``hidden_widths``
+    and ``mlp`` weights appended when the model has hidden layers."""
+    payload = {
+        "type": "nmtlr" if model.hidden_widths else "mtlr",
         "boundaries": [float(v) for v in model.boundaries],
         "theta": [[float(v) for v in row] for row in model.theta],
         "bias": [float(v) for v in model.bias],
         "smoothing": model.smoothing,
         "feature_names": model.feature_names,
     }
-
-
-def save_mtlr(model: MtlrModel, path) -> None:
-    Path(path).write_text(json.dumps(_head_payload("mtlr", model), indent=2))
-
-
-def save_nmtlr(model: NMtlrModel, path) -> None:
-    """The MTLR head plus the relu MLP's widths and weights."""
-    payload = _head_payload("nmtlr", model)
-    payload["hidden_widths"] = list(model.hidden_widths)
-    payload["mlp"] = {name: arr.tolist() for name, arr in model.mlp_params.items()}
+    if model.hidden_widths:
+        payload["hidden_widths"] = list(model.hidden_widths)
+        payload["mlp"] = {name: arr.tolist() for name, arr in model.mlp_params.items()}
     Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def _load_head(path, kind: str):
-    """A saved model's JSON object and its head arrays (boundaries, theta,
-    bias), checked against each other; theta's width is left to the caller."""
-    obj = json.loads(Path(path).read_text())
-    if obj.get("type") != kind:
-        raise ContractError(f"{path} does not hold an {kind} model")
-    boundaries = np.array(obj["boundaries"], dtype=np.float64)
-    theta = np.array(obj["theta"], dtype=np.float64)
-    bias = np.array(obj["bias"], dtype=np.float64)
-    m = boundaries.shape[0]
-    if boundaries.shape != (m,) or bias.shape != (m,) or theta.ndim != 2 \
-            or theta.shape[0] != m:
-        raise ValueError(f"boundaries {boundaries.shape}, theta {theta.shape} "
-                         f"and bias {bias.shape} do not agree")
-    return obj, boundaries, theta, bias
-
-
 def load_mtlr(path) -> MtlrModel:
+    """Read a model written by ``save_mtlr``, of either type, checking every
+    array's shape against the feature names and the layer widths."""
     with malformed(f"{path}: mtlr model"):
-        obj, boundaries, theta, bias = _load_head(path, "mtlr")
+        obj = json.loads(Path(path).read_text())
+        kind = obj.get("type")
+        if kind not in ("mtlr", "nmtlr"):
+            raise ContractError(f"{path} does not hold an mtlr or nmtlr model")
+        boundaries = np.array(obj["boundaries"], dtype=np.float64)
+        theta = np.array(obj["theta"], dtype=np.float64)
+        bias = np.array(obj["bias"], dtype=np.float64)
         names = list(obj["feature_names"])
-        if theta.shape[1] != len(names):
-            raise ValueError(f"theta of shape {theta.shape} for {len(names)} feature names")
-        return MtlrModel(boundaries, theta, bias, float(obj["smoothing"]), names)
-
-
-def load_nmtlr(path) -> NMtlrModel:
-    with malformed(f"{path}: nmtlr model"):
-        obj, boundaries, theta, bias = _load_head(path, "nmtlr")
-        names = list(obj["feature_names"])
-        widths = tuple(int(wd) for wd in obj["hidden_widths"])
+        widths = tuple(int(wd) for wd in obj["hidden_widths"]) if kind == "nmtlr" else ()
         mlp = {}
         width = len(names)
         for i, wd in enumerate(widths):
@@ -477,6 +401,9 @@ def load_nmtlr(path) -> NMtlrModel:
             if mlp[f"mlp.{i}.w"].shape != (width, wd) or mlp[f"mlp.{i}.b"].shape != (wd,):
                 raise ValueError(f"layer {i} weights do not map width {width} to {wd}")
             width = wd
-        if theta.shape[1] != width:
-            raise ValueError(f"theta of shape {theta.shape} after a width-{width} MLP")
-        return NMtlrModel(boundaries, widths, mlp, theta, bias, float(obj["smoothing"]), names)
+        m = boundaries.shape[0]
+        if boundaries.shape != (m,) or bias.shape != (m,) or theta.shape != (m, width):
+            raise ValueError(f"boundaries {boundaries.shape}, theta {theta.shape} and bias "
+                             f"{bias.shape} do not agree with a width-{width} front end")
+        return MtlrModel(boundaries, theta, bias, float(obj["smoothing"]), names,
+                         hidden_widths=widths, mlp_params=mlp)

@@ -153,6 +153,13 @@ class _ParamBuilder:
         self.specs.append(LayerSpec("pool", self.rank, 0, 0, 2, 2))
 
 
+def _block(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
+    """The 3-sided conv + instance norm + relu laid out by ``conv_block``."""
+    x = conv(x, params[name + ".w"], bias=params[name + ".b"], padding=1)
+    x = channel_norm(x, params[name + ".norm.gain"], params[name + ".norm.bias"])
+    return relu(x)
+
+
 class UNet:
     """Vanilla U-Net: two conv+norm+relu per stage, max-pool downsampling,
     transposed-conv upsampling with skip concatenation, one logit channel.
@@ -190,12 +197,6 @@ class UNet:
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
 
-    def _block(self, x, name):
-        p = self.params
-        x = conv(x, p[name + ".w"], bias=p[name + ".b"], padding=1)
-        x = channel_norm(x, p[name + ".norm.gain"], p[name + ".norm.bias"])
-        return relu(x)
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != self.rank + 1 or x.shape[0] != self.in_channels:
             raise ShapeError(
@@ -207,17 +208,17 @@ class UNet:
         p = self.params
         skips = []
         for i in range(self.depth):
-            x = self._block(x, f"enc{i}.c1")
-            x = self._block(x, f"enc{i}.c2")
+            x = _block(p, x, f"enc{i}.c1")
+            x = _block(p, x, f"enc{i}.c2")
             skips.append(x)
             x = maxpool(x)
-        x = self._block(x, "mid.c1")
-        x = self._block(x, "mid.c2")
+        x = _block(p, x, "mid.c1")
+        x = _block(p, x, "mid.c2")
         for i in reversed(range(self.depth)):
             x = transposed_conv(x, p[f"dec{i}.up.w"], stride=2)
             x = concat([x, skips[i]], axis=0)
-            x = self._block(x, f"dec{i}.c1")
-            x = self._block(x, f"dec{i}.c2")
+            x = _block(p, x, f"dec{i}.c1")
+            x = _block(p, x, f"dec{i}.c2")
         return conv(x, p["head.w"], bias=p["head.b"])
 
 
@@ -268,12 +269,6 @@ class UnetrDecoder:
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
 
-    def _block(self, x, name):
-        p = self.params
-        x = conv(x, p[name + ".w"], bias=p[name + ".b"], padding=1)
-        x = channel_norm(x, p[name + ".norm.gain"], p[name + ".norm.bias"])
-        return relu(x)
-
     def _image_taps(self, enc_out: EncoderOutput) -> list[Tensor]:
         taps = enc_out.taps
         if len(taps) != 4:
@@ -295,8 +290,8 @@ class UnetrDecoder:
         taps = self._image_taps(enc_out)
         steps = self.steps
 
-        stem = self._block(x, "stem.c1")
-        stem = self._block(stem, "stem.c2")
+        stem = _block(p, x, "stem.c1")
+        stem = _block(p, stem, "stem.c2")
 
         # taps[3] is the final-layer tap; intermediate levels draw from the
         # deepest available earlier taps
@@ -308,15 +303,15 @@ class UnetrDecoder:
             skip = transposed_conv(tokens_to_grid(tap_tensor, cfg),
                                    p[f"tap{level}.up{steps - 1}.w"], stride=2)
             for r in range(steps - 1, level, -1):
-                skip = self._block(skip, f"tap{level}.c{r}")
+                skip = _block(p, skip, f"tap{level}.c{r}")
                 skip = transposed_conv(skip, p[f"tap{level}.up{r - 1}.w"], stride=2)
             current = concat([current, skip], axis=0)
-            current = self._block(current, f"ladder{level}.c1")
-            current = self._block(current, f"ladder{level}.c2")
+            current = _block(p, current, f"ladder{level}.c1")
+            current = _block(p, current, f"ladder{level}.c2")
             current = transposed_conv(current, p[f"ladder{level}.up.w"], stride=2)
         current = concat([current, stem], axis=0)
-        current = self._block(current, "out.c1")
-        current = self._block(current, "out.c2")
+        current = _block(p, current, "out.c1")
+        current = _block(p, current, "out.c2")
         return conv(current, p["head.w"], bias=p["head.b"])
 
     def stats(self, input_shape) -> dict:

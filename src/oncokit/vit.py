@@ -87,9 +87,16 @@ class EncoderConfig:
         return tuple(math.ceil(self.layers * f) for f in (0.25, 0.5, 0.75, 1.0))
 
 
-def vit_b16(input_shape, channels: int = 2, ehr_dim: int | None = None) -> EncoderConfig:
-    """The full-size preset: 12 layers, 12 heads, K=768, 16-sided patches."""
-    return EncoderConfig(tuple(input_shape), channels, 16, 768, 12, 12, 4, ehr_dim)
+# (patch, embed_dim, layers, heads, mlp_ratio) per model preset; "paper" is
+# ViT-B/16: 12 layers, 12 heads, K=768, 16-sided patches
+_PRESETS = {"toy": (8, 64, 4, 4, 2), "paper": (16, 768, 12, 12, 4)}
+
+
+def encoder_preset(preset: str, input_shape, channels: int = 2, patch: int | None = None,
+                   ehr_dim: int | None = None) -> EncoderConfig:
+    """Encoder configuration of a named preset; ``patch`` overrides its patch side."""
+    default_patch, *sizes = _PRESETS[preset]
+    return EncoderConfig(tuple(input_shape), channels, patch or default_patch, *sizes, ehr_dim)
 
 
 @dataclass

@@ -138,8 +138,8 @@ def test_predict_from_saved_nmtlr_reproduces_fold_risks(tmp_path, monkeypatch):
         in_fold.append(dict(zip((s.id for s in cohort.subjects), risks)))
         return risks
 
-    real = experiment.nmtlr_cohort_risks
-    monkeypatch.setattr(experiment, "nmtlr_cohort_risks", recording)
+    real = experiment.mtlr_cohort_risks
+    monkeypatch.setattr(experiment, "mtlr_cohort_risks", recording)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "task": "surv-nmtlr", "data_dir": str(data), "output_dir": str(tmp_path / "out"),
@@ -154,6 +154,40 @@ def test_predict_from_saved_nmtlr_reproduces_fold_risks(tmp_path, monkeypatch):
         predicted = {sid: float(risk) for sid, risk in rows}
         for sid, risk in expected.items():
             assert abs(predicted[sid] - risk) <= 1e-12 * max(1.0, abs(risk))
+
+
+def test_predict_rejects_ehr_with_other_features(tmp_path, capsys):
+    from oncokit.cox import cox_fit, save_cox
+    from oncokit.ehr import load_ehr
+    from oncokit.mtlr import FitConfig, mtlr_fit, save_mtlr
+
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "40", "--seed", "6", "--beta", "1.0,-0.5"])
+    cohort = load_ehr(data / "ehr.csv")
+    cfg = FitConfig(iterations=20)
+    models = {"cox": tmp_path / "cox.json", "mtlr": tmp_path / "mtlr.json",
+              "nmtlr": tmp_path / "nmtlr.json"}
+    save_cox(cox_fit(cohort), models["cox"])
+    save_mtlr(mtlr_fit(cohort, m=3, config=cfg), models["mtlr"])
+    save_mtlr(mtlr_fit(cohort, m=3, config=cfg, hidden_widths=(4,)), models["nmtlr"])
+    assert json.loads(models["nmtlr"].read_text())["type"] == "nmtlr"
+
+    wider = tmp_path / "wider"                        # three features, not two
+    main(["synth", "--out", str(wider), "--n", "10", "--seed", "7", "--beta", "1,1,1"])
+    renamed = tmp_path / "renamed.csv"                # same width, other names
+    text = (data / "ehr.csv").read_text()
+    renamed.write_text(text.replace("x0,x1", "age,stage", 1))
+    for kind, model in models.items():
+        for ehr, names in ((wider / "ehr.csv", "['x0', 'x1', 'x2']"),
+                           (renamed, "['age', 'stage']")):
+            capsys.readouterr()
+            assert main(["predict", "--model", str(model), "--ehr", str(ehr),
+                         "--out", str(tmp_path / "r.csv")]) == 3, (kind, ehr)
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and err.count("\n") == 1
+            assert names in err and "['x0', 'x1']" in err
+        assert main(["predict", "--model", str(model), "--ehr", str(data / "ehr.csv"),
+                     "--out", str(tmp_path / "r.csv")]) == 0
 
 
 def test_thread_cap_applies_on_package_import():

@@ -17,13 +17,11 @@ from oncokit.ehr import Cohort, Subject
 from oncokit.errors import ContractError
 from oncokit.mtlr import (
     MtlrModel,
-    NMtlrModel,
     _admissible_offsets,
     censor_interval,
     event_interval,
     mtlr_cohort_risks,
     mtlr_survival,
-    nmtlr_cohort_risks,
     risk_from_scores,
     survival_from_scores,
     time_grid,
@@ -249,8 +247,9 @@ def test_nmtlr_batched_risks_match_per_subject():
     grid = time_grid(times, events, m=6)
     m = grid.shape[0]
     mlp = {"mlp.0.w": rng.normal(size=(3, 5)), "mlp.0.b": rng.normal(size=5)}
-    model = NMtlrModel(grid, (5,), mlp, rng.normal(size=(m, 5)), rng.normal(size=m), 1.0)
-    risks = nmtlr_cohort_risks(model, _cohort(x, times, events))
+    model = MtlrModel(grid, rng.normal(size=(m, 5)), rng.normal(size=m), 1.0,
+                      hidden_widths=(5,), mlp_params=mlp)
+    risks = mtlr_cohort_risks(model, _cohort(x, times, events))
     feats = np.maximum(x @ mlp["mlp.0.w"] + mlp["mlp.0.b"], 0.0)
     oracle = [risk_loop(model.theta @ f + model.bias) for f in feats]
     assert np.allclose(risks, oracle, rtol=1e-12, atol=0)

@@ -6,7 +6,7 @@ import pytest
 from oncokit.cox import (
     CoxModel,
     _loglik_parts,
-    cox_c_index,
+    cox_cohort_risks,
     cox_fit,
     cox_risk,
     load_cox,
@@ -14,6 +14,7 @@ from oncokit.cox import (
 )
 from oncokit.ehr import Cohort, Subject
 from oncokit.errors import ContractError, DivergenceError
+from oncokit.metrics import concordance_detail
 from oncokit.synthetic import gen_synthetic_cohort
 
 
@@ -152,7 +153,8 @@ class TestRisk:
     def test_cohort_c_index_strong_signal(self):
         cohort = gen_synthetic_cohort(400, seed=6, beta=[1.5], censor_frac=0.2)
         model = cox_fit(cohort)
-        res = cox_c_index(model, cohort)
+        res = concordance_detail(cohort.times(), cox_cohort_risks(model, cohort),
+                                 cohort.events(), orientation="hazard")
         assert res.value >= 0.7
         assert res.orientation == "hazard"
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oncokit.ehr import Cohort, Subject
-from oncokit.errors import ConfigError
+from oncokit.errors import ConfigError, DataError
 from oncokit.experiment import (
     ExperimentConfig,
     convert_si_dir,
@@ -192,6 +192,84 @@ class TestRunExperiment:
         report2 = run_experiment(cfg)
         assert report2.folds[0]["metrics"]["c_index"] == 0.123456
         assert report2.folds[1] == report1.folds[1]
+
+
+class TestRunLifecycle:
+    def test_resume_retries_failed_folds(self, tmp_path):
+        # one subject's CT is missing, so both folds fail; once the file is
+        # back, a resumed run trains them instead of replaying the failure
+        write_synthetic_dataset(tmp_path / "d", n=6, seed=14, beta=[1.0],
+                                with_volumes=True, volume_shape=(16, 16, 8))
+        ct = tmp_path / "d" / "volumes" / "s00002_ct.mvol"
+        kept = tmp_path / "kept.mvol"
+        ct.rename(kept)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(task="seg3d", data_dir=str(tmp_path / "d"),
+                               output_dir=str(out), seed=15, cv_folds=2, epochs=1,
+                               batch_size=4, resume=True)
+        report = run_experiment(cfg)
+        assert report.aggregate["failed_folds"] == 2
+        assert not (out / "fold_0.json").exists() and not (out / "fold_1.json").exists()
+        kept.rename(ct)
+        report = run_experiment(cfg)
+        assert report.aggregate["failed_folds"] == 0
+        assert all("metrics" in f for f in report.folds)
+        # a failed rerun from scratch leaves no stale marker for a later resume
+        ct.rename(kept)
+        cfg.resume = False
+        assert run_experiment(cfg).aggregate["failed_folds"] == 2
+        assert not any(out.glob("fold_?.json"))
+
+    @pytest.mark.parametrize("text", ['{"fold": 0, "met', "[1, 2]"])
+    def test_unreadable_marker_is_data_error(self, tmp_path, text):
+        from oncokit.cli import main
+
+        write_synthetic_dataset(tmp_path / "d", n=30, seed=16, beta=[1.0])
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fold_0.json").write_text(text)
+        cfg = ExperimentConfig(task="surv-cox", data_dir=str(tmp_path / "d"),
+                               output_dir=str(out), seed=17, cv_folds=2, resume=True)
+        with pytest.raises(DataError, match="fold_0.json"):
+            run_experiment(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "task": "surv-cox", "data_dir": str(tmp_path / "d"),
+            "output_dir": str(out), "seed": 17, "cv_folds": 2, "resume": True}))
+        assert main(["train", "--config", str(cfg_path)]) == 3
+
+    def test_outputs_leave_no_temp_files(self, tmp_path):
+        write_synthetic_dataset(tmp_path / "d", n=30, seed=18, beta=[1.0])
+        out = tmp_path / "out"
+        run_experiment(ExperimentConfig(task="surv-cox", data_dir=str(tmp_path / "d"),
+                                        output_dir=str(out), seed=19, cv_folds=2))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fold_0.json", "fold_0_cox.json", "fold_1.json", "fold_1_cox.json",
+            "report.json", "timing.json"]
+
+    def test_non_toolkit_fold_error_is_isolated(self, tmp_path, monkeypatch):
+        import oncokit.experiment as experiment
+
+        write_synthetic_dataset(tmp_path / "d", n=40, seed=20, beta=[1.0])
+        clean = run_experiment(ExperimentConfig(
+            task="surv-cox", data_dir=str(tmp_path / "d"),
+            output_dir=str(tmp_path / "clean"), seed=21, cv_folds=3))
+        real = experiment._run_surv_fold
+
+        def singular_first_fold(cfg, cohort, train_idx, val_idx, fold_seed, out_dir,
+                                fold_index):
+            if fold_index == 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(cfg, cohort, train_idx, val_idx, fold_seed, out_dir, fold_index)
+
+        monkeypatch.setattr(experiment, "_run_surv_fold", singular_first_fold)
+        report = run_experiment(ExperimentConfig(
+            task="surv-cox", data_dir=str(tmp_path / "d"),
+            output_dir=str(tmp_path / "out"), seed=21, cv_folds=3))
+        assert report.folds[0]["error"]["type"] == "LinAlgError"
+        assert "metrics" not in report.folds[0]
+        assert report.folds[1:] == clean.folds[1:]
+        assert report.aggregate["failed_folds"] == 1
 
 
 class TestEvaluate:

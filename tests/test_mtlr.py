@@ -1,5 +1,7 @@
 """Discrete-time survival model: encoding, loss values, gradients, fits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,16 @@ from oncokit.mtlr import (
     censor_interval,
     event_interval,
     load_mtlr,
-    mtlr_c_index,
+    mtlr_cohort_risks,
     mtlr_fit,
     mtlr_loss,
     mtlr_loss_and_grads,
     mtlr_risk,
     mtlr_survival,
-    nmtlr_cohort_risks,
-    nmtlr_fit,
     save_mtlr,
     time_grid,
 )
-from oncokit.metrics import c_index
+from oncokit.metrics import c_index, concordance_detail
 from oncokit.synthetic import (
     calibrate_uniform_censoring,
     gen_synthetic_cohort,
@@ -201,7 +201,8 @@ class TestFit:
         train = gen_synthetic_cohort(500, seed=10, beta=[2.0], censor_frac=0.2)
         test = gen_synthetic_cohort(300, seed=11, beta=[2.0], censor_frac=0.2)
         model = mtlr_fit(train, smoothing=1.0)
-        res = mtlr_c_index(model, test)
+        res = concordance_detail(test.times(), mtlr_cohort_risks(model, test),
+                                 test.events(), orientation="hazard")
         assert res.value >= 0.8
 
     def test_huge_smoothing_kills_weights(self):
@@ -228,7 +229,7 @@ class TestNeuralFit:
         cohort = gen_synthetic_cohort(80, seed=14, beta=[1.0, -0.5], censor_frac=0.2)
         cfg = FitConfig(iterations=200)
         linear = mtlr_fit(cohort, m=4, smoothing=1.0, config=cfg)
-        neural = nmtlr_fit(cohort, hidden_widths=(), m=4, smoothing=1.0, config=cfg)
+        neural = mtlr_fit(cohort, m=4, smoothing=1.0, config=cfg, hidden_widths=())
         assert np.allclose(neural.theta, linear.theta, atol=1e-12)
         assert np.allclose(neural.bias, linear.bias, atol=1e-12)
 
@@ -247,10 +248,10 @@ class TestNeuralFit:
 
         cfg = FitConfig(iterations=800, seed=3)
         linear = mtlr_fit(train, m=6, smoothing=1.0, config=cfg)
-        neural = nmtlr_fit(train, hidden_widths=(16,), m=6, smoothing=0.1, config=cfg)
+        neural = mtlr_fit(train, m=6, smoothing=0.1, config=cfg, hidden_widths=(16,))
 
         lin_risks = [mtlr_risk(linear, s.covariates) for s in test.subjects]
-        net_risks = nmtlr_cohort_risks(neural, test)
+        net_risks = mtlr_cohort_risks(neural, test)
         c_lin = c_index(test.times(), np.array(lin_risks), test.events(),
                         orientation="hazard")
         c_net = c_index(test.times(), net_risks, test.events(), orientation="hazard")
@@ -297,3 +298,22 @@ def test_persistence_roundtrip(tmp_path):
     assert np.allclose(back.boundaries, model.boundaries)
     x = cohort.subjects[0].covariates
     assert mtlr_risk(back, x) == pytest.approx(mtlr_risk(model, x))
+
+
+def test_persistence_roundtrip_hidden_layers(tmp_path):
+    cohort = gen_synthetic_cohort(60, seed=17, beta=[0.5, -0.3], censor_frac=0.1)
+    cfg = FitConfig(iterations=50)
+    model = mtlr_fit(cohort, m=3, config=cfg, hidden_widths=(4, 3))
+    p = tmp_path / "nmtlr.json"
+    save_mtlr(model, p)
+    saved = json.loads(p.read_text())
+    assert (saved["type"], saved["hidden_widths"]) == ("nmtlr", [4, 3])
+    back = load_mtlr(p)
+    assert back.hidden_widths == (4, 3)
+    assert np.array_equal(mtlr_cohort_risks(back, cohort), mtlr_cohort_risks(model, cohort))
+    with pytest.raises(ContractError):              # the front end checks the width
+        mtlr_risk(back, np.zeros(3))
+    # a front end without layers is the linear model, saved as such
+    save_mtlr(mtlr_fit(cohort, m=3, config=cfg, hidden_widths=()), p)
+    assert "hidden_widths" not in json.loads(p.read_text())
+    assert json.loads(p.read_text())["type"] == "mtlr"

@@ -12,9 +12,9 @@ from oncokit.errors import ContractError, ShapeError
 from oncokit.vit import (
     EncoderConfig,
     ViTEncoder,
+    encoder_preset,
     extract_patches,
     tokens_to_grid,
-    vit_b16,
 )
 
 RNG = np.random.default_rng(2024)
@@ -36,7 +36,7 @@ def _zero_block_outputs(enc):
 
 class TestPatchEmbed:
     def test_token_count_full_size(self):
-        cfg = vit_b16((144, 144, 144), channels=2)
+        cfg = encoder_preset("paper", (144, 144, 144), channels=2)
         assert cfg.tokens == 729
         assert cfg.patch_elems == 16 ** 3 * 2
 
@@ -149,7 +149,7 @@ class TestTransformerBlock:
 
 class TestEncode:
     def test_twelve_layer_taps(self):
-        cfg = vit_b16((32, 32, 32), channels=1)
+        cfg = encoder_preset("paper", (32, 32, 32), channels=1)
         assert cfg.tap_layers == (3, 6, 9, 12)
 
     def test_four_taps_returned(self):
