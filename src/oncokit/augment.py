@@ -11,7 +11,7 @@ one generator, so a fixed seed reproduces outputs bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -78,9 +78,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     # arithmetic sugar
     def __add__(self, other):
         return add(self, other)
@@ -200,9 +197,6 @@ class GradMap:
         if nid is None or nid not in self._table:
             return Tensor._wrap(np.zeros(t.shape))
         return Tensor._wrap(self._table[nid])
-
-    def is_recorded(self, t: Tensor) -> bool:
-        return self._tape._lookup(t) is not None
 
 
 def backward(tape: Tape, loss: Tensor) -> GradMap:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import FormatError
+from .errors import FormatError, write_atomic
 
 MAGIC = b"OKPT"
 
@@ -35,11 +35,11 @@ def save_checkpoint(params: dict[str, Tensor], path, config: dict | None = None)
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
     manifest = {"format": "okpt-v1", "parameters": len(params)}
     if config:
         manifest["config"] = config
-    Path(str(path) + ".json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_atomic(str(path) + ".json", json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .errors import (
     FormatError,
     NumericError,
     OncokitError,
+    write_atomic,
 )
 
 EXIT_CONFIG = 2
@@ -48,12 +50,28 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _extents(text: str, flag: str, rank: int) -> tuple[int, ...]:
+    """Parse ``rank`` positive integers joined by "x" (e.g. 32x32x16)."""
+    try:
+        extents = tuple(int(v) for v in text.lower().split("x"))
+    except ValueError:
+        extents = ()
+    if len(extents) != rank or min(extents) < 1:
+        raise ConfigError(f"{flag} expects {rank} positive integers joined by 'x', got {text!r}")
+    return extents
+
+
 def cmd_synth(args) -> int:
     from .experiment import write_synthetic_dataset
 
-    shape = tuple(int(v) for v in args.volume_shape.split("x"))
-    write_synthetic_dataset(args.out, n=args.n, seed=args.seed,
-                            beta=[float(b) for b in args.beta.split(",")],
+    shape = _extents(args.volume_shape, "--volume-shape", 3)
+    try:
+        beta = [float(b) for b in args.beta.split(",")]
+    except ValueError:
+        beta = [float("nan")]
+    if not all(math.isfinite(b) for b in beta):
+        raise ConfigError(f"--beta expects comma-separated numbers, got {args.beta!r}")
+    write_synthetic_dataset(args.out, n=args.n, seed=args.seed, beta=beta,
                             censor_frac=args.censor_frac,
                             with_volumes=args.volumes, volume_shape=shape,
                             n_centers=args.centers)
@@ -87,7 +105,8 @@ def cmd_convert_si(args) -> int:
     if args.invert:
         errors = invert_si_dir(args.input, args.out)
     else:
-        errors = convert_si_dir(args.input, args.out, grid=args.grid)
+        grid = None if args.grid == "auto" else _extents(args.grid, "--grid", 2)
+        errors = convert_si_dir(args.input, args.out, grid=grid)
     for line in errors:
         print(f"error: {line}", file=sys.stderr)
     return EXIT_DATA if errors else 0
@@ -105,6 +124,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     import csv
+    import io
 
     import numpy as np
 
@@ -130,11 +150,12 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.ehr} has features {cohort.feature_names}, but "
                         f"{args.model} was fit on {model.feature_names}")
     risks = cohort_risks(model, cohort)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "risk"])
-        for subject, risk in zip(cohort.subjects, np.asarray(risks)):
-            writer.writerow([subject.id, repr(float(risk))])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["id", "risk"])
+    for subject, risk in zip(cohort.subjects, np.asarray(risks)):
+        writer.writerow([subject.id, repr(float(risk))])
+    write_atomic(args.out, text.getvalue().encode("utf-8"))
     print(f"wrote {len(cohort)} risk predictions to {args.out}")
     return 0
 
@@ -148,36 +169,27 @@ def cmd_eval(args) -> int:
         report = evaluate_survival_files(args.pred, args.truth)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text.encode("utf-8"))
     print(text)
     return EXIT_DATA if report.get("missing") else 0
 
 
 def cmd_stats_model(args) -> int:
-    from .segnets import UnetrDecoder, model_stats, unet2d, unet3d, unetr_layer_specs
+    from .segnets import UNet, UnetrDecoder, model_stats, unetr_layer_specs
     from .vit import EncoderConfig
 
-    extents = tuple(int(v) for v in args.input.lower().split("x"))
-    if args.arch == "unet2d":
-        if len(extents) != 2:
-            raise ConfigError("unet2d expects --input HxW")
-        stats = model_stats(unet2d(depth=args.depth, base_width=args.width), extents)
-    elif args.arch == "unet3d":
-        if len(extents) != 3:
-            raise ConfigError("unet3d expects --input HxWxD")
-        stats = model_stats(unet3d(depth=args.depth, base_width=args.width), extents)
+    rank = 2 if args.arch == "unet2d" else 3
+    extents = _extents(args.input, "--input", rank)
+    if args.arch in ("unet2d", "unet3d"):
+        stats = model_stats(UNet(rank, depth=args.depth, base_width=args.width), extents)
     else:
-        if len(extents) != 3:
-            raise ConfigError("unetr expects --input HxWxD")
         cfg = EncoderConfig(extents, 2, args.patch, args.embed, args.layers,
                             args.heads)
         decoder = UnetrDecoder(cfg, width=args.width)
-        stats = model_stats(decoder, extents)
-        encoder_specs = [s for s in unetr_layer_specs(cfg, width=args.width)
-                         if s.kind in ("linear", "norm")]
-        enc = model_stats(encoder_specs, (1,))
-        stats = {"params": stats["params"] + enc["params"],
-                 "macs": stats["macs"] + enc["macs"]}
+        dec = model_stats(decoder, extents)
+        specs = unetr_layer_specs(cfg, width=args.width)    # the encoder's, then the decoder's
+        enc = model_stats(specs[:len(specs) - len(decoder.layer_specs())], (1,))
+        stats = {key: dec[key] + enc[key] for key in ("params", "macs")}
     print(json.dumps(stats, sort_keys=True))
     return 0
 

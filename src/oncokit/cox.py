@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ehr import Cohort
-from .errors import ContractError, DivergenceError, NumericError, malformed
+from .errors import ContractError, DivergenceError, NumericError, malformed, write_atomic
 
 MAX_ABS_COEF = 50.0
 SCORE_TOL = 1e-8
@@ -186,7 +186,7 @@ def save_cox(model: CoxModel, path) -> None:
         "log_likelihood": model.log_likelihood,
         "ridge": model.ridge,
     }
-    Path(path).write_text(json.dumps(payload, indent=2))
+    write_atomic(path, json.dumps(payload, indent=2).encode())
 
 
 def load_cox(path) -> CoxModel:

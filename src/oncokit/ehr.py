@@ -9,13 +9,14 @@ one-hot (one column per level, level-sorted) in the original column order.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, write_atomic
 
 REQUIRED_COLUMNS = ("id", "time", "event", "center")
 
@@ -36,7 +37,6 @@ class Subject:
 class Cohort:
     subjects: list[Subject]
     feature_names: list[str]
-    time_unit: str = "months"
 
     def __post_init__(self):
         ids = [s.id for s in self.subjects]
@@ -60,12 +60,8 @@ class Cohort:
     def events(self) -> np.ndarray:
         return np.array([s.event for s in self.subjects], dtype=np.int64)
 
-    def centers(self) -> list[str]:
-        return [s.center for s in self.subjects]
-
     def subset(self, indices) -> "Cohort":
-        return Cohort([self.subjects[i] for i in indices], list(self.feature_names),
-                      self.time_unit)
+        return Cohort([self.subjects[i] for i in indices], list(self.feature_names))
 
     def select_features(self, indices) -> "Cohort":
         """Project onto a subset of covariate columns (by index)."""
@@ -73,7 +69,7 @@ class Cohort:
         names = [self.feature_names[i] for i in indices]
         subs = [Subject(s.id, s.covariates[indices], s.time, s.event, s.center,
                         s.ct_path, s.pet_path, s.mask_path) for s in self.subjects]
-        return Cohort(subs, names, self.time_unit)
+        return Cohort(subs, names)
 
 
 def _is_number(text: str) -> bool:
@@ -182,7 +178,7 @@ def apply_feature_stats(cohort: Cohort, stats: dict[str, dict[str, float]]) -> N
 
 
 def save_feature_stats(stats: dict, path) -> None:
-    Path(path).write_text(json.dumps(stats, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(stats, indent=2, sort_keys=True).encode())
 
 
 def load_feature_stats(path) -> dict:
@@ -191,9 +187,10 @@ def load_feature_stats(path) -> dict:
 
 def save_ehr(cohort: Cohort, path) -> None:
     """Write a cohort back out in the canonical CSV layout."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(REQUIRED_COLUMNS) + cohort.feature_names)
-        for s in cohort.subjects:
-            writer.writerow([s.id, repr(float(s.time)), s.event, s.center]
-                            + [repr(float(v)) for v in s.covariates])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(list(REQUIRED_COLUMNS) + cohort.feature_names)
+    for s in cohort.subjects:
+        writer.writerow([s.id, repr(float(s.time)), s.event, s.center]
+                        + [repr(float(v)) for v in s.covariates])
+    write_atomic(path, text.getvalue().encode("utf-8"))

@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its file-safety helpers.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError and
 FormatError -> 3, NumericError and DivergenceError -> 4.
 """
 
+import os
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class OncokitError(Exception):
@@ -53,3 +55,16 @@ def malformed(what: str):
         raise DataError(f"{what}: missing field {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:
         raise DataError(f"{what}: {exc}") from exc
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write through a temp file renamed over ``path``: a reader sees the old
+    file or the whole new one, and a failed write leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -18,11 +18,12 @@ unreadable marker is a ``DataError``.
 
 from __future__ import annotations
 
+import csv
 import json
-import os
+import math
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .autodiff import Tape, Tensor, backward, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
 from .ehr import Cohort, load_ehr, save_ehr
-from .errors import ConfigError, DataError, OncokitError
+from .errors import ConfigError, DataError, OncokitError, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
 from .metrics import concordance_detail, confusion, dsc, precision_recall
@@ -258,8 +259,7 @@ def _minibatch_train(params: dict[str, Tensor], set_params, loss, n: int,
 
 def train_segmentation(net, samples, epochs: int, batch_size: int,
                        lr: float, weight_decay: float, period: int,
-                       seed: int, floor_lr: float = 1e-5,
-                       augment_cfg: AugmentConfig | None = None,
+                       seed: int, augment_cfg: AugmentConfig | None = None,
                        raw_triplets=None) -> list[float]:
     """Full training loop over (input, mask) pairs; returns epoch losses.
 
@@ -276,8 +276,7 @@ def train_segmentation(net, samples, epochs: int, batch_size: int,
             x, y = _seg_pair(*triplet, super_image=x.ndim == 3)
         return combined_loss(sigmoid(net.forward(Tensor(x))), Tensor(y))
 
-    state = OptimState(base_lr=lr, weight_decay=weight_decay, period=period,
-                       floor_lr=floor_lr)
+    state = OptimState(base_lr=lr, weight_decay=weight_decay, period=period)
     return _minibatch_train(net.params, lambda p: setattr(net, "params", p),
                             loss, len(samples), epochs, batch_size, state, seed)
 
@@ -508,7 +507,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc),
                               "trace": traceback.format_exc(limit=6)}
         else:
-            _write_atomic(marker, json.dumps(entry, indent=2, sort_keys=True))
+            write_atomic(marker, json.dumps(entry, indent=2, sort_keys=True).encode())
         fold_reports.append(entry)
 
     aggregate = _aggregate([f.get("metrics", {}) for f in fold_reports
@@ -524,18 +523,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         versions={"oncokit": __version__, "numpy": np.__version__},
         wall_clock_seconds=time.time() - started,
     )
-    _write_atomic(out_dir / "report.json", report.to_json())
-    _write_atomic(out_dir / "timing.json",
-                  json.dumps({"wall_clock_seconds": report.wall_clock_seconds}))
+    write_atomic(out_dir / "report.json", report.to_json().encode())
+    write_atomic(out_dir / "timing.json",
+                 json.dumps({"wall_clock_seconds": report.wall_clock_seconds}).encode())
     return report
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file in the same directory renamed over ``path``,
-    so a reader sees the old file or the whole new one, never a torn one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _read_marker(path: Path) -> dict:
@@ -554,7 +545,7 @@ def _aggregate(metric_dicts: list[dict]) -> dict:
     agg: dict = {}
     if not metric_dicts:
         return agg
-    keys = set.intersection(*(set(m) for m in metric_dicts)) if metric_dicts else set()
+    keys = set.intersection(*(set(m) for m in metric_dicts))
     for key in sorted(keys):
         values = [m[key] for m in metric_dicts]
         if all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -587,22 +578,31 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
 
 def evaluate_survival_files(pred_csv, truth_csv) -> dict:
     """C-index of a predictions CSV (id,risk) against cohort labels."""
-    import csv as _csv
-
     cohort = load_ehr(truth_csv)
     by_id = {s.id: s for s in cohort.subjects}
     risks, times, events, missing = [], [], [], []
     with open(pred_csv, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None or "id" not in reader.fieldnames \
                 or "risk" not in reader.fieldnames:
             raise DataError(f"{pred_csv}: header must contain id,risk")
+        seen = set()
         for row in reader:
+            where = f"{pred_csv}:{reader.line_num}"
+            if row["id"] in seen:
+                raise DataError(f"{where}: duplicate id {row['id']!r}")
+            seen.add(row["id"])
+            try:
+                risk = float(row["risk"])
+            except (TypeError, ValueError):
+                risk = math.nan
+            if not math.isfinite(risk):
+                raise DataError(f"{where}: risk must be a finite number, got {row['risk']!r}")
             subject = by_id.get(row["id"])
             if subject is None:
                 missing.append(row["id"])
                 continue
-            risks.append(float(row["risk"]))
+            risks.append(risk)
             times.append(subject.time)
             events.append(subject.event)
     if len(risks) < 2:
@@ -612,30 +612,24 @@ def evaluate_survival_files(pred_csv, truth_csv) -> dict:
     return report
 
 
-def convert_si_dir(in_dir, out_dir, grid: str = "auto") -> list[str]:
-    """Turn each volume MVOL into a single-slice super-image MVOL + sidecar."""
+def convert_si_dir(in_dir, out_dir, grid: tuple[int, int] | None = None) -> list[str]:
+    """Turn each volume MVOL into a single-slice super-image MVOL + sidecar,
+    on the given (sh, sw) grid or, by default, each volume's own."""
     in_dir, out_dir = Path(in_dir), Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    explicit = None
-    if grid != "auto":
-        try:
-            sh, sw = grid.lower().split("x")
-            explicit = (int(sh), int(sw))
-        except ValueError as exc:
-            raise ConfigError(f"grid must be 'auto' or 'SHxSW', got {grid!r}") from exc
     errors = []
     for path in sorted(in_dir.glob("*.mvol")):
         try:
             volume = read_volume(path)
             stack = volume.data[..., None]
-            layout = SuperImageLayout.for_volume(stack.shape, grid=explicit)
+            layout = SuperImageLayout.for_volume(stack.shape, grid=grid)
             si = to_super_image(stack, layout)
             flat = Volume(si[:, :, 0][:, :, None], volume.spacing, volume.modality)
             write_volume(flat, out_dir / path.name)
             sidecar = dict(layout.to_json(), modality=volume.modality,
                            spacing=list(volume.spacing))
-            (out_dir / (path.stem + ".si.json")).write_text(
-                json.dumps(sidecar, indent=2, sort_keys=True))
+            write_atomic(out_dir / (path.stem + ".si.json"),
+                         json.dumps(sidecar, indent=2, sort_keys=True).encode())
         except OncokitError as exc:
             errors.append(f"{path.name}: {exc}")
     return errors

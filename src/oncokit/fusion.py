@@ -2,10 +2,9 @@
 
 Proportional-hazards risks live on an exponential scale while discretized
 survival-mass risks are bounded by the grid size, so averaging raw values
-would let one branch dominate. The default therefore z-scores each branch
-across the cohort before the elementwise mean, which also makes the fused
-ranking invariant to positive affine rescaling of either input. Raw-mean
-fusion stays available behind ``mode="raw"``.
+would let one branch dominate. Each branch is therefore z-scored across
+the cohort before the elementwise mean, which also makes the fused ranking
+invariant to positive affine rescaling of either input.
 
 Both inputs are expected in hazard orientation (larger score, earlier
 expected event); the output keeps that orientation.
@@ -25,15 +24,12 @@ def _zscore(values: np.ndarray) -> np.ndarray:
     return (values - values.mean()) / std
 
 
-def deep_fusion_risk(cox_risks, mtlr_risks, mode: str = "normalized") -> np.ndarray:
-    """Average two per-subject risk lists into one fused score per subject."""
+def deep_fusion_risk(cox_risks, mtlr_risks) -> np.ndarray:
+    """Average two z-scored per-subject risk lists into one fused score per
+    subject."""
     a = np.asarray(cox_risks, dtype=np.float64)
     b = np.asarray(mtlr_risks, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ContractError(
             f"risk lists must be equal-length vectors, got {a.shape} and {b.shape}")
-    if mode == "normalized":
-        a, b = _zscore(a), _zscore(b)
-    elif mode != "raw":
-        raise ContractError(f"unknown fusion mode {mode!r}")
-    return 0.5 * (a + b)
+    return 0.5 * (_zscore(a) + _zscore(b))

@@ -1,8 +1,9 @@
 """Evaluation metrics: overlap scores for masks, concordance for risks.
 
-The concordance index is implemented twice on purpose. ``c_index`` sorts by
-time and counts with a Fenwick tree in O(n log n); ``c_index_naive`` is the
-literal quadratic double sum over ordered pairs
+The concordance index is implemented twice on purpose. ``concordance_detail``
+sorts by time and counts with a Fenwick tree in O(n log n), returning the
+index with its pair counts; ``c_index_naive`` is the literal quadratic
+double sum over ordered pairs
 
     C = sum 1[T_i > T_j] 1[eta_i > eta_j] delta_j
         -----------------------------------------
@@ -139,11 +140,6 @@ def _validate(times, risks, events):
     return t, r, e.astype(np.int64)
 
 
-def c_index(times, risks, events, orientation: str = "literal",
-            ties: str = "strict") -> float:
-    return concordance_detail(times, risks, events, orientation, ties).value
-
-
 def concordance_detail(times, risks, events, orientation: str = "literal",
                        ties: str = "strict") -> ConcordanceResult:
     """Fenwick-tree concordance over comparable pairs.
@@ -192,7 +188,7 @@ def concordance_detail(times, risks, events, orientation: str = "literal",
 
 def c_index_naive(times, risks, events, orientation: str = "literal",
                   ties: str = "strict") -> float:
-    """Definitional quadratic enumeration; the oracle for ``c_index``."""
+    """Definitional quadratic enumeration; the oracle for ``concordance_detail``."""
     t, r, e = _validate(times, risks, events)
     if orientation == "hazard":
         r = -r

@@ -57,7 +57,7 @@ from .autodiff import (
     zeros,
 )
 from .ehr import Cohort
-from .errors import ContractError, malformed
+from .errors import ContractError, malformed, write_atomic
 from .optim import OptimState, adamw_step, cosine_lr
 
 _MASK_OFF = -1e30
@@ -204,44 +204,20 @@ def mtlr_objective(theta: Tensor, bias: Tensor, features: Tensor, boundaries, ti
     return nll
 
 
-def _model_objective(model: MtlrModel, cohort: Cohort, theta: Tensor, bias: Tensor) -> Tensor:
-    return mtlr_objective(theta, bias, Tensor(model.features(cohort.covariate_matrix())),
-                          model.boundaries, cohort.times(), cohort.events(), model.smoothing)
-
-
-def mtlr_loss(model: MtlrModel, cohort: Cohort) -> float:
-    """Objective value at the model's parameters (regularizer included)."""
-    return float(_model_objective(model, cohort, Tensor(model.theta), Tensor(model.bias)).data)
-
-
-def mtlr_loss_and_grads(model: MtlrModel, cohort: Cohort):
-    """Objective value and its gradients in the head's theta and bias, with
-    the front end held fixed."""
-    theta = Tensor(model.theta, requires_grad=True)
-    bias = Tensor(model.bias, requires_grad=True)
-    with Tape() as tape:
-        obj = _model_objective(model, cohort, theta, bias)
-    grads = backward(tape, obj)
-    return float(obj.data), grads[theta].data, grads[bias].data
-
-
 @dataclass
 class FitConfig:
     iterations: int = 2000
     base_lr: float = 0.05
-    floor_lr: float = 1e-5
-    period: int = 50
     grad_tol: float = 1e-6
-    weight_decay: float = 0.0
     seed: int = 0
 
 
 def _fit_params(param_init: dict[str, Tensor], loss_fn, cfg: FitConfig):
-    """Full-batch AdamW loop: returns the parameters, the number of updates
-    and the last gradient norm."""
+    """Full-batch AdamW loop without weight decay, on a 50-update cosine
+    period: returns the parameters, the number of updates and the last
+    gradient norm."""
     params = dict(param_init)
-    state = OptimState(base_lr=cfg.base_lr, weight_decay=cfg.weight_decay,
-                       period=cfg.period, floor_lr=cfg.floor_lr)
+    state = OptimState(base_lr=cfg.base_lr, weight_decay=0.0, period=50)
     grad_norm = np.inf
     iterations = 0
     for step in range(cfg.iterations):
@@ -377,7 +353,7 @@ def save_mtlr(model: MtlrModel, path) -> None:
     if model.hidden_widths:
         payload["hidden_widths"] = list(model.hidden_widths)
         payload["mlp"] = {name: arr.tolist() for name, arr in model.mlp_params.items()}
-    Path(path).write_text(json.dumps(payload, indent=2))
+    write_atomic(path, json.dumps(payload, indent=2).encode())
 
 
 def load_mtlr(path) -> MtlrModel:

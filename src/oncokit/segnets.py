@@ -17,8 +17,9 @@ and summing learnable parameters and multiply-accumulates:
 
     conv           k^rank * C_in * C_out * prod(output extents)
     transposed     k^rank * C_in * C_out * prod(input extents)
-    linear         in * out
+    linear         in * out (parameters add out for the bias)
     norm           0 MACs, 2 * C parameters
+    table          0 MACs, rows * width parameters (the positional rows)
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ from .vit import EncoderConfig, EncoderOutput, tokens_to_grid
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str              # conv | transposed_conv | norm | activation | pool | linear
+    kind: str              # conv | transposed_conv | norm | activation | pool | linear | table
     rank: int = 0
     c_in: int = 0
     c_out: int = 0
     kernel: int = 0
     stride: int = 1
     padding: int = 0
+    bias: bool = True      # linear only
 
 
 def model_stats(net_or_specs, input_shape) -> dict:
@@ -88,8 +90,10 @@ def model_stats(net_or_specs, input_shape) -> dict:
                 raise ShapeError(f"layer {index} (pool): odd extents {spatial}")
             spatial = tuple(s // 2 for s in spatial)
         elif spec.kind == "linear":
-            params += spec.c_in * spec.c_out + spec.c_out
+            params += spec.c_in * spec.c_out + (spec.c_out if spec.bias else 0)
             macs += spec.c_in * spec.c_out
+        elif spec.kind == "table":
+            params += spec.c_in * spec.c_out
         else:
             raise ContractError(f"layer {index}: unknown kind {spec.kind!r}")
     return {"params": int(params), "macs": int(macs)}
@@ -174,7 +178,6 @@ class UNet:
         self.rank = rank
         self.in_channels = in_channels
         self.depth = depth
-        self.base_width = base_width
         b = _ParamBuilder(rank, seed)
         widths = [base_width * 2 ** i for i in range(depth + 1)]
         c_prev = in_channels
@@ -192,7 +195,6 @@ class UNet:
         b.final_conv("head", widths[0])
         self.params = b.params
         self._specs = b.specs
-        self._widths = widths
 
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
@@ -233,7 +235,6 @@ class UnetrDecoder:
             raise ContractError("at most three intermediate taps are available")
         self.cfg = enc_cfg
         self.steps = steps
-        self.width = width
         rank = enc_cfg.rank
         k = enc_cfg.embed_dim
         widths = [width * 2 ** i for i in range(max(steps, 1))]
@@ -356,24 +357,17 @@ class UnetrDecoder:
         return {"params": int(params), "macs": int(macs)}
 
 
-def unet2d(in_channels: int = 2, depth: int = 4, base_width: int = 16,
-           seed: int = 0) -> UNet:
-    return UNet(2, in_channels, depth, base_width, seed)
-
-
-def unet3d(in_channels: int = 2, depth: int = 4, base_width: int = 16,
-           seed: int = 0) -> UNet:
-    return UNet(3, in_channels, depth, base_width, seed)
-
-
 def unetr_layer_specs(cfg: EncoderConfig, width: int = 16) -> list[LayerSpec]:
-    """Specs for the full transformer + decoder model, for accounting only.
+    """Specs for the full transformer + decoder model, for accounting only:
+    the encoder's, then the decoder's.
 
     The attention score/value products are data-dependent matmuls rather
-    than layers; as elsewhere, only parameterized maps are counted.
+    than layers; as elsewhere, only parameterized maps are counted. An EHR
+    slot's projection and positional row are left out.
     """
     k = cfg.embed_dim
-    specs = [LayerSpec("linear", 1, cfg.patch_elems, k)]
+    specs = [LayerSpec("linear", 1, cfg.patch_elems, k, bias=False),
+             LayerSpec("table", 1, cfg.tokens, k)]
     for _ in range(cfg.layers):
         specs.append(LayerSpec("norm", 1, k, k))
         for _ in range(4):   # q, k, v, output mix

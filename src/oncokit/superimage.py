@@ -3,8 +3,9 @@
 A depth-D volume becomes one 2D mosaic by tiling its axial slices onto an
 (sh, sw) grid, row-major: slice d lands in grid cell (d // sw, d % sw), so
 voxel (h, w, d) maps to pixel (h + H * (d // sw), w + W * (d % sw)). The
-mosaic is (H * sh, W * sw) with C channels carried through unchanged, and
-the mapping is exactly invertible on the unpadded depth range.
+mosaic is (H * sh, W * sw) with C channels carried through unchanged. A
+grid with more cells than slices leaves the cells past slice D - 1 zero,
+and the mapping is exactly invertible on the D real slices.
 """
 
 from __future__ import annotations
@@ -92,24 +93,6 @@ class SuperImageLayout:
     def from_json(cls, obj: dict) -> "SuperImageLayout":
         return cls(int(obj["sh"]), int(obj["sw"]),
                    (int(obj["H"]), int(obj["W"]), int(obj["D"]), int(obj["C"])))
-
-
-def pad_depth(volume: np.ndarray, target_depth: int) -> np.ndarray:
-    """Append zero slices symmetrically along depth (axis 2) up to target.
-
-    The split puts delta // 2 in front, so an odd remainder lands at the
-    back. Cropping is out of scope here; shrinking raises.
-    """
-    d = volume.shape[2]
-    if target_depth < d:
-        raise ContractError(f"pad_depth cannot shrink depth {d} to {target_depth}")
-    if target_depth == d:
-        return volume
-    delta = target_depth - d
-    front = delta // 2
-    widths = [(0, 0)] * volume.ndim
-    widths[2] = (front, delta - front)
-    return np.pad(volume, widths)
 
 
 def to_super_image(volume: np.ndarray, layout: SuperImageLayout) -> np.ndarray:

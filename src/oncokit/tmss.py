@@ -28,7 +28,7 @@ from .autodiff import (
 )
 from .errors import ContractError
 from .losses import combined_loss
-from .mtlr import mtlr_nll_from_scores, risk_from_scores, survival_from_scores
+from .mtlr import mtlr_nll_from_scores
 from .optim import ParamTree
 from .segnets import UnetrDecoder
 from .vit import EncoderConfig, ViTEncoder
@@ -40,7 +40,6 @@ DEFAULT_SURVIVAL_WEIGHT = 0.3
 class TmssOutput:
     logits: Tensor            # (1, spatial...)
     scores: Tensor            # (1, m) boundary scores
-    final_tokens: Tensor
 
 
 class TmssModel:
@@ -81,15 +80,7 @@ class TmssModel:
         img_mean = tmean(narrow(final, 0, 1, final.shape[0] - 1), axis=0, keepdims=True)
         feats = concat([ehr_out, img_mean], axis=1)               # (1, 2K)
         scores = matmul(feats, self.head["surv.w"]) + self.head["surv.b"]
-        return TmssOutput(logits=logits, scores=scores, final_tokens=final)
-
-    def predict_risk(self, volume_hwdc: Tensor, covariates: Tensor) -> float:
-        out = self.forward(volume_hwdc, covariates)
-        return risk_from_scores(self.boundaries, out.scores.data[0])
-
-    def predict_survival(self, volume_hwdc: Tensor, covariates: Tensor):
-        out = self.forward(volume_hwdc, covariates)
-        return survival_from_scores(self.boundaries, out.scores.data[0])
+        return TmssOutput(logits=logits, scores=scores)
 
 
 def tmss_loss(logits: Tensor, mask: Tensor, scores: Tensor, time: float,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, write_atomic
 
 MAGIC = b"MVOL"
 VERSION = 1
@@ -87,7 +87,7 @@ def write_volume(volume: Volume, path) -> None:
         "<I3I3fB3x", VERSION, h, w, d, *volume.spacing,
         _MODALITY_CODE[volume.modality])
     payload = np.ascontiguousarray(volume.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def read_volume(path) -> Volume:

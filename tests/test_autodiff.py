@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_op
+from gradcheck import GRADIENT_CASES, check_op
 
 from oncokit.autodiff import (
     Tape,
@@ -26,6 +26,12 @@ from oncokit.autodiff import (
     transposed_conv,
 )
 from oncokit.errors import ContractError, NumericError, ShapeError
+from oncokit.experiment import _seg_model
+from oncokit.losses import combined_loss
+from oncokit.segnets import UNet
+from oncokit.synthetic import gen_synthetic_cohort
+from oncokit.tmss import TmssModel, tmss_loss
+from oncokit.vit import EncoderConfig
 
 RNG = np.random.default_rng(1234)
 
@@ -72,7 +78,7 @@ class TestConv:
         w = Tensor(np.ones((1, 1, 3, 3)))
         out = conv(x, w)
         assert out.shape == (1, 1, 1)
-        assert out.item() == pytest.approx(9.0)
+        assert out.data[0, 0, 0] == pytest.approx(9.0)
 
     def test_nonpositive_extent(self):
         with pytest.raises(ShapeError):
@@ -300,3 +306,66 @@ class TestTensorValueSemantics:
         t = Tensor(src)
         src[0] = 99.0
         assert t.data[0] == 1.0
+
+
+
+class TestGradientCoverage:
+    """Every op a model records on its tape has a finite-difference case in
+    ``gradcheck.GRADIENT_CASES``, and every case passes."""
+
+    @pytest.mark.parametrize("op", sorted(GRADIENT_CASES))
+    def test_case_matches_finite_differences(self, op):
+        f, arrays = GRADIENT_CASES[op]
+        assert check_op(f, arrays) <= 1e-6
+
+    @staticmethod
+    def _taped_ops(loss) -> set:
+        with Tape() as tape:
+            value = loss()
+        backward(tape, value)
+        return {node.op for node in tape._nodes}
+
+    @staticmethod
+    def _mtlr_fit_ops(monkeypatch, hidden_widths) -> set:
+        """Ops on the tape of one update of the real fit."""
+        import oncokit.mtlr as mtlr
+
+        seen = set()
+        real = mtlr.backward
+
+        def spy(tape, loss):
+            seen.update(node.op for node in tape._nodes)
+            return real(tape, loss)
+
+        monkeypatch.setattr(mtlr, "backward", spy)
+        cohort = gen_synthetic_cohort(20, seed=1, beta=[1.0, -0.5], censor_frac=0.3)
+        mtlr.mtlr_fit(cohort, m=3, config=mtlr.FitConfig(iterations=1),
+                      hidden_widths=hidden_widths)
+        return seen
+
+    def test_every_model_op_has_a_case(self, monkeypatch):
+        def seg_loss(net, x):
+            mask = Tensor((RNG.random((1,) + x.shape[1:]) > 0.5).astype(float))
+            return lambda: combined_loss(sigmoid(net.forward(Tensor(x))), mask)
+
+        ops = set()
+        for rank in (2, 3):
+            net = UNet(rank, in_channels=2, depth=1, base_width=2)
+            ops |= self._taped_ops(seg_loss(net, RNG.normal(size=(2,) + (4,) * rank)))
+        unetr = _seg_model("unetr", "toy", (2, 8, 8, 8), seed=0, decoder_width=2, patch=4)
+        ops |= self._taped_ops(seg_loss(unetr, RNG.normal(size=(2, 8, 8, 8))))
+
+        tmss = TmssModel(EncoderConfig((8, 8, 8), 2, 4, 8, 1, 2, 2, ehr_dim=2),
+                         [1.0, 2.0, 3.0], decoder_width=2)
+        volume = Tensor(RNG.normal(size=(8, 8, 8, 2)))
+        covariates = Tensor(RNG.normal(size=2))
+        mask = Tensor(np.ones((1, 8, 8, 8)))
+
+        def joint_loss():
+            out = tmss.forward(volume, covariates)
+            return tmss_loss(out.logits, mask, out.scores, 1.5, 1, tmss.boundaries)
+
+        ops |= self._taped_ops(joint_loss)
+        for hidden_widths in ((), (3,)):
+            ops |= self._mtlr_fit_ops(monkeypatch, hidden_widths)
+        assert ops - set(GRADIENT_CASES) == set()

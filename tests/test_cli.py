@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oncokit
 from oncokit.cli import main
+from oncokit.segnets import UnetrDecoder
+from oncokit.vit import EncoderConfig, ViTEncoder
 from oncokit.volume import Volume, read_volume, write_volume
 
 
@@ -236,3 +239,52 @@ class TestStatsModel:
     def test_bad_extents_exit_code(self):
         assert main(["stats", "model", "--arch", "unet2d",
                      "--input", "64x64x64"]) == 2
+
+    @pytest.mark.parametrize("extents, patch, embed, layers, heads, width", [
+        ((32, 32, 32), 8, 32, 4, 4, 4),
+        ((16, 16, 8), 4, 16, 2, 2, 2),
+    ])
+    def test_unetr_params_match_built_model(self, capsys, extents, patch, embed,
+                                            layers, heads, width):
+        assert main(["stats", "model", "--arch", "unetr",
+                     "--input", "x".join(str(e) for e in extents), "--patch", str(patch),
+                     "--embed", str(embed), "--layers", str(layers),
+                     "--heads", str(heads), "--width", str(width)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        cfg = EncoderConfig(extents, 2, patch, embed, layers, heads)
+        built = {**ViTEncoder(cfg).params, **{"dec." + k: v for k, v in
+                                               UnetrDecoder(cfg, width=width).params.items()}}
+        assert stats["params"] == sum(t.size for t in built.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "model", "--arch", "unet3d", "--input", "16x16x"],
+    ["stats", "model", "--arch", "unetr", "--input", "0x16x16"],
+    ["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--volume-shape", "8x8"],
+    ["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--beta", "1,x"],
+    ["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--beta", "1,nan"],
+    ["convert", "si", "--input", "in", "--out", "OUT", "--grid", "4x"],
+    ["convert", "si", "--input", "in", "--out", "OUT", "--grid", "2x2x2"],
+])
+def test_malformed_values_exit_config(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, named", [
+    ("s00003,high", ":4: risk"),
+    ("s00003,nan", ":4: risk"),
+    ("s00003,inf", ":4: risk"),
+    ("s00003,", ":4: risk"),
+    ("s00001,0.5", "duplicate id 's00001'"),
+])
+def test_eval_survival_bad_prediction_is_data_error(tmp_path, capsys, bad, named):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "6", "--seed", "5"])
+    pred = tmp_path / "risks.csv"
+    pred.write_text("\n".join(["id,risk", "s00000,0.1", "s00001,0.3", bad, "s00004,0.2"]) + "\n")
+    assert main(["eval", "--task", "surv", "--pred", str(pred),
+                 "--truth", str(data / "ehr.csv")]) == 3
+    assert named in capsys.readouterr().err

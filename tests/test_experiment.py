@@ -322,10 +322,10 @@ class TestEvaluate:
         pred.write_text("\n".join(lines) + "\n")
         report = evaluate_survival_files(pred, tmp_path / "d" / "ehr.csv")
         # exact planted risks: concordance equals the data ceiling
-        from oncokit.metrics import c_index
-        expected = c_index(cohort.times(),
-                           np.exp(2.0 * cohort.covariate_matrix()[:, 0]),
-                           cohort.events(), orientation="hazard")
+        from oncokit.metrics import concordance_detail
+        expected = concordance_detail(cohort.times(),
+                                      np.exp(2.0 * cohort.covariate_matrix()[:, 0]),
+                                      cohort.events(), orientation="hazard").value
         assert report["c_index"] == pytest.approx(expected)
 
 
@@ -359,7 +359,7 @@ class TestConvertSi:
         src.mkdir()
         v = Volume(np.zeros((3, 3, 48), dtype=np.float32), (1, 1, 1), "CT")
         write_volume(v, src / "stack.mvol")
-        assert convert_si_dir(src, tmp_path / "si", grid="24x2") == []
+        assert convert_si_dir(src, tmp_path / "si", grid=(24, 2)) == []
         meta = json.loads((tmp_path / "si" / "stack.si.json").read_text())
         assert (meta["sh"], meta["sw"]) == (24, 2)
         out = read_volume(tmp_path / "si" / "stack.mvol")
@@ -370,5 +370,5 @@ class TestConvertSi:
         src.mkdir()
         v = Volume(np.zeros((3, 3, 48), dtype=np.float32), (1, 1, 1), "CT")
         write_volume(v, src / "stack.mvol")
-        errors = convert_si_dir(src, tmp_path / "si", grid="4x4")
+        errors = convert_si_dir(src, tmp_path / "si", grid=(4, 4))
         assert len(errors) == 1 and "stack.mvol" in errors[0]

@@ -7,8 +7,14 @@ from oncokit.autodiff import Tape, Tensor, backward
 from oncokit.cox import cox_fit, cox_cohort_risks
 from oncokit.errors import ContractError
 from oncokit.fusion import deep_fusion_risk
-from oncokit.metrics import c_index
-from oncokit.mtlr import FitConfig, mtlr_cohort_risks, mtlr_fit
+from oncokit.metrics import concordance_detail
+from oncokit.mtlr import (
+    FitConfig,
+    mtlr_cohort_risks,
+    mtlr_fit,
+    risk_from_scores,
+    survival_from_scores,
+)
 from oncokit.synthetic import gen_synthetic_cohort
 from oncokit.tmss import TmssModel, tmss_loss
 from oncokit.vit import EncoderConfig
@@ -32,11 +38,6 @@ class TestDeepFusion:
         assert np.array_equal(base, scaled)
         assert np.array_equal(base, also)
 
-    def test_raw_mode_is_plain_mean(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([3.0, 5.0])
-        assert np.allclose(deep_fusion_risk(a, b, mode="raw"), [2.0, 3.5])
-
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             deep_fusion_risk(np.zeros(3), np.zeros(4))
@@ -50,9 +51,9 @@ class TestDeepFusion:
         rm = mtlr_cohort_risks(mtlr, holdout)
         fused = deep_fusion_risk(rc, rm)
         t, e = holdout.times(), holdout.events()
-        c_cox = c_index(t, rc, e, orientation="hazard")
-        c_mtlr = c_index(t, rm, e, orientation="hazard")
-        c_fused = c_index(t, fused, e, orientation="hazard")
+        c_cox = concordance_detail(t, rc, e, orientation="hazard").value
+        c_mtlr = concordance_detail(t, rm, e, orientation="hazard").value
+        c_fused = concordance_detail(t, fused, e, orientation="hazard").value
         # observed behavior on aligned components, not a theorem
         assert c_fused >= min(c_cox, c_mtlr) - 0.01
 
@@ -106,11 +107,13 @@ class TestTmss:
 
     def test_risk_prediction_runs(self):
         model = self._model()
-        risk = model.predict_risk(Tensor(RNG.normal(size=(8, 8, 8, 2))),
-                                  Tensor(RNG.normal(size=2)))
+        out = model.forward(Tensor(RNG.normal(size=(8, 8, 8, 2))),
+                            Tensor(RNG.normal(size=2)))
+        risk = risk_from_scores(model.boundaries, out.scores.data[0])
         assert 0.0 <= risk <= 3.0
-        curve = model.predict_survival(Tensor(RNG.normal(size=(8, 8, 8, 2))),
-                                       Tensor(RNG.normal(size=2)))
+        out = model.forward(Tensor(RNG.normal(size=(8, 8, 8, 2))),
+                            Tensor(RNG.normal(size=2)))
+        curve = survival_from_scores(model.boundaries, out.scores.data[0])
         assert curve.survival[0] == 1.0
 
     def test_set_params_roundtrip(self):

@@ -5,7 +5,6 @@ import pytest
 
 from oncokit.errors import ContractError, EvaluationError
 from oncokit.metrics import (
-    c_index,
     c_index_naive,
     concordance_detail,
     confusion,
@@ -14,6 +13,10 @@ from oncokit.metrics import (
 )
 
 RNG = np.random.default_rng(555)
+
+
+def _concordance(times, risks, events, **kw):
+    return concordance_detail(times, risks, events, **kw).value
 
 
 class TestDsc:
@@ -79,23 +82,23 @@ class TestConfusion:
 class TestCIndex:
     def test_two_subject_hand_case(self):
         # score rises with survival: fully concordant under the literal form
-        assert c_index([1, 2], [0.5, 0.9], [1, 1]) == 1.0
+        assert _concordance([1, 2], [0.5, 0.9], [1, 1]) == 1.0
 
     def test_three_subject_censoring_case(self):
         # comparable pairs are (2,1) and (3,1); (3,2) drops since delta_2 = 0
-        assert c_index([1, 2, 3], [0.9, 0.5, 0.1], [1, 0, 1]) == 0.0
+        assert _concordance([1, 2, 3], [0.9, 0.5, 0.1], [1, 0, 1]) == 0.0
 
     def test_constant_scores_zero_under_strict(self):
-        assert c_index([1, 2, 3], [0.5, 0.5, 0.5], [1, 1, 1]) == 0.0
+        assert _concordance([1, 2, 3], [0.5, 0.5, 0.5], [1, 1, 1]) == 0.0
 
     def test_constant_scores_half_under_harrell(self):
-        assert c_index([1, 2, 3], [0.5, 0.5, 0.5], [1, 1, 1], ties="harrell") == 0.5
+        assert _concordance([1, 2, 3], [0.5, 0.5, 0.5], [1, 1, 1], ties="harrell") == 0.5
 
     def test_hazard_orientation_flips(self):
         t = [1, 2, 3, 4.0]
         r = [4.0, 3.0, 2.0, 1.0]   # higher risk, earlier event
-        assert c_index(t, r, [1, 1, 1, 1]) == 0.0
-        assert c_index(t, r, [1, 1, 1, 1], orientation="hazard") == 1.0
+        assert _concordance(t, r, [1, 1, 1, 1]) == 0.0
+        assert _concordance(t, r, [1, 1, 1, 1], orientation="hazard") == 1.0
 
     def test_complement_identity_without_ties(self):
         for _ in range(50):
@@ -106,8 +109,8 @@ class TestCIndex:
             if e.sum() == 0 or (np.argsort(t) is None):
                 continue
             try:
-                a = c_index(t, r, e)
-                b = c_index(t, -r, e)
+                a = _concordance(t, r, e)
+                b = _concordance(t, -r, e)
             except EvaluationError:
                 continue
             assert a + b == pytest.approx(1.0)
@@ -122,17 +125,17 @@ class TestCIndex:
                 naive = c_index_naive(t, r, e)
             except EvaluationError:
                 with pytest.raises(EvaluationError):
-                    c_index(t, r, e)
+                    _concordance(t, r, e)
                 continue
-            assert c_index(t, r, e) == naive
-            assert c_index(t, r, e, ties="harrell") == c_index_naive(t, r, e, ties="harrell")
+            assert _concordance(t, r, e) == naive
+            assert _concordance(t, r, e, ties="harrell") == c_index_naive(t, r, e, ties="harrell")
 
     def test_random_scores_near_half(self):
         n = 10_000
         t = RNG.uniform(1, 100, size=n)
         r = RNG.normal(size=n)
         e = (RNG.random(n) > 0.3).astype(int)
-        assert abs(c_index(t, r, e) - 0.5) <= 0.02
+        assert abs(_concordance(t, r, e) - 0.5) <= 0.02
 
     def test_detail_counts(self):
         res = concordance_detail([1, 2, 3], [0.1, 0.5, 0.9], [1, 1, 1])
@@ -142,14 +145,14 @@ class TestCIndex:
 
     def test_no_comparable_pairs_raises(self):
         with pytest.raises(EvaluationError):
-            c_index([5, 5], [0.1, 0.2], [1, 1])
+            _concordance([5, 5], [0.1, 0.2], [1, 1])
         with pytest.raises(EvaluationError):
-            c_index([1, 2], [0.1, 0.2], [0, 0])
+            _concordance([1, 2], [0.1, 0.2], [0, 0])
 
     def test_input_validation(self):
         with pytest.raises(ContractError):
-            c_index([1], [0.5], [1])
+            _concordance([1], [0.5], [1])
         with pytest.raises(ContractError):
-            c_index([1, -2], [0.5, 0.6], [1, 1])
+            _concordance([1, -2], [0.5, 0.6], [1, 1])
         with pytest.raises(ContractError):
-            c_index([1, 2], [0.5, 0.6], [1, 2])
+            _concordance([1, 2], [0.5, 0.6], [1, 2])

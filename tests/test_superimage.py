@@ -8,7 +8,6 @@ from oncokit.superimage import (
     SuperImageLayout,
     choose_grid,
     from_super_image,
-    pad_depth,
     to_super_image,
 )
 
@@ -135,31 +134,3 @@ class TestRoundTrip:
         assert v.shape == (3, 3, 4, 2)
         assert v.sum() == 0.0
 
-
-class TestPadDepth:
-    def test_noop(self):
-        v = np.ones((2, 2, 3, 1))
-        assert pad_depth(v, 3) is v
-
-    def test_odd_delta_goes_to_back(self):
-        v = np.ones((2, 2, 3, 1))
-        out = pad_depth(v, 4)
-        assert out.shape[2] == 4
-        assert out[:, :, 0].sum() > 0     # nothing added in front for delta 1
-        assert out[:, :, 3].sum() == 0.0  # the extra slice sits at the end
-
-    def test_even_delta_split(self):
-        v = np.ones((2, 2, 2, 1))
-        out = pad_depth(v, 6)
-        assert out[:, :, :2].sum() == 0.0
-        assert out[:, :, 2:4].sum() == 8.0
-        assert out[:, :, 4:].sum() == 0.0
-
-    def test_padded_slices_exactly_zero(self):
-        v = np.full((2, 2, 2, 1), 5.0)
-        out = pad_depth(v, 5)
-        assert np.array_equal(np.unique(out), [0.0, 5.0])
-
-    def test_shrink_rejected(self):
-        with pytest.raises(ContractError):
-            pad_depth(np.ones((2, 2, 4, 1)), 3)
