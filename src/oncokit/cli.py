@@ -149,12 +149,11 @@ def cmd_predict(args) -> int:
     if cohort.feature_names != model.feature_names:
         raise DataError(f"{args.ehr} has features {cohort.feature_names}, but "
                         f"{args.model} was fit on {model.feature_names}")
-    risks = cohort_risks(model, cohort)
+    risks = np.asarray(cohort_risks(model, cohort), dtype=np.float64)
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["id", "risk"])
-    for subject, risk in zip(cohort.subjects, np.asarray(risks)):
-        writer.writerow([subject.id, repr(float(risk))])
+    writer.writerows(zip(cohort.ids, map(repr, risks.tolist())))
     write_atomic(args.out, text.getvalue().encode("utf-8"))
     print(f"wrote {len(cohort)} risk predictions to {args.out}")
     return 0

@@ -155,17 +155,11 @@ def cv_split(cohort: Cohort, scheme: str, seed: int, k: int = 5):
             folds.append((train, val))
         return folds
     if scheme == "center":
-        centers = sorted({s.center for s in cohort.subjects})
+        centers = np.unique(cohort.centers)
         if len(centers) < 2:
             raise ConfigError("leave-one-center-out needs at least 2 centers")
-        folds = []
-        for center in centers:
-            val = np.array([i for i, s in enumerate(cohort.subjects)
-                            if s.center == center])
-            train = np.array([i for i, s in enumerate(cohort.subjects)
-                              if s.center != center])
-            folds.append((train, val))
-        return folds
+        return [(np.flatnonzero(cohort.centers != center),
+                 np.flatnonzero(cohort.centers == center)) for center in centers]
     raise ConfigError(f"unknown cv scheme {scheme!r}")
 
 
@@ -183,10 +177,10 @@ def write_synthetic_dataset(out_dir, n: int, seed: int, beta,
         cohort, vols = result
         vol_dir = out / "volumes"
         vol_dir.mkdir(exist_ok=True)
-        for s in cohort.subjects:
-            write_volume(vols.ct[s.id], vol_dir / f"{s.id}_ct.mvol")
-            write_volume(vols.pet[s.id], vol_dir / f"{s.id}_pet.mvol")
-            write_volume(vols.mask[s.id], vol_dir / f"{s.id}_mask.mvol")
+        for sid in cohort.ids:
+            write_volume(vols.ct[sid], vol_dir / f"{sid}_ct.mvol")
+            write_volume(vols.pet[sid], vol_dir / f"{sid}_pet.mvol")
+            write_volume(vols.mask[sid], vol_dir / f"{sid}_mask.mvol")
     else:
         cohort = result
     save_ehr(cohort, out / "ehr.csv")
@@ -200,23 +194,23 @@ def load_dataset(data_dir) -> Cohort:
         raise DataError(f"no ehr.csv under {data_dir}")
     cohort = load_ehr(csv_path)
     vol_dir = data_dir / "volumes"
-    if vol_dir.exists():
-        for s in cohort.subjects:
-            ct = vol_dir / f"{s.id}_ct.mvol"
-            pet = vol_dir / f"{s.id}_pet.mvol"
-            mask = vol_dir / f"{s.id}_mask.mvol"
-            s.ct_path = str(ct) if ct.exists() else None
-            s.pet_path = str(pet) if pet.exists() else None
-            s.mask_path = str(mask) if mask.exists() else None
-    return cohort
+    if not vol_dir.exists():
+        return cohort
+    paths = {}
+    for kind in ("ct", "pet", "mask"):
+        files = [vol_dir / f"{sid}_{kind}.mvol" for sid in cohort.ids]
+        paths[f"{kind}_paths"] = [str(f) if f.exists() else None for f in files]
+    return cohort.replace(**paths)
 
 
-def _prepped_triplet(subject) -> tuple[Volume, Volume, Volume]:
-    if not (subject.ct_path and subject.pet_path and subject.mask_path):
-        raise DataError(f"subject {subject.id} is missing volume files")
-    ct = resample_isotropic(ct_window_normalize(read_volume(subject.ct_path)))
-    pet = resample_isotropic(pet_zscore(read_volume(subject.pet_path)))
-    mask = resample_isotropic(read_volume(subject.mask_path))
+def _prepped_triplet(cohort: Cohort, i: int) -> tuple[Volume, Volume, Volume]:
+    ct_path, pet_path, mask_path = (cohort.ct_paths[i], cohort.pet_paths[i],
+                                    cohort.mask_paths[i])
+    if not (ct_path and pet_path and mask_path):
+        raise DataError(f"subject {cohort.ids[i]} is missing volume files")
+    ct = resample_isotropic(ct_window_normalize(read_volume(ct_path)))
+    pet = resample_isotropic(pet_zscore(read_volume(pet_path)))
+    mask = resample_isotropic(read_volume(mask_path))
     return ct, pet, mask
 
 
@@ -341,7 +335,7 @@ def _seg_pair(ct: Volume, pet: Volume, mask: Volume, super_image: bool):
 
 def _seg_samples(cohort: Cohort, indices, as_super_image: bool):
     """(input, target) pairs plus the prepped triplets they came from."""
-    triplets = [_prepped_triplet(cohort.subjects[i]) for i in indices]
+    triplets = [_prepped_triplet(cohort, i) for i in indices]
     return [_seg_pair(*t, as_super_image) for t in triplets], triplets
 
 
@@ -376,7 +370,7 @@ def _run_seg_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
     for pos, i in enumerate(val_idx):
         x, y = val_samples[pos]
         pred = predict_mask(net.forward(Tensor(x)))
-        pairs.append((cohort.subjects[i].id, pred[0], y[0]))
+        pairs.append((cohort.ids[i], pred[0], y[0]))
     metrics = _segmentation_metrics(pairs)
     metrics["final_train_loss"] = history[-1] if history else None
     save_checkpoint(net.params, out_dir / f"fold_{fold_index}.ckpt",
@@ -427,13 +421,11 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
 def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                    fold_seed: int, out_dir: Path, fold_index: int) -> dict:
     tabular = _maybe_project(cfg, cohort)
-    boundaries = time_grid(tabular.subset(train_idx).times(),
-                           tabular.subset(train_idx).events(),
-                           cfg.m_intervals)
+    x, times, events = tabular.covariate_matrix(), tabular.times(), tabular.events()
+    boundaries = time_grid(times[train_idx], events[train_idx], cfg.m_intervals)
     samples = {}
     for i in np.concatenate([train_idx, val_idx]):
-        s = cohort.subjects[i]
-        ct, pet, mask = _prepped_triplet(s)
+        ct, pet, mask = _prepped_triplet(cohort, i)
         vol = np.stack([ct.data, pet.data], axis=-1).astype(np.float64)
         samples[i] = (vol, mask.data[None].astype(np.float64))
     spatial = samples[train_idx[0]][0].shape[:-1]
@@ -443,11 +435,11 @@ def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                       seed=fold_seed)
 
     def loss(pos: int, epoch: int) -> Tensor:
-        s = tabular.subjects[train_idx[pos]]
-        vol, mask = samples[train_idx[pos]]
-        out = model.forward(Tensor(vol), Tensor(s.covariates))
-        return tmss_loss(out.logits, Tensor(mask), out.scores, s.time, s.event,
-                         boundaries, beta=cfg.survival_weight)
+        i = train_idx[pos]
+        vol, mask = samples[i]
+        out = model.forward(Tensor(vol), Tensor(x[i]))
+        return tmss_loss(out.logits, Tensor(mask), out.scores, float(times[i]),
+                         int(events[i]), boundaries, beta=cfg.survival_weight)
 
     state = OptimState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
                        period=cfg.schedule_period)
@@ -456,13 +448,11 @@ def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
     risks = []
     dscs = []
     for i in val_idx:
-        s = tabular.subjects[i]
         vol, mask = samples[i]
-        out = model.forward(Tensor(vol), Tensor(s.covariates))
+        out = model.forward(Tensor(vol), Tensor(x[i]))
         risks.append(risk_from_scores(boundaries, out.scores.data[0]))
         dscs.append(dsc(predict_mask(out.logits)[0], mask[0]))
-    val = tabular.subset(val_idx)
-    metrics = _survival_metrics(val.times(), np.array(risks), val.events())
+    metrics = _survival_metrics(times[val_idx], np.array(risks), events[val_idx])
     metrics["dsc"] = float(np.mean(dscs))
     metrics["intervals"] = int(boundaries.shape[0])
     save_checkpoint(model.params, out_dir / f"fold_{fold_index}.ckpt",
@@ -576,17 +566,32 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
     return report
 
 
-def evaluate_survival_files(pred_csv, truth_csv) -> dict:
-    """C-index of a predictions CSV (id,risk) against cohort labels."""
-    cohort = load_ehr(truth_csv)
-    by_id = {s.id: s for s in cohort.subjects}
-    risks, times, events, missing = [], [], [], []
-    with open(pred_csv, newline="", encoding="utf-8") as fh:
+def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
+    """Ids and risks of an ``id,risk`` CSV, each column converted in one pass."""
+    with open(pred_csv, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or "id" not in rows[0] or "risk" not in rows[0]:
+        raise DataError(f"{pred_csv}: header must contain id,risk")
+    col = {name: j for j, name in enumerate(rows[0])}    # the last column of a name
+    i_id, i_risk = col["id"], col["risk"]
+    body = [row for row in rows[1:] if row]
+    if all(len(row) > max(i_id, i_risk) for row in body):
+        ids = [row[i_id] for row in body]
+        try:
+            risks = np.fromiter((float(row[i_risk]) for row in body), np.float64, len(body))
+        except ValueError:
+            risks = None
+        if risks is not None and np.isfinite(risks).all() and len(set(ids)) == len(ids):
+            return ids, risks
+    return _read_predictions_by_row(pred_csv)
+
+
+def _read_predictions_by_row(pred_csv) -> tuple[list[str], np.ndarray]:
+    """The row-by-row reading of ``_read_predictions``, which names the
+    ``path:line`` of a repeated id or a risk that is not a finite number."""
+    ids, risks, seen = [], [], set()
+    with open(pred_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "id" not in reader.fieldnames \
-                or "risk" not in reader.fieldnames:
-            raise DataError(f"{pred_csv}: header must contain id,risk")
-        seen = set()
         for row in reader:
             where = f"{pred_csv}:{reader.line_num}"
             if row["id"] in seen:
@@ -598,17 +603,23 @@ def evaluate_survival_files(pred_csv, truth_csv) -> dict:
                 risk = math.nan
             if not math.isfinite(risk):
                 raise DataError(f"{where}: risk must be a finite number, got {row['risk']!r}")
-            subject = by_id.get(row["id"])
-            if subject is None:
-                missing.append(row["id"])
-                continue
+            ids.append(row["id"])
             risks.append(risk)
-            times.append(subject.time)
-            events.append(subject.event)
-    if len(risks) < 2:
+    return ids, np.array(risks, dtype=np.float64)
+
+
+def evaluate_survival_files(pred_csv, truth_csv) -> dict:
+    """C-index of a predictions CSV (id,risk) against cohort labels."""
+    cohort = load_ehr(truth_csv)
+    ids, risks = _read_predictions(pred_csv)
+    row = dict(zip(cohort.ids, range(len(cohort))))
+    rows = np.fromiter((row.get(sid, -1) for sid in ids), np.intp, len(ids))
+    found = rows >= 0
+    if found.sum() < 2:
         raise DataError("fewer than two matched predictions")
-    report = _survival_metrics(np.array(times), np.array(risks), np.array(events))
-    report["missing"] = missing
+    report = _survival_metrics(cohort.times()[rows[found]], risks[found],
+                               cohort.events()[rows[found]])
+    report["missing"] = [sid for sid, hit in zip(ids, found.tolist()) if not hit]
     return report
 
 

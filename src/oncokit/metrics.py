@@ -1,9 +1,9 @@
 """Evaluation metrics: overlap scores for masks, concordance for risks.
 
 The concordance index is implemented twice on purpose. ``concordance_detail``
-sorts by time and counts with a Fenwick tree in O(n log n), returning the
-index with its pair counts; ``c_index_naive`` is the literal quadratic
-double sum over ordered pairs
+orders subjects by time and counts concordant pairs level by level with
+numpy sorts and ``searchsorted``, returning the index with its pair counts;
+``c_index_naive`` is the literal quadratic double sum over ordered pairs
 
     C = sum 1[T_i > T_j] 1[eta_i > eta_j] delta_j
         -----------------------------------------
@@ -100,31 +100,6 @@ class ConcordanceResult:
     ties: str
 
 
-class _Fenwick:
-    """Prefix-sum tree over ranks, for counting inserted values."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-        self.total = 0
-
-    def add(self, idx: int, amount: int = 1) -> None:
-        i = idx + 1
-        while i <= self.size:
-            self.tree[i] += amount
-            i += i & (-i)
-        self.total += amount
-
-    def prefix(self, idx: int) -> int:
-        """Count of inserted ranks <= idx."""
-        s = 0
-        i = idx + 1
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-
 def _validate(times, risks, events):
     t = np.asarray(times, dtype=np.float64)
     r = np.asarray(risks, dtype=np.float64)
@@ -140,14 +115,40 @@ def _validate(times, risks, events):
     return t, r, e.astype(np.int64)
 
 
+def _earlier_higher(rank: np.ndarray, query: np.ndarray) -> int:
+    """Sum over the positions k in ``query`` of #{q < k : rank[q] > rank[k]}.
+
+    Bottom-up merge levels: at width w each pair of adjacent w-blocks counts,
+    for every queried position of its right block, the left block's ranks
+    above it, by one sort of the left blocks keyed by (pair, rank) and two
+    ``searchsorted`` calls. Every q < k meets k in exactly one level.
+    """
+    n = rank.shape[0]
+    span = int(rank.max()) + 1
+    pos = np.arange(n)
+    total = 0
+    width = 1
+    while width < n:
+        block = pos // width
+        pair = block >> 1
+        keys = pair * span + rank
+        left = np.sort(keys[(block & 1) == 0])
+        right = ((block & 1) == 1) & query
+        total += int((np.searchsorted(left, (pair[right] + 1) * span, side="left")
+                      - np.searchsorted(left, keys[right], side="right")).sum())
+        width *= 2
+    return total
+
+
 def concordance_detail(times, risks, events, orientation: str = "literal",
                        ties: str = "strict") -> ConcordanceResult:
-    """Fenwick-tree concordance over comparable pairs.
+    """Concordance over comparable pairs, counted with sorts in O(n log^2 n).
 
-    Walking times in descending order, subjects already inserted are exactly
-    those with strictly larger T (equal times are flushed as a group), so
-    each event row j contributes (inserted total) comparable pairs and the
-    count of inserted scores above its own as concordant.
+    Subjects are ordered by time descending and, inside a time tie, by
+    risk rank ascending, so for an event subject the subjects before it
+    with a higher rank are exactly its concordant partners: a tied earlier
+    subject never ranks above it. Harrell ties count equal ranks at strictly
+    larger times from one sort keyed by (rank, time rank).
     """
     t, r, e = _validate(times, risks, events)
     if orientation not in ("literal", "hazard"):
@@ -157,31 +158,21 @@ def concordance_detail(times, risks, events, orientation: str = "literal",
     if orientation == "hazard":
         r = -r
     n = t.shape[0]
-    uniq = np.unique(r)
-    rank = np.searchsorted(uniq, r)
-    order = np.argsort(-t, kind="stable")
-    tree = _Fenwick(uniq.shape[0])
-    comparable = 0
-    concordant = 0.0
-    pos = 0
-    while pos < n:
-        group_end = pos
-        while group_end < n and t[order[group_end]] == t[order[pos]]:
-            group_end += 1
-        group = order[pos:group_end]
-        for j in group:
-            if e[j] == 1 and tree.total > 0:
-                comparable += tree.total
-                leq = tree.prefix(int(rank[j]))
-                concordant += tree.total - leq
-                if ties == "harrell":
-                    eq = leq - (tree.prefix(int(rank[j]) - 1) if rank[j] > 0 else 0)
-                    concordant += 0.5 * eq
-        for j in group:
-            tree.add(int(rank[j]))
-        pos = group_end
+    rank = np.searchsorted(np.unique(r), r)
+    event = e == 1
+    sorted_t = np.sort(t)
+    comparable = int((n - np.searchsorted(sorted_t, t[event], side="right")).sum())
     if comparable == 0:
         raise EvaluationError("no comparable pairs: concordance is undefined")
+    order = np.lexsort((rank, -t))
+    concordant = float(_earlier_higher(rank[order], event[order]))
+    if ties == "harrell":
+        t_rank = np.searchsorted(sorted_t, t)             # equal times, equal rank
+        keys = rank * n + t_rank
+        ordered = np.sort(keys)
+        equal = (np.searchsorted(ordered, (rank[event] + 1) * n, side="left")
+                 - np.searchsorted(ordered, keys[event], side="right"))
+        concordant += 0.5 * int(equal.sum())
     return ConcordanceResult(concordant / comparable, concordant, comparable,
                              n, orientation, ties)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ehr import Cohort, Subject
+from .ehr import Cohort
 from .errors import ContractError
 from .volume import Volume
 
@@ -127,23 +127,16 @@ def gen_synthetic_cohort(n: int, seed: int, beta, weibull=(0.05, 1.5),
     true_times = sample_weibull_times(eta, lam, rho, rng)
     observed, events = calibrate_uniform_censoring(true_times, censor_frac, rng)
 
-    subjects = []
-    for i in range(n):
-        subjects.append(Subject(
-            id=f"s{i:05d}",
-            covariates=x[i].copy(),
-            time=float(observed[i]),
-            event=int(events[i]),
-            center=f"c{i % n_centers}",
-        ))
-    cohort = Cohort(subjects, [f"x{j}" for j in range(beta.shape[0])])
+    ids = [f"s{i:05d}" for i in range(n)]
+    cohort = Cohort(ids, observed, events, x, [f"x{j}" for j in range(beta.shape[0])],
+                    centers=[f"c{i % n_centers}" for i in range(n)])
     if not with_volumes:
         return cohort
 
     vols = SyntheticVolumes({}, {}, {})
-    for i, s in enumerate(subjects):
+    for i, sid in enumerate(ids):
         ct, pet, mask = make_tumor_volumes(rng, volume_shape, x[i, 0])
-        vols.ct[s.id] = ct
-        vols.pet[s.id] = pet
-        vols.mask[s.id] = mask
+        vols.ct[sid] = ct
+        vols.pet[sid] = pet
+        vols.mask[sid] = mask
     return cohort, vols

@@ -25,7 +25,7 @@ from oncokit.autodiff import (
     zeros,
 )
 from oncokit.cox import cox_cohort_risks, cox_fit
-from oncokit.ehr import Cohort, Subject
+from oncokit.ehr import Cohort
 from oncokit.experiment import (
     ExperimentConfig,
     _seg_samples,
@@ -47,9 +47,9 @@ RNG = np.random.default_rng(20250801)
 
 
 def _cohort(x, times, events):
-    subs = [Subject(f"s{i}", np.asarray(x[i], dtype=np.float64), float(times[i]),
-                    int(events[i])) for i in range(len(times))]
-    return Cohort(subs, [f"x{j}" for j in range(len(np.atleast_2d(x)[0]))])
+    x = np.asarray(x, dtype=np.float64)
+    return Cohort([f"s{i}" for i in range(len(times))], times, events, x,
+                  [f"x{j}" for j in range(x.shape[1])])
 
 
 def _objective(model, cohort):

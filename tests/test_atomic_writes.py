@@ -10,13 +10,13 @@ from oncokit.autodiff import Tensor
 from oncokit.checkpoint import save_checkpoint
 from oncokit.cli import main
 from oncokit.cox import CoxModel, save_cox
-from oncokit.ehr import Cohort, Subject, save_ehr
+from oncokit.ehr import Cohort, save_ehr
 from oncokit.experiment import convert_si_dir
 from oncokit.mtlr import MtlrModel, save_mtlr
 from oncokit.volume import Volume, write_volume
 
-COHORT = Cohort([Subject(f"s{i}", np.array([0.1 * i]), 1.0 + i, i % 2) for i in range(4)],
-                ["x0"])
+COHORT = Cohort([f"s{i}" for i in range(4)], 1.0 + np.arange(4), np.arange(4) % 2,
+                0.1 * np.arange(4.0)[:, None], ["x0"])
 
 
 def _checkpoint(d):

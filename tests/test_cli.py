@@ -288,3 +288,17 @@ def test_eval_survival_bad_prediction_is_data_error(tmp_path, capsys, bad, named
     assert main(["eval", "--task", "surv", "--pred", str(pred),
                  "--truth", str(data / "ehr.csv")]) == 3
     assert named in capsys.readouterr().err
+
+
+def test_eval_survival_reads_bom_prediction_and_lists_missing(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "6", "--seed", "5"])
+    pred = tmp_path / "risks.csv"
+    rows = ["id,risk", "s00000,0.1", "s00001,0.3", "", "zz9,0.7", "s00003,0.9", "s00004,0.2"]
+    pred.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(rows).encode() + b"\r\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--task", "surv", "--pred", str(pred),
+                 "--truth", str(data / "ehr.csv"), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["missing"] == ["zz9"]
+    assert report["n"] == 4

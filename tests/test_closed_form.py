@@ -1,20 +1,23 @@
 """Closed-form survival sweeps against the per-subject loops they replaced.
 
 The oracles below are the earlier loop implementations of the Cox
-likelihood parts, the Breslow baseline, the MTLR admissible-sequence mask
-and the per-subject MTLR tail-sum risk, kept here only as references. Each
-case runs on seeded cohorts with heavy ties (times rounded to integers) and
-with no ties, at n = 50 and n = 2000.
+likelihood parts, the Breslow baseline, the MTLR admissible-sequence mask,
+the per-subject MTLR tail-sum risk, the Fenwick-tree concordance and the
+cell-by-cell EHR reader, kept here only as references. Each survival case
+runs on seeded cohorts with heavy ties (times rounded to integers) and with
+no ties, at n = 50 and n = 2000.
 """
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from oncokit.cox import _breslow_baseline, _loglik_parts
-from oncokit.ehr import Cohort, Subject
+from oncokit.ehr import Cohort, load_ehr
 from oncokit.errors import ContractError
+from oncokit.metrics import c_index_naive, concordance_detail
 from oncokit.mtlr import (
     MtlrModel,
     _admissible_offsets,
@@ -129,6 +132,108 @@ def risk_loop(scores_row):
     return float((1.0 - np.clip(survival_loop(scores_row), 0.0, 1.0)).sum())
 
 
+class Fenwick:
+    """Prefix-sum tree over ranks, for counting inserted values."""
+
+    def __init__(self, size):
+        self.size = size
+        self.tree = [0] * (size + 1)
+        self.total = 0
+
+    def add(self, idx):
+        i = idx + 1
+        while i <= self.size:
+            self.tree[i] += 1
+            i += i & (-i)
+        self.total += 1
+
+    def prefix(self, idx):
+        """Count of inserted ranks <= idx."""
+        s = 0
+        i = idx + 1
+        while i > 0:
+            s += self.tree[i]
+            i -= i & (-i)
+        return s
+
+
+def concordance_fenwick(t, r, e, orientation, ties):
+    """(concordant, comparable): walking times in descending order, the
+    subjects already inserted are those with strictly larger T."""
+    if orientation == "hazard":
+        r = -r
+    n = t.shape[0]
+    uniq = np.unique(r)
+    rank = np.searchsorted(uniq, r)
+    order = np.argsort(-t, kind="stable")
+    tree = Fenwick(uniq.shape[0])
+    comparable = 0
+    concordant = 0.0
+    pos = 0
+    while pos < n:
+        group_end = pos
+        while group_end < n and t[order[group_end]] == t[order[pos]]:
+            group_end += 1
+        group = order[pos:group_end]
+        for j in group:
+            if e[j] == 1 and tree.total > 0:
+                comparable += tree.total
+                leq = tree.prefix(int(rank[j]))
+                concordant += tree.total - leq
+                if ties == "harrell":
+                    eq = leq - (tree.prefix(int(rank[j]) - 1) if rank[j] > 0 else 0)
+                    concordant += 0.5 * eq
+        for j in group:
+            tree.add(int(rank[j]))
+        pos = group_end
+    return concordant, comparable
+
+
+def _is_number(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+def load_ehr_rows(path):
+    """(ids, times, events, centers, feature names, matrix) of a valid cohort
+    CSV, read row by row and cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    col_idx = {name: header.index(name) for name in ("id", "time", "event", "center")}
+    feature_cols = [(i, name) for i, name in enumerate(header) if name not in col_idx]
+    records = []
+    for row in rows[1:]:
+        if not row or all(not c.strip() for c in row):
+            continue
+        feats = {name: row[i].strip() for i, name in feature_cols}
+        records.append((row[col_idx["id"]].strip(), float(row[col_idx["time"]].strip()),
+                        int(row[col_idx["event"]].strip()), row[col_idx["center"]].strip(),
+                        feats))
+    numeric = {name: all(_is_number(rec[4][name]) for rec in records)
+               for _, name in feature_cols}
+    levels = {name: sorted({rec[4][name] for rec in records})
+              for _, name in feature_cols if not numeric[name]}
+    names = []
+    for _, name in feature_cols:
+        names.extend([name] if numeric[name] else [f"{name}={lv}" for lv in levels[name]])
+    vectors = []
+    for rec in records:
+        vec = []
+        for _, name in feature_cols:
+            if numeric[name]:
+                vec.append(float(rec[4][name]))
+            else:
+                vec.extend(1.0 if rec[4][name] == lv else 0.0 for lv in levels[name])
+        vectors.append(np.array(vec, dtype=np.float64))
+    return ([rec[0] for rec in records], [rec[1] for rec in records],
+            [rec[2] for rec in records], [rec[3] for rec in records], names,
+            np.stack(vectors).astype(np.float64))
+
+
 # ------------------------------------------------------------------ cohorts
 
 def _data(n, ties, seed, p=3):
@@ -142,9 +247,8 @@ def _data(n, ties, seed, p=3):
 
 
 def _cohort(x, times, events):
-    subs = [Subject(f"s{i}", x[i], float(times[i]), int(events[i]))
-            for i in range(len(times))]
-    return Cohort(subs, [f"x{j}" for j in range(x.shape[1])])
+    return Cohort([f"s{i}" for i in range(len(times))], times, events, x,
+                  [f"x{j}" for j in range(x.shape[1])])
 
 
 CASES = [(n, ties) for n in (50, 2000) for ties in (True, False)]
@@ -253,3 +357,59 @@ def test_nmtlr_batched_risks_match_per_subject():
     feats = np.maximum(x @ mlp["mlp.0.w"] + mlp["mlp.0.b"], 0.0)
     oracle = [risk_loop(model.theta @ f + model.bias) for f in feats]
     assert np.allclose(risks, oracle, rtol=1e-12, atol=0)
+
+
+# ------------------------------------------------------------------ concordance
+
+@pytest.mark.parametrize("n", [2, 3, 17, 200, 2000])
+@pytest.mark.parametrize("time_ties, risk_ties", [(False, False), (True, False),
+                                                  (False, True), (True, True)])
+def test_concordance_matches_fenwick_and_naive(n, time_ties, risk_ties):
+    rng = np.random.default_rng(n + 2 * time_ties + risk_ties)
+    t = rng.integers(1, max(2, n // 8), size=n) + 0.5 if time_ties \
+        else rng.exponential(5.0, size=n) + 0.01
+    r = rng.integers(0, max(2, n // 10), size=n).astype(np.float64) if risk_ties \
+        else rng.normal(size=n)
+    e = (rng.random(n) < 0.7).astype(np.int64)
+    e[0] = 1
+    t[0] = t.min() / 2          # subject 0 has an event before everyone else
+    for orientation in ("literal", "hazard"):
+        for ties in ("strict", "harrell"):
+            res = concordance_detail(t, r, e, orientation=orientation, ties=ties)
+            concordant, comparable = concordance_fenwick(t, r, e, orientation, ties)
+            assert (res.concordant, res.comparable_pairs) == (concordant, comparable)
+            assert res.value == c_index_naive(t, r, e, orientation=orientation, ties=ties)
+
+
+# ------------------------------------------------------------------ EHR reader
+
+def _ehr_text(n, seed):
+    rng = np.random.default_rng(seed)
+    lines = ["id,time,event,center,age,stage,dose,site"]
+    for i in range(n):
+        time = repr(float(rng.exponential(9.0) + 0.01)) if i % 4 else str(int(rng.integers(1, 30)))
+        lines.append(f"p{i:04d}, {time},{int(rng.random() < 0.6)}, c{i % 3} ,"
+                     f"{rng.normal(60, 9)!r},{'I II III IV'.split()[i % 4]},"
+                     f"{int(rng.integers(0, 70))} ,{'oral larynx'.split()[i % 2]}")
+        if i % 37 == 5:
+            lines.append("")
+        if i % 53 == 9:
+            lines.append(" , , , , , , , ")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (40, 1), (2000, 2)])
+def test_columnar_reader_matches_row_reader(tmp_path, n, seed):
+    path = tmp_path / "ehr.csv"
+    path.write_text(_ehr_text(n, seed))
+    cohort = load_ehr(path)
+    ids, times, events, centers, names, x = load_ehr_rows(path)
+    assert list(cohort.ids) == ids
+    assert cohort.times().tolist() == times
+    assert cohort.events().tolist() == events
+    assert list(cohort.centers) == centers
+    assert cohort.feature_names == names
+    assert names[:2] == ["age", "stage=I"]
+    got = cohort.covariate_matrix()
+    assert got.shape == x.shape and got.dtype == x.dtype
+    assert got.tobytes() == x.tobytes()

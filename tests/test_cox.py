@@ -12,16 +12,16 @@ from oncokit.cox import (
     load_cox,
     save_cox,
 )
-from oncokit.ehr import Cohort, Subject
+from oncokit.ehr import Cohort
 from oncokit.errors import ContractError, DivergenceError
 from oncokit.metrics import concordance_detail
 from oncokit.synthetic import gen_synthetic_cohort
 
 
 def _cohort(x, times, events):
-    subs = [Subject(f"s{i}", np.asarray(x[i], dtype=np.float64), float(times[i]),
-                    int(events[i])) for i in range(len(times))]
-    return Cohort(subs, [f"x{j}" for j in range(len(x[0]))])
+    x = np.asarray(x, dtype=np.float64)
+    return Cohort([f"s{i}" for i in range(len(times))], times, events, x,
+                  [f"x{j}" for j in range(x.shape[1])])
 
 
 class TestScoreOracle:
@@ -142,10 +142,7 @@ class TestRisk:
         cohort = gen_synthetic_cohort(120, seed=5, beta=[1.0, -0.3], censor_frac=0.1)
         model = cox_fit(cohort)
         base = np.argsort(cox_risk(model, cohort.covariate_matrix()))
-        shifted = Cohort(
-            [Subject(s.id, s.covariates + np.array([5.0, 0.0]), s.time, s.event,
-                     s.center) for s in cohort.subjects],
-            cohort.feature_names)
+        shifted = cohort.replace(covariates=cohort.covariate_matrix() + np.array([5.0, 0.0]))
         model2 = cox_fit(shifted)
         again = np.argsort(cox_risk(model2, shifted.covariate_matrix()))
         assert np.array_equal(base, again)

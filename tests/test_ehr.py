@@ -5,7 +5,6 @@ import pytest
 
 from oncokit.ehr import (
     Cohort,
-    Subject,
     fit_feature_stats,
     load_ehr,
     load_feature_stats,
@@ -101,12 +100,50 @@ def test_stats_reused_at_predict_time(tmp_path):
 
 
 def test_save_ehr_roundtrip(tmp_path):
-    subs = [Subject("a", np.array([1.5, 0.0]), 3.25, 1, "c0"),
-            Subject("b", np.array([-0.5, 1.0]), 7.5, 0, "c1")]
-    cohort = Cohort(subs, ["x0", "x1"])
+    cohort = Cohort(["a", "b"], [3.25, 7.5], [1, 0], [[1.5, 0.0], [-0.5, 1.0]],
+                    ["x0", "x1"], centers=["c0", "c1"])
     p = tmp_path / "out.csv"
     save_ehr(cohort, p)
     back = load_ehr(p)
     assert [s.id for s in back.subjects] == ["a", "b"]
     assert np.allclose(back.covariate_matrix(), cohort.covariate_matrix())
     assert back.subjects[0].time == 3.25
+
+
+def test_duplicate_feature_name_rejected(tmp_path):
+    p = _write(tmp_path, "id,time,event,center,x,x\na,1,1,c,1,2\nb,2,0,c,3,4\n")
+    with pytest.raises(DataError, match="duplicate column 'x'"):
+        load_ehr(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_feature_names_row(tmp_path, value):
+    p = _write(tmp_path, f"id,time,event,center,age,dose\na,1,1,c,5,1\nb,2,0,c,6,{value}\n")
+    with pytest.raises(DataError) as e:
+        load_ehr(p)
+    assert f"{p}:3" in str(e.value) and "'dose'" in str(e.value)
+
+
+def test_byte_order_mark_accepted(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfid,time,event,center,age\r\na,10,1,c1,61\r\nb,12,0,c2,55\r\n")
+    cohort = load_ehr(p)
+    assert list(cohort.ids) == ["a", "b"]
+    assert cohort.covariate_matrix().tolist() == [[61.0], [55.0]]
+
+
+def test_duplicate_id_names_row(tmp_path):
+    p = _write(tmp_path, "id,time,event,center,age\na,1,1,c,5\n\nb,2,0,c,6\na,2,0,c,6\n")
+    with pytest.raises(DataError, match=r":5: duplicate id 'a'"):
+        load_ehr(p)
+
+
+def test_cohort_columns_are_read_only(tmp_path):
+    p = _write(tmp_path, "id,time,event,center,age\na,10,1,c1,61\nb,12,0,c2,55\n")
+    cohort = load_ehr(p)
+    sub = cohort.subset([1])
+    assert sub.ids.tolist() == ["b"] and sub.covariate_matrix().tolist() == [[55.0]]
+    for column in (cohort.covariate_matrix(), cohort.times(), cohort.events(),
+                   cohort.subjects[0].covariates):
+        with pytest.raises(ValueError):
+            column[0] = 0

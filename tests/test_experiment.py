@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oncokit.ehr import Cohort, Subject
+from oncokit.ehr import Cohort
 from oncokit.errors import ConfigError, DataError
 from oncokit.experiment import (
     ExperimentConfig,
@@ -22,9 +22,9 @@ from oncokit.volume import Volume, read_volume, write_volume
 
 
 def _tab_cohort(n, centers=("a", "b")):
-    subs = [Subject(f"s{i}", np.array([float(i)]), float(i + 1), 1,
-                    centers[i % len(centers)]) for i in range(n)]
-    return Cohort(subs, ["x0"])
+    return Cohort([f"s{i}" for i in range(n)], np.arange(n) + 1.0, np.ones(n),
+                  np.arange(n, dtype=np.float64)[:, None], ["x0"],
+                  centers=[centers[i % len(centers)] for i in range(n)])
 
 
 class TestCvSplit:
@@ -47,10 +47,8 @@ class TestCvSplit:
             assert np.array_equal(ta, tb) and np.array_equal(va, vb)
 
     def test_center_grouping(self):
-        subs = [Subject("1", np.zeros(1), 1.0, 1, "A"),
-                Subject("2", np.zeros(1), 2.0, 1, "A"),
-                Subject("3", np.zeros(1), 3.0, 1, "B")]
-        cohort = Cohort(subs, ["x0"])
+        cohort = Cohort(["1", "2", "3"], [1.0, 2.0, 3.0], [1, 1, 1], np.zeros((3, 1)),
+                        ["x0"], centers=["A", "A", "B"])
         folds = cv_split(cohort, "center", seed=0)
         assert len(folds) == 2
         sizes = sorted(len(v) for _, v in folds)
@@ -146,13 +144,10 @@ class TestRunExperiment:
     def test_fold_error_recorded_run_continues(self, tmp_path):
         # center B's feature is constant, so the fold trained on B alone
         # fails the zero-variance check while the other fold completes
-        subs = []
-        for i in range(8):
-            subs.append(Subject(f"a{i}", np.array([float(i)]), float(i + 1),
-                                1 if i < 2 else 0, "A"))
-        for i in range(4):
-            subs.append(Subject(f"b{i}", np.array([5.0]), float(9 + i), 1, "B"))
-        cohort = Cohort(subs, ["x0"])
+        cohort = Cohort([f"a{i}" for i in range(8)] + [f"b{i}" for i in range(4)],
+                        np.arange(12) + 1.0, [1, 1] + [0] * 6 + [1] * 4,
+                        np.array([[float(i)] for i in range(8)] + [[5.0]] * 4), ["x0"],
+                        centers=["A"] * 8 + ["B"] * 4)
         from oncokit.ehr import save_ehr
         (tmp_path / "d").mkdir()
         save_ehr(cohort, tmp_path / "d" / "ehr.csv")

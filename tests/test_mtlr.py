@@ -8,7 +8,7 @@ import pytest
 from gradcheck import check_op, numeric_grad, rel_err
 
 from oncokit.autodiff import Tensor
-from oncokit.ehr import Cohort, Subject
+from oncokit.ehr import Cohort
 from oncokit.errors import ContractError
 from oncokit.mtlr import (
     FitConfig,
@@ -35,9 +35,9 @@ RNG = np.random.default_rng(31)
 
 
 def _cohort(x, times, events):
-    subs = [Subject(f"s{i}", np.asarray(x[i], dtype=np.float64), float(times[i]),
-                    int(events[i])) for i in range(len(times))]
-    return Cohort(subs, [f"x{j}" for j in range(len(np.atleast_2d(x)[0]))])
+    x = np.asarray(x, dtype=np.float64)
+    return Cohort([f"s{i}" for i in range(len(times))], times, events, x,
+                  [f"x{j}" for j in range(x.shape[1])])
 
 
 def _objective(model, cohort):
