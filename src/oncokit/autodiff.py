@@ -7,7 +7,7 @@ a ``Tape`` context (one tape per training thread) and calling ``backward``
 on a scalar result:
 
     with Tape() as tape:
-        loss = ((w @ x) - y).square_sum()   # any composition of ops
+        loss = (((w @ x) - y) ** 2).sum()   # any composition of ops
     grads = backward(tape, loss)
     dw = grads[w]
 
@@ -634,8 +634,11 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
 def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
         return x
-    widths = [(0, 0)] + [(padding, padding)] * (x.ndim - 1)
-    return np.pad(x, widths)
+    # zeros plus one slice assignment: several times faster than np.pad
+    # at these sizes
+    xp = np.zeros((x.shape[0], *(s + 2 * padding for s in x.shape[1:])))
+    xp[(slice(None), *(slice(padding, padding + s) for s in x.shape[1:]))] = x
+    return xp
 
 
 def _im2col(xp: np.ndarray, kernel: tuple[int, ...], stride: int,
@@ -664,9 +667,41 @@ def _col2im(cols: np.ndarray, channels: int, kernel: tuple[int, ...],
     return acc
 
 
+def _fold(a: np.ndarray, k: int, length: int) -> np.ndarray:
+    """(k * C, length) array whose row o * C + c is a[c, o:o + length]."""
+    out = np.empty((k, a.shape[0], length))
+    for o in range(k):
+        out[o] = a[:, o:o + length]
+    return out.reshape(-1, length)
+
+
 def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of a (C_in, spatial...) input with a
     (C_out, C_in, k...) kernel, plus an optional per-channel bias.
+
+    The padded input is flattened to ``xf`` of shape (C_in, P), P the size
+    of the padded grid. Output position o reads kernel offset ``off`` at
+    flat index shift(off) + stride * j(o), where shift(off) and j(o) are the
+    flat indices of ``off`` and o on the padded grid, so each offset reads
+    one strided slice of ``xf``. The last kernel axis (extent k) is folded
+    into the GEMM: ``xs`` stacks the k copies of ``xf`` shifted by 0..k-1
+    along the flat axis, and each offset of the other kernel axes is one
+    (C_out, k * C_in) @ (k * C_in, L) product on a strided slice of ``xs``.
+    The products accumulate on a (C_out, O_1 * prod(padded[1:])) buffer
+    indexed by j; a reshape and a crop of its trailing axes to the output
+    extents give the result.
+
+    The backward pass places the gradient on the padded grid at each
+    output's anchor, flat index stride * j(o), behind as many leading zeros
+    as the largest shift (``gd``). The weight gradient is one GEMM per
+    offset of ``gd`` against the matching slice of ``xs``. The input
+    gradient is the correlation of ``gd`` with the kernel flipped along
+    every axis and transposed in its channels, computed like the forward
+    pass on the folded ``gd``, one (C_in, k * C_out) @ (k * C_out, P) GEMM
+    per offset accumulated onto the padded grid, then cropped by the
+    padding. No im2col matrix is built: the tape keeps ``xf`` (the input
+    itself when ``padding`` is 0) and the weight, and the backward pass
+    rebuilds ``xs``.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     sp_rank = weight.ndim - 2
@@ -677,6 +712,9 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     c_out, c_in = weight.shape[0], weight.shape[1]
     if x.shape[0] != c_in:
         raise ShapeError(f"conv input channels {x.shape[0]} != weight C_in {c_in}")
+    if stride < 1 or padding < 0:
+        raise ContractError(f"conv needs stride >= 1 and padding >= 0, "
+                            f"got stride {stride}, padding {padding}")
     kernel = weight.shape[2:]
     sp = x.shape[1:]
     out_sp = tuple(_conv_out_extent(s, k, stride, padding) for s, k in zip(sp, kernel))
@@ -686,36 +724,87 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             f"stride {stride}, padding {padding}")
 
     xp = _pad_spatial(x.data, padding)
-    cols = _im2col(xp, kernel, stride, out_sp)
-    w2 = weight.data.reshape(c_out, -1)
-    out2 = w2 @ cols
+    padded_sp = xp.shape[1:]
+    xf = xp.reshape(c_in, -1)
+    n = xf.shape[1]
+    k_last = kernel[-1]
+    fold_len = n - k_last + 1
+    # flat stride of each spatial axis on the padded grid
+    steps = [int(np.prod(padded_sp[d + 1:])) for d in range(sp_rank)]
+    # flat index on the padded grid of every offset whose last coordinate
+    # is 0, in weight order
+    shifts = np.arange(n).reshape(padded_sp)[
+        (*(slice(k) for k in kernel[:-1]), 0)].ravel().tolist()
+    span = 1 + sum((e - 1) * s for e, s in zip(out_sp, steps))   # L: last j + 1
+    reach = stride * (span - 1) + 1
+    width = out_sp[0] * steps[0]
+    # (offsets, C_out, k_last * C_in), columns in the row order of ``xs``
+    wf = weight.data.reshape(c_out, c_in, -1, k_last).transpose(2, 0, 3, 1) \
+        .reshape(-1, c_out, k_last * c_in)
+
+    xs = _fold(xf, k_last, fold_len)
+    # The first product is written straight into the accumulator; j past
+    # span only reaches positions the crop drops, so it is never zeroed.
+    # The product buffer shares the accumulator's strides: numpy adds two
+    # equally strided views several times faster than a view and a
+    # contiguous array.
+    acc = np.empty((c_out, width))
+    head = acc[:, :span]
+    np.matmul(wf[0], xs[:, shifts[0]:shifts[0] + reach:stride], out=head)
+    part = np.empty((c_out, width))[:, :span]
+    for w_off, s in zip(wf[1:], shifts[1:]):
+        np.matmul(w_off, xs[:, s:s + reach:stride], out=part)
+        head += part
+    crop = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
+    out_data = acc.reshape(c_out, out_sp[0], *padded_sp[1:])[crop]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
             raise ShapeError(f"conv bias must have shape ({c_out},)")
-        out2 = out2 + bias.data[:, None]
-    out = Tensor._wrap(out2.reshape(c_out, *out_sp))
+        out_data = out_data + bias.data.reshape(c_out, *(1,) * sp_rank)
+    out = Tensor._wrap(np.ascontiguousarray(out_data))
 
-    padded_sp = xp.shape[1:]
-    wd = weight.data
     inputs = (x, weight) if bias is None else (x, weight, bias)
     needs = tuple(t.requires_grad for t in inputs)
+    wd = weight.data
 
     def bw(g):
-        g2 = g.reshape(c_out, -1)
-        gw = (g2 @ cols.T).reshape(wd.shape) if needs[1] else None
+        # gs[o] is gd shifted left by o, so gs.reshape(-1, lead + n) is gd
+        # folded like ``xs``; g is written at its anchors in each copy
+        lead = shifts[-1] + k_last - 1          # the largest shift
+        gs = np.zeros((k_last, c_out, lead + n))
+        anchors = (slice(None), *(slice(0, stride * e, stride) for e in out_sp))
+        for o in range(k_last):
+            # a view: only the contiguous flat axis is split
+            gs[o, :, lead - o:lead - o + n].reshape(c_out, *padded_sp)[anchors] = g
+        gw = None
+        if needs[1]:
+            xs = _fold(xf, k_last, fold_len)
+            g_anchored = gs[0, :, lead:lead + reach]
+            gwf = np.empty((len(shifts), c_out, k_last * c_in))
+            for i, s in enumerate(shifts):
+                np.matmul(g_anchored, xs[:, s:s + reach].T, out=gwf[i])
+            gw = gwf.reshape(-1, c_out, k_last, c_in).transpose(1, 3, 0, 2).reshape(wd.shape)
         gx = None
         if needs[0]:
-            gcols = w2.T @ g2
-            gxp = _col2im(gcols, c_in, kernel, stride, padded_sp, out_sp)
+            # block o of the folded gd pairs with the kernel's last-axis
+            # offset k_last - 1 - o, hence the flip
+            gs = gs.reshape(-1, lead + n)
+            wg = wd[..., ::-1].reshape(c_out, c_in, -1, k_last).transpose(2, 1, 3, 0) \
+                .reshape(-1, c_in, k_last * c_out)
+            base = shifts[-1]
+            gxf = np.empty(xf.shape)
+            np.matmul(wg[0], gs[:, base - shifts[0]:base - shifts[0] + n], out=gxf)
+            part = np.empty(xf.shape)
+            for w_off, s in zip(wg[1:], shifts[1:]):
+                np.matmul(w_off, gs[:, base - s:base - s + n], out=part)
+                gxf += part
+            gx = gxf.reshape(c_in, *padded_sp)
             if padding:
-                sl = tuple(slice(padding, padding + s) for s in sp)
-                gx = gxp[(slice(None), *sl)]
-            else:
-                gx = gxp
+                gx = gx[(slice(None), *(slice(padding, padding + e) for e in sp))]
         if bias is None:
             return (gx, gw)
-        return (gx, gw, g2.sum(axis=1))
+        return (gx, gw, g.reshape(c_out, -1).sum(axis=1))
 
     return _record("conv", out, inputs, bw)
 
@@ -736,6 +825,8 @@ def transposed_conv(x, weight, stride: int = 2) -> Tensor:
     c_in, c_out = weight.shape[0], weight.shape[1]
     if x.shape[0] != c_in:
         raise ShapeError(f"transposed_conv input channels {x.shape[0]} != weight C_in {c_in}")
+    if stride < 1:
+        raise ContractError(f"transposed_conv needs stride >= 1, got {stride}")
     kernel = weight.shape[2:]
     sp = x.shape[1:]
     out_sp = tuple((s - 1) * stride + k for s, k in zip(sp, kernel))

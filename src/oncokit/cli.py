@@ -128,9 +128,9 @@ def cmd_predict(args) -> int:
 
     import numpy as np
 
-    from .cox import cox_cohort_risks, load_cox
+    from .cox import cox_cohort_risks, cox_from_json
     from .ehr import load_ehr
-    from .mtlr import load_mtlr, mtlr_cohort_risks
+    from .mtlr import mtlr_cohort_risks, mtlr_from_json
 
     try:
         cohort = load_ehr(args.ehr)
@@ -141,9 +141,9 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.model}: not a model object")
     kind = model_obj.get("type")
     if kind == "cox":
-        model, cohort_risks = load_cox(args.model), cox_cohort_risks
+        model, cohort_risks = cox_from_json(model_obj, args.model), cox_cohort_risks
     elif kind in ("mtlr", "nmtlr"):
-        model, cohort_risks = load_mtlr(args.model), mtlr_cohort_risks
+        model, cohort_risks = mtlr_from_json(model_obj, args.model), mtlr_cohort_risks
     else:
         raise ConfigError(f"{args.model}: unknown model type {kind!r}")
     if cohort.feature_names != model.feature_names:

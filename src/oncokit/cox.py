@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -189,11 +188,12 @@ def save_cox(model: CoxModel, path) -> None:
     write_atomic(path, json.dumps(payload, indent=2).encode())
 
 
-def load_cox(path) -> CoxModel:
-    obj = json.loads(Path(path).read_text())
+def cox_from_json(obj: dict, source) -> CoxModel:
+    """The model in ``obj``, the decoded JSON that ``save_cox`` writes;
+    ``source`` names the file in error messages."""
     if obj.get("type") != "cox":
-        raise ContractError(f"{path} does not hold a cox model")
-    with malformed(f"{path}: cox model"):
+        raise ContractError(f"{source} does not hold a cox model")
+    with malformed(f"{source}: cox model"):
         model = CoxModel(
             np.array(obj["coefficients"], dtype=np.float64),
             list(obj["feature_names"]),

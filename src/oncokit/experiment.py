@@ -588,12 +588,15 @@ def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
 
 def _read_predictions_by_row(pred_csv) -> tuple[list[str], np.ndarray]:
     """The row-by-row reading of ``_read_predictions``, which names the
-    ``path:line`` of a repeated id or a risk that is not a finite number."""
+    ``path:line`` of a row too short to reach the id or risk column, a
+    repeated id, or a risk that is not a finite number."""
     ids, risks, seen = [], [], set()
     with open(pred_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{pred_csv}:{reader.line_num}"
+            if row["id"] is None or row["risk"] is None:
+                raise DataError(f"{where}: row too short to reach the id and risk columns")
             if row["id"] in seen:
                 raise DataError(f"{where}: duplicate id {row['id']!r}")
             seen.add(row["id"])

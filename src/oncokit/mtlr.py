@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -356,14 +355,14 @@ def save_mtlr(model: MtlrModel, path) -> None:
     write_atomic(path, json.dumps(payload, indent=2).encode())
 
 
-def load_mtlr(path) -> MtlrModel:
-    """Read a model written by ``save_mtlr``, of either type, checking every
-    array's shape against the feature names and the layer widths."""
-    with malformed(f"{path}: mtlr model"):
-        obj = json.loads(Path(path).read_text())
+def mtlr_from_json(obj: dict, source) -> MtlrModel:
+    """The model in ``obj``, the decoded JSON that ``save_mtlr`` writes, of
+    either type, checking every array's shape against the feature names and
+    the layer widths; ``source`` names the file in error messages."""
+    with malformed(f"{source}: mtlr model"):
         kind = obj.get("type")
         if kind not in ("mtlr", "nmtlr"):
-            raise ContractError(f"{path} does not hold an mtlr or nmtlr model")
+            raise ContractError(f"{source} does not hold an mtlr or nmtlr model")
         boundaries = np.array(obj["boundaries"], dtype=np.float64)
         theta = np.array(obj["theta"], dtype=np.float64)
         bias = np.array(obj["bias"], dtype=np.float64)

@@ -97,6 +97,27 @@ class TestConv:
         err = check_op(lambda a, c: (conv(a, c, stride=2) ** 2).sum(), [x, w])
         assert err <= 1e-6
 
+    def test_gradient_3d_padded(self):
+        x = RNG.normal(size=(2, 3, 4, 3))
+        w = RNG.normal(size=(2, 2, 3, 3, 3))
+        b = RNG.normal(size=(2,))
+        err = check_op(lambda a, c, d: (conv(a, c, bias=d, padding=1) ** 2).sum(), [x, w, b])
+        assert err <= 1e-6
+
+    def test_gradient_strided_padded(self):
+        x = RNG.normal(size=(2, 5, 6))
+        w = RNG.normal(size=(3, 2, 3, 3))
+        b = RNG.normal(size=(3,))
+        err = check_op(lambda a, c, d: (conv(a, c, bias=d, stride=2, padding=1) ** 2).sum(),
+                       [x, w, b])
+        assert err <= 1e-6
+
+    @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1)])
+    def test_bad_stride_or_padding(self, stride, padding):
+        with pytest.raises(ContractError):
+            conv(Tensor(np.zeros((1, 6, 6))), Tensor(np.zeros((1, 1, 3, 3))),
+                 stride=stride, padding=padding)
+
 
 class TestTransposedConv:
     def test_doubles_extents(self):
@@ -121,6 +142,12 @@ class TestTransposedConv:
         w = RNG.normal(size=(2, 2, 2, 2))
         err = check_op(lambda a, c: (transposed_conv(a, c, stride=2) ** 2).sum(), [x, w])
         assert err <= 1e-6
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_stride(self, stride):
+        with pytest.raises(ContractError):
+            transposed_conv(Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros((1, 1, 2, 2))),
+                            stride=stride)
 
 
 class TestLayerNorm:

@@ -290,6 +290,16 @@ def test_eval_survival_bad_prediction_is_data_error(tmp_path, capsys, bad, named
     assert named in capsys.readouterr().err
 
 
+def test_eval_survival_short_row_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "6", "--seed", "5"])
+    pred = tmp_path / "risks.csv"
+    pred.write_text("risk,id\n0.1,s00000\n0.3,s00001\n0.5\n0.2,s00004\n")
+    assert main(["eval", "--task", "surv", "--pred", str(pred),
+                 "--truth", str(data / "ehr.csv")]) == 3
+    assert f"{pred}:4: row too short" in capsys.readouterr().err
+
+
 def test_eval_survival_reads_bom_prediction_and_lists_missing(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n", "6", "--seed", "5"])

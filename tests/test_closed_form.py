@@ -1,11 +1,11 @@
-"""Closed-form survival sweeps against the per-subject loops they replaced.
+"""Closed-form sweeps against the slower implementations they replaced.
 
-The oracles below are the earlier loop implementations of the Cox
-likelihood parts, the Breslow baseline, the MTLR admissible-sequence mask,
-the per-subject MTLR tail-sum risk, the Fenwick-tree concordance and the
-cell-by-cell EHR reader, kept here only as references. Each survival case
-runs on seeded cohorts with heavy ties (times rounded to integers) and with
-no ties, at n = 50 and n = 2000.
+The oracles below are the earlier implementations of the Cox likelihood
+parts, the Breslow baseline, the MTLR admissible-sequence mask, the
+per-subject MTLR tail-sum risk, the Fenwick-tree concordance, the
+cell-by-cell EHR reader and the im2col convolution, kept here only as
+references. Each survival case runs on seeded cohorts with heavy ties
+(times rounded to integers) and with no ties, at n = 50 and n = 2000.
 """
 
 import csv
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from oncokit.autodiff import Tape, Tensor, _col2im, _im2col, backward, conv, tsum
 from oncokit.cox import _breslow_baseline, _loglik_parts
 from oncokit.ehr import Cohort, load_ehr
 from oncokit.errors import ContractError
@@ -187,6 +188,22 @@ def concordance_fenwick(t, r, e, orientation, ties):
             tree.add(int(rank[j]))
         pos = group_end
     return concordant, comparable
+
+
+def conv_im2col(x, w, b, stride, padding, g):
+    """The im2col convolution: the output, and the gradients of
+    sum(output * g) with respect to the input, the weight and the bias."""
+    c_out, c_in = w.shape[:2]
+    kernel = w.shape[2:]
+    xp = np.pad(x, [(0, 0)] + [(padding, padding)] * (x.ndim - 1))
+    out_sp = g.shape[1:]
+    cols = _im2col(xp, kernel, stride, out_sp)
+    w2 = w.reshape(c_out, -1)
+    out = (w2 @ cols + b[:, None]).reshape(c_out, *out_sp)
+    g2 = g.reshape(c_out, -1)
+    gxp = _col2im(w2.T @ g2, c_in, kernel, stride, xp.shape[1:], out_sp)
+    gx = gxp[(slice(None), *(slice(padding, padding + s) for s in x.shape[1:]))]
+    return out, gx, (g2 @ cols.T).reshape(w.shape), g2.sum(axis=1)
 
 
 def _is_number(text):
@@ -413,3 +430,32 @@ def test_columnar_reader_matches_row_reader(tmp_path, n, seed):
     got = cohort.covariate_matrix()
     assert got.shape == x.shape and got.dtype == x.dtype
     assert got.tobytes() == x.tobytes()
+
+
+# ------------------------------------------------------------------ convolution
+
+CONV_CASES = [(sp, c_in, k, stride, padding)
+              for sp in ((7, 9), (5, 7, 6)) for c_in in (1, 2, 16) for k in (1, 2, 3)
+              for stride in (1, 2) for padding in (0, 1)] + [
+    ((9, 8), 2, 3, 3, 2), ((6, 7, 5), 3, 2, 3, 2),      # stride and padding past the grid
+    ((32, 64), 2, 3, 1, 1)]
+
+
+@pytest.mark.parametrize("sp, c_in, k, stride, padding", CONV_CASES)
+def test_conv_matches_im2col(sp, c_in, k, stride, padding):
+    rng = np.random.default_rng([len(sp), c_in, k, stride, padding])
+    c_out = 8 if sp == (32, 64) else 3          # the super image: the U-Net's first layer
+    x = rng.normal(size=(c_in, *sp))
+    w = rng.normal(size=(c_out, c_in, *(k,) * len(sp)))
+    b = rng.normal(size=c_out)
+    g = rng.normal(size=(c_out, *((s + 2 * padding - k) // stride + 1 for s in sp)))
+    expected = conv_im2col(x, w, b, stride, padding, g)
+    tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    with Tape() as tape:
+        out = conv(*tensors, stride=stride, padding=padding)
+        loss = tsum(out * Tensor(g))
+    grads = backward(tape, loss)
+    got = [out.data] + [grads[t].data for t in tensors]
+    for a, e in zip(got, expected):
+        assert a.shape == e.shape
+        assert _rel(a, e) <= 1e-12

@@ -15,9 +15,9 @@ from oncokit.mtlr import (
     MtlrModel,
     censor_interval,
     event_interval,
-    load_mtlr,
     mtlr_cohort_risks,
     mtlr_fit,
+    mtlr_from_json,
     mtlr_objective,
     mtlr_risk,
     mtlr_survival,
@@ -292,7 +292,7 @@ def test_persistence_roundtrip(tmp_path):
     model = mtlr_fit(cohort, m=3, config=FitConfig(iterations=100))
     p = tmp_path / "mtlr.json"
     save_mtlr(model, p)
-    back = load_mtlr(p)
+    back = mtlr_from_json(json.loads(p.read_text()), p)
     assert np.allclose(back.theta, model.theta)
     assert np.allclose(back.boundaries, model.boundaries)
     x = cohort.subjects[0].covariates
@@ -307,7 +307,7 @@ def test_persistence_roundtrip_hidden_layers(tmp_path):
     save_mtlr(model, p)
     saved = json.loads(p.read_text())
     assert (saved["type"], saved["hidden_widths"]) == ("nmtlr", [4, 3])
-    back = load_mtlr(p)
+    back = mtlr_from_json(json.loads(p.read_text()), p)
     assert back.hidden_widths == (4, 3)
     assert np.array_equal(mtlr_cohort_risks(back, cohort), mtlr_cohort_risks(model, cohort))
     with pytest.raises(ContractError):              # the front end checks the width
