@@ -690,32 +690,6 @@ def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
     return xp
 
 
-def _im2col(xp: np.ndarray, kernel: tuple[int, ...], stride: int,
-            out_sp: tuple[int, ...]) -> np.ndarray:
-    """Gather sliding windows of a padded (C, spatial...) array into columns
-    of shape (C * prod(kernel), prod(out_sp))."""
-    c = xp.shape[0]
-    cols = np.empty((c, *kernel, *out_sp), dtype=xp.dtype)
-    for off in np.ndindex(*kernel):
-        sl = tuple(slice(o, o + stride * (e - 1) + 1, stride)
-                   for o, e in zip(off, out_sp))
-        cols[(slice(None), *off)] = xp[(slice(None), *sl)]
-    return cols.reshape(c * int(np.prod(kernel)), int(np.prod(out_sp)))
-
-
-def _col2im(cols: np.ndarray, channels: int, kernel: tuple[int, ...],
-            stride: int, padded_sp: tuple[int, ...],
-            out_sp: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back onto the padded grid."""
-    acc = np.zeros((channels, *padded_sp))
-    cols = cols.reshape(channels, *kernel, *out_sp)
-    for off in np.ndindex(*kernel):
-        sl = tuple(slice(o, o + stride * (e - 1) + 1, stride)
-                   for o, e in zip(off, out_sp))
-        acc[(slice(None), *sl)] += cols[(slice(None), *off)]
-    return acc
-
-
 def _fold(a: np.ndarray, k: int, length: int) -> np.ndarray:
     """(k * C, length) array whose row o * C + c is a[c, o:o + length]."""
     out = np.empty((k, a.shape[0], length))
@@ -858,12 +832,37 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     return _record("conv", out, inputs, bw)
 
 
-def transposed_conv(x, weight, stride: int = 2) -> Tensor:
-    """Adjoint of ``conv`` with the same weight, stride and zero padding.
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """(C, 2h_1, ..., 2h_r) -> (C, h_1, ..., h_r, 2^r): each 2x...x2 block's
+    entries last, in C order of their offsets."""
+    c, sp = a.shape[0], a.shape[1:]
+    halves = tuple(s // 2 for s in sp)
+    split = a.reshape(c, *(v for h in halves for v in (h, 2)))
+    perm = (0, *range(1, 2 * len(sp), 2), *range(2, 2 * len(sp) + 1, 2))
+    return split.transpose(perm).reshape(c, *halves, -1)
 
-    Weight layout is (C_in, C_out, k...), i.e. the first axis matches the
-    input channels of this op. With kernel 2 and stride 2 every spatial
-    extent exactly doubles, which is the default decoder configuration.
+
+def _unblocks(b: np.ndarray) -> np.ndarray:
+    """The inverse of ``_blocks``: (C, h_1, ..., h_r, 2^r) -> (C, 2h_1, ..., 2h_r)."""
+    c, halves = b.shape[0], b.shape[1:-1]
+    r = len(halves)
+    perm = (0, *(v for i in range(1, r + 1) for v in (i, r + i)))
+    return b.reshape(c, *halves, *(2,) * r).transpose(perm) \
+        .reshape(c, *(2 * h for h in halves))
+
+
+def transposed_conv(x, weight) -> Tensor:
+    """Adjoint of ``conv`` with the same weight when its kernel and step are
+    both 2: every spatial extent of the (C_in, spatial...) input doubles.
+
+    The weight layout is (C_in, C_out, 2, ..., 2): its first axis matches
+    the input channels of this op, and a kernel other than 2 on any spatial
+    axis is a ``ContractError``. With kernel and step equal, the output
+    windows do not overlap: one (C_out * 2^r, C_in) @ (C_in, prod(spatial))
+    GEMM gives every output value, and a block interleave (``_unblocks``)
+    puts each input position's 2^r values in its 2x...x2 output block. The
+    backward pass reads the gradient back into that layout (``_blocks``)
+    and takes two GEMMs.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     sp_rank = weight.ndim - 2
@@ -874,21 +873,20 @@ def transposed_conv(x, weight, stride: int = 2) -> Tensor:
     c_in, c_out = weight.shape[0], weight.shape[1]
     if x.shape[0] != c_in:
         raise ShapeError(f"transposed_conv input channels {x.shape[0]} != weight C_in {c_in}")
-    if stride < 1:
-        raise ContractError(f"transposed_conv needs stride >= 1, got {stride}")
-    kernel = weight.shape[2:]
+    if weight.shape[2:] != (2,) * sp_rank:
+        raise ContractError(f"transposed_conv needs kernel 2 on every spatial axis, "
+                            f"got weight {weight.shape}")
     sp = x.shape[1:]
-    out_sp = tuple((s - 1) * stride + k for s, k in zip(sp, kernel))
 
-    w2 = weight.data.reshape(c_in, -1)          # (C_in, C_out * prod(k))
+    w2 = weight.data.reshape(c_in, -1)          # (C_in, C_out * 2^r)
     x2 = x.data.reshape(c_in, -1)
-    cols = w2.T @ x2                             # (C_out * prod(k), prod(sp))
-    out = Tensor._wrap(_col2im(cols, c_out, kernel, stride, out_sp, sp))
+    cols = (w2.T @ x2).reshape(c_out, -1, *sp)  # (C_out, 2^r, spatial...)
+    out = Tensor._wrap(_unblocks(np.moveaxis(cols, 1, -1)))
     xd = x.data
     needs = (x.requires_grad, weight.requires_grad)
 
     def bw(g):
-        gcols = _im2col(g, kernel, stride, sp)   # (C_out * prod(k), prod(sp))
+        gcols = np.moveaxis(_blocks(g), -1, 1).reshape(w2.shape[1], -1)
         gx = (w2 @ gcols).reshape(xd.shape) if needs[0] else None
         gw = (x2 @ gcols.T).reshape(weight.shape) if needs[1] else None
         return (gx, gw)
@@ -902,28 +900,17 @@ def maxpool(x) -> Tensor:
     Ties route the gradient to the first maximal element of the window.
     """
     x = as_tensor(x)
-    sp_rank = x.ndim - 1
     sp = x.shape[1:]
     if any(s % 2 for s in sp):
         raise ShapeError(f"maxpool needs even spatial extents, got {sp}")
-    c = x.shape[0]
-    halves = tuple(s // 2 for s in sp)
-    # split each spatial axis into (half, 2) then bring the window axes last
-    split_shape = (c,) + tuple(v for h in halves for v in (h, 2))
-    window_axes = tuple(2 + 2 * i for i in range(sp_rank))
-    keep_axes = (0,) + tuple(1 + 2 * i for i in range(sp_rank))
-    perm = keep_axes + window_axes
-    windows = x.data.reshape(split_shape).transpose(perm).reshape(c, *halves, -1)
+    windows = _blocks(x.data)
     idx = np.argmax(windows, axis=-1)
     out = Tensor._wrap(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
-    in_shape = x.shape
 
     def bw(g):
-        gw = np.zeros((c, *halves, 2 ** sp_rank))
+        gw = np.zeros((*idx.shape, 2 ** len(sp)))
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gw = gw.reshape(c, *halves, *((2,) * sp_rank))
-        gw = gw.transpose(tuple(np.argsort(perm)))
-        return (gw.reshape(in_shape),)
+        return (_unblocks(gw),)
 
     return _record("maxpool", out, (x,), bw)
 

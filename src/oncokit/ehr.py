@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,36 +121,46 @@ def _floats(values, n: int) -> np.ndarray | None:
         return None
 
 
-def _first_bad_row(path: Path, rows: list, header: list[str], numeric=()) -> None:
+def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for every row of a ``csv.reader`` that is not blank.
+    ``line`` is the physical line the row ends on, so a quoted field that
+    holds a newline does not shift the lines of the rows after it."""
+    for row in reader:
+        if any(map(str.strip, row)):
+            yield reader.line_num, row
+
+
+def _first_bad_row(path: Path, header: list[str], numeric=()) -> None:
     """Raise the ``path:line`` error of the first row that fails a check: its
     width, its time, its event, a repeated id or, in the feature columns
     named in ``numeric``, a value that is not finite."""
     col = {name: header.index(name) for name in (*REQUIRED_COLUMNS, *numeric)}
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        time_text = row[col["time"]].strip()
-        try:
-            time = float(time_text)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric time {time_text!r}") from None
-        if not np.isfinite(time) or time <= 0:
-            raise DataError(f"{path}:{lineno}: time must be finite and positive, got {time}")
-        event_text = row[col["event"]].strip()
-        if event_text not in ("0", "1"):
-            raise DataError(f"{path}:{lineno}: event must be 0 or 1, got {event_text!r}")
-        sid = row[col["id"]].strip()
-        if sid in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {sid!r}")
-        seen.add(sid)
-        for name in numeric:
-            text = row[col[name]].strip()
-            if not np.isfinite(float(text)):
-                raise DataError(f"{path}:{lineno}: feature {name!r} must be finite, "
-                                f"got {text!r}")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in numbered_rows(reader):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            time_text = row[col["time"]].strip()
+            try:
+                time = float(time_text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric time {time_text!r}") from None
+            if not np.isfinite(time) or time <= 0:
+                raise DataError(f"{path}:{lineno}: time must be finite and positive, got {time}")
+            event_text = row[col["event"]].strip()
+            if event_text not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: event must be 0 or 1, got {event_text!r}")
+            sid = row[col["id"]].strip()
+            if sid in seen:
+                raise DataError(f"{path}:{lineno}: duplicate id {sid!r}")
+            seen.add(sid)
+            for name in numeric:
+                text = row[col[name]].strip()
+                if not np.isfinite(float(text)):
+                    raise DataError(f"{path}:{lineno}: feature {name!r} must be finite, "
+                                    f"got {text!r}")
 
 
 def load_ehr(path, normalize: bool = False,
@@ -178,14 +188,14 @@ def load_ehr(path, normalize: bool = False,
     body = [row for row in rows[1:] if any(map(str.strip, row))]
     n = len(body)
     if not set(map(len, body)) <= {len(header)}:
-        _first_bad_row(path, rows, header)
+        _first_bad_row(path, header)
     raw = dict(zip(header, zip(*body))) if n else dict.fromkeys(header, ())
     ids, centers, event_text = (list(map(str.strip, raw[name]))
                                 for name in ("id", "center", "event"))
     times = _floats(raw["time"], n)     # float() ignores what strip() removes
     if times is None or not (np.isfinite(times) & (times > 0)).all() \
             or not set(event_text) <= {"0", "1"} or len(set(ids)) != n:
-        _first_bad_row(path, rows, header)
+        _first_bad_row(path, header)
     events = np.fromiter(map(int, event_text), np.int64, n)
 
     feature_names: list[str] = []
@@ -208,7 +218,7 @@ def load_ehr(path, normalize: bool = False,
             numeric.append(name)
     x = np.hstack(blocks) if blocks else np.empty((n, 0))
     if not np.isfinite(x).all():
-        _first_bad_row(path, rows, header, numeric)
+        _first_bad_row(path, header, numeric)
     cohort = Cohort(ids, times, events, x, feature_names, centers)
 
     if normalize or stats is not None:

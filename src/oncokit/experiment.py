@@ -33,7 +33,7 @@ from .augment import AugmentConfig, augment
 from .autodiff import Tape, Tensor, backward, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
-from .ehr import Cohort, load_ehr, save_ehr
+from .ehr import Cohort, load_ehr, numbered_rows, save_ehr
 from .errors import ConfigError, DataError, OncokitError, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
@@ -556,9 +556,16 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
     missing = sorted(set(truths) - set(preds)) + sorted(set(preds) - set(truths))
     pairs = []
     for name in sorted(set(preds) & set(truths)):
-        pred = read_volume(preds[name])
-        truth = read_volume(truths[name])
-        pairs.append((name, pred.data, truth.data))
+        pred = read_volume(preds[name]).data
+        truth = read_volume(truths[name]).data
+        if pred.shape != truth.shape:
+            raise DataError(f"{preds[name]}: shape {pred.shape} differs from the truth "
+                            f"mask's {truth.shape}")
+        for path, mask in ((preds[name], pred), (truths[name], truth)):
+            if not ((mask == 0) | (mask == 1)).all():
+                raise DataError(f"{path}: mask must be binary, found values "
+                                f"{np.unique(mask)[:5]}")
+        pairs.append((name, pred, truth))
     if not pairs:
         raise DataError("no matching mask files to evaluate")
     report = _segmentation_metrics(pairs)
@@ -595,10 +602,8 @@ def _read_predictions_by_row(pred_csv) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(fh)
         col = {name: j for j, name in enumerate(next(reader))}
         i_id, i_risk = col["id"], col["risk"]
-        for row in reader:
-            if not any(map(str.strip, row)):
-                continue
-            where = f"{pred_csv}:{reader.line_num}"
+        for line, row in numbered_rows(reader):
+            where = f"{pred_csv}:{line}"
             if len(row) <= max(i_id, i_risk):
                 raise DataError(f"{where}: row too short to reach the id and risk columns")
             sid, text = row[i_id], row[i_risk]

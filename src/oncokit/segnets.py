@@ -217,7 +217,7 @@ class UNet:
         x = _block(p, x, "mid.c1")
         x = _block(p, x, "mid.c2")
         for i in reversed(range(self.depth)):
-            x = transposed_conv(x, p[f"dec{i}.up.w"], stride=2)
+            x = transposed_conv(x, p[f"dec{i}.up.w"])
             x = concat([x, skips[i]], axis=0)
             x = _block(p, x, f"dec{i}.c1")
             x = _block(p, x, f"dec{i}.c2")
@@ -297,19 +297,18 @@ class UnetrDecoder:
         # taps[3] is the final-layer tap; intermediate levels draw from the
         # deepest available earlier taps
         inter = taps[:3]
-        current = transposed_conv(tokens_to_grid(taps[3], cfg),
-                                  p["ladder.up_final.w"], stride=2)
+        current = transposed_conv(tokens_to_grid(taps[3], cfg), p["ladder.up_final.w"])
         for level in range(steps - 1, 0, -1):
             tap_tensor = inter[3 - (steps - 1) + (level - 1)]
             skip = transposed_conv(tokens_to_grid(tap_tensor, cfg),
-                                   p[f"tap{level}.up{steps - 1}.w"], stride=2)
+                                   p[f"tap{level}.up{steps - 1}.w"])
             for r in range(steps - 1, level, -1):
                 skip = _block(p, skip, f"tap{level}.c{r}")
-                skip = transposed_conv(skip, p[f"tap{level}.up{r - 1}.w"], stride=2)
+                skip = transposed_conv(skip, p[f"tap{level}.up{r - 1}.w"])
             current = concat([current, skip], axis=0)
             current = _block(p, current, f"ladder{level}.c1")
             current = _block(p, current, f"ladder{level}.c2")
-            current = transposed_conv(current, p[f"ladder{level}.up.w"], stride=2)
+            current = transposed_conv(current, p[f"ladder{level}.up.w"])
         current = concat([current, stem], axis=0)
         current = _block(p, current, "out.c1")
         current = _block(p, current, "out.c2")

@@ -109,4 +109,7 @@ def read_volume(path) -> Volume:
             f"{path}: payload truncated at byte offset {len(raw)} "
             f"(declared size needs {expected} bytes)")
     data = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE).reshape(h, w, d)
-    return Volume(data=data.copy(), spacing=(sh, sw, sd), modality=MODALITIES[code])
+    try:
+        return Volume(data=data.copy(), spacing=(sh, sw, sd), modality=MODALITIES[code])
+    except ContractError as exc:     # a non-positive spacing or a non-binary mask
+        raise FormatError(f"{path}: {exc}") from None

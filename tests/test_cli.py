@@ -236,6 +236,31 @@ def test_eval_segmentation_missing_flagged(tmp_path):
                  "--truth", str(truth)]) == 3
 
 
+@pytest.mark.parametrize("bad, named, message", [
+    ("shape", "pred", "shape (4, 4, 2) differs from the truth mask's (4, 4, 3)"),
+    ("values", "pred", "mask must be binary, found values [0.  0.5]"),
+    ("payload", "truth", "MASK volumes must contain only 0 and 1"),
+], ids=["shape", "values", "payload"])
+def test_eval_segmentation_bad_mask_names_file(tmp_path, capsys, bad, named, message):
+    dirs = {"pred": tmp_path / "pred", "truth": tmp_path / "truth"}
+    for d in dirs.values():
+        d.mkdir()
+    mask = np.zeros((4, 4, 3), dtype=np.float32)
+    mask[0, 0, 0] = 1.0
+    write_volume(Volume(mask, (1, 1, 1), "MASK"), dirs["truth"] / "a.mvol")
+    if bad == "shape":
+        write_volume(Volume(mask[:, :, :2], (1, 1, 1), "MASK"), dirs["pred"] / "a.mvol")
+    elif bad == "values":        # a probability map stored as a PET volume
+        write_volume(Volume(mask * 0.5, (1, 1, 1), "PET"), dirs["pred"] / "a.mvol")
+    else:                        # a MASK file whose payload holds a 2
+        write_volume(Volume(mask, (1, 1, 1), "MASK"), dirs["pred"] / "a.mvol")
+        path = dirs["truth"] / "a.mvol"
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(2).tobytes())
+    assert main(["eval", "--task", "seg", "--pred", str(dirs["pred"]),
+                 "--truth", str(dirs["truth"])]) == 3
+    assert f"data error: {dirs[named] / 'a.mvol'}: {message}" in capsys.readouterr().err
+
+
 class TestStatsModel:
     def test_unet_ratio(self, capsys):
         assert main(["stats", "model", "--arch", "unet3d", "--input",

@@ -3,8 +3,8 @@
 The oracles below are the earlier implementations of the Cox likelihood
 parts, the Breslow baseline, the MTLR admissible-sequence mask, the
 per-subject MTLR tail-sum risk, the Fenwick-tree concordance, the
-cell-by-cell EHR reader and the im2col convolution, kept here only as
-references. Each survival case runs on seeded cohorts with heavy ties
+cell-by-cell EHR reader and the im2col convolution and transposed
+convolution, kept here only as references. Each survival case runs on seeded cohorts with heavy ties
 (times rounded to integers) and with no ties, at n = 50 and n = 2000.
 """
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from oncokit.autodiff import Tape, Tensor, _col2im, _im2col, backward, conv, tsum
+from oncokit.autodiff import Tape, Tensor, backward, conv, transposed_conv, tsum
 from oncokit.cox import _breslow_baseline, _loglik_parts
 from oncokit.ehr import Cohort, load_ehr
 from oncokit.errors import ContractError
@@ -190,6 +190,29 @@ def concordance_fenwick(t, r, e, orientation, ties):
     return concordant, comparable
 
 
+def _im2col(xp, kernel, stride, out_sp):
+    """Gather sliding windows of a padded (C, spatial...) array into columns
+    of shape (C * prod(kernel), prod(out_sp))."""
+    c = xp.shape[0]
+    cols = np.empty((c, *kernel, *out_sp), dtype=xp.dtype)
+    for off in np.ndindex(*kernel):
+        sl = tuple(slice(o, o + stride * (e - 1) + 1, stride)
+                   for o, e in zip(off, out_sp))
+        cols[(slice(None), *off)] = xp[(slice(None), *sl)]
+    return cols.reshape(c * int(np.prod(kernel)), int(np.prod(out_sp)))
+
+
+def _col2im(cols, channels, kernel, stride, padded_sp, out_sp):
+    """Adjoint of _im2col: scatter-add columns back onto the padded grid."""
+    acc = np.zeros((channels, *padded_sp))
+    cols = cols.reshape(channels, *kernel, *out_sp)
+    for off in np.ndindex(*kernel):
+        sl = tuple(slice(o, o + stride * (e - 1) + 1, stride)
+                   for o, e in zip(off, out_sp))
+        acc[(slice(None), *sl)] += cols[(slice(None), *off)]
+    return acc
+
+
 def conv_im2col(x, w, b, stride, padding, g):
     """The im2col convolution: the output, and the gradients of
     sum(output * g) with respect to the input, the weight and the bias."""
@@ -204,6 +227,17 @@ def conv_im2col(x, w, b, stride, padding, g):
     gxp = _col2im(w2.T @ g2, c_in, kernel, stride, xp.shape[1:], out_sp)
     gx = gxp[(slice(None), *(slice(padding, padding + s) for s in x.shape[1:]))]
     return out, gx, (g2 @ cols.T).reshape(w.shape), g2.sum(axis=1)
+
+
+def transposed_conv_col2im(x, w, g):
+    """The col2im kernel-2, stride-2 transposed convolution: the output, and
+    the gradients of sum(output * g) with respect to the input and the weight."""
+    c_in, c_out = w.shape[:2]
+    kernel, sp = w.shape[2:], x.shape[1:]
+    w2, x2 = w.reshape(c_in, -1), x.reshape(c_in, -1)
+    out = _col2im(w2.T @ x2, c_out, kernel, 2, g.shape[1:], sp)
+    gcols = _im2col(g, kernel, 2, sp)
+    return out, (w2 @ gcols).reshape(x.shape), (x2 @ gcols.T).reshape(w.shape)
 
 
 def _is_number(text):
@@ -453,6 +487,29 @@ def test_conv_matches_im2col(sp, c_in, k, stride, padding):
     tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
     with Tape() as tape:
         out = conv(*tensors, stride=stride, padding=padding)
+        loss = tsum(out * Tensor(g))
+    grads = backward(tape, loss)
+    got = [out.data] + [grads[t].data for t in tensors]
+    for a, e in zip(got, expected):
+        assert a.shape == e.shape
+        assert _rel(a, e) <= 1e-12
+
+
+TCONV_CASES = [(sp, c_in) for sp in ((4, 5), (1, 3), (3, 2, 4), (2, 1, 3), (5, 4, 1))
+               for c_in in (1, 3, 32)]
+
+
+@pytest.mark.parametrize("sp, c_in", TCONV_CASES)
+def test_transposed_conv_matches_col2im(sp, c_in):
+    rng = np.random.default_rng([len(sp), *sp, c_in])
+    c_out = 4
+    x = rng.normal(size=(c_in, *sp))
+    w = rng.normal(size=(c_in, c_out, *(2,) * len(sp)))
+    g = rng.normal(size=(c_out, *(2 * s for s in sp)))
+    expected = transposed_conv_col2im(x, w, g)
+    tensors = [Tensor(a, requires_grad=True) for a in (x, w)]
+    with Tape() as tape:
+        out = transposed_conv(*tensors)
         loss = tsum(out * Tensor(g))
     grads = backward(tape, loss)
     got = [out.data] + [grads[t].data for t in tensors]

@@ -138,6 +138,14 @@ def test_duplicate_id_names_row(tmp_path):
         load_ehr(p)
 
 
+def test_bad_row_names_physical_line(tmp_path):
+    # row s1's quoted note spans lines 2 and 3, so the bad time is on line 5
+    p = _write(tmp_path, 'id,time,event,center,note\ns1,1,1,c,"two\nlines"\n'
+                         's2,2,0,c,x\ns3,abc,1,c,y\n')
+    with pytest.raises(DataError, match=r"\.csv:5: non-numeric time 'abc'"):
+        load_ehr(p)
+
+
 def test_cohort_columns_are_read_only(tmp_path):
     p = _write(tmp_path, "id,time,event,center,age\na,10,1,c1,61\nb,12,0,c2,55\n")
     cohort = load_ehr(p)

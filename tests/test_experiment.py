@@ -127,17 +127,25 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "timing.json").exists()
 
-    def test_report_bytes_reproducible(self, tmp_path):
+    @pytest.mark.parametrize("task", ["surv-mtlr", "unetr", "fusion"])
+    def test_report_bytes_reproducible(self, tmp_path, task):
         # identical config (same output dir) rerun from scratch: the report
         # file must be byte-identical
-        write_synthetic_dataset(tmp_path / "d", n=60, seed=6, beta=[1.0])
+        if task == "surv-mtlr":
+            write_synthetic_dataset(tmp_path / "d", n=60, seed=6, beta=[1.0])
+            extra = {}
+        else:
+            write_synthetic_dataset(tmp_path / "d", n=40, seed=6, beta=[1.0],
+                                    with_volumes=True, volume_shape=(16, 16, 8))
+            extra = {"epochs": 1, "patch": 4}
         out = tmp_path / "out"
         blobs = []
         for _ in range(2):
-            cfg = ExperimentConfig(task="surv-mtlr", data_dir=str(tmp_path / "d"),
+            cfg = ExperimentConfig(task=task, data_dir=str(tmp_path / "d"),
                                    output_dir=str(out), seed=7, cv_folds=2,
-                                   fit_iterations=150)
-            run_experiment(cfg)
+                                   fit_iterations=150, **extra)
+            report = run_experiment(cfg)
+            assert report.aggregate["failed_folds"] == 0
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
