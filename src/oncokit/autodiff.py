@@ -17,6 +17,7 @@ compared against central finite differences at tight tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Iterable, Sequence
@@ -483,9 +484,9 @@ def matmul(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor._wrap(np.maximum(a.data, 0.0))
-    mask = a.data > 0.0
-    return _record("relu", out, (a,), lambda g: (g * mask,))
+    out_data = np.maximum(a.data, 0.0)
+    # out > 0 exactly where a > 0, NaN included
+    return _record("relu", Tensor._wrap(out_data), (a,), lambda g: (g * (out_data > 0.0),))
 
 
 def sigmoid(a) -> Tensor:
@@ -645,6 +646,16 @@ def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     Input layout is (C, spatial...); gain and bias are per-channel. This is
     the single-sample stand-in for batch statistics used inside the
     segmentation nets.
+
+    The forward pass centres each channel once. The variance is the mean
+    square of the centred values (two passes over the input, never
+    E[x^2] - E[x]^2), and scaling them in place by 1 / sqrt(var + eps)
+    gives ``xhat``. The affine step writes one new array. Over the m
+    positions of a channel, with h = gain * g, mean(h) = gain * sum(g) / m
+    and mean(h * xhat) = gain * sum(g * xhat) / m, so the backward pass
+    takes two reductions per channel, which are also the bias and gain
+    gradients, and gives
+    gx = gain / sqrt(var + eps) * (g - sum(g) / m - xhat * sum(g * xhat) / m).
     """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     c = a.shape[0]
@@ -652,21 +663,23 @@ def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"channel_norm gain/bias must have shape ({c},)")
     in_shape = a.shape
     x2 = a.data.reshape(c, -1)
-    mu = x2.mean(axis=1, keepdims=True)
-    var = x2.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x2 - mu) * inv
-    out2 = xhat * gain.data[:, None] + bias.data[:, None]
+    m = x2.shape[1]
+    xhat = x2 - x2.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / m + eps)
+    xhat *= inv[:, None]
+    out2 = xhat * gain.data[:, None]
+    out2 += bias.data[:, None]
     out = Tensor._wrap(out2.reshape(in_shape))
-    gd = gain.data
+    scale = inv * gain.data
 
     def bw(g):
         g2 = g.reshape(c, -1)
-        ggain = np.sum(g2 * xhat, axis=1)
-        gbias = np.sum(g2, axis=1)
-        h = g2 * gd[:, None]
-        gx = inv * (h - h.mean(axis=1, keepdims=True)
-                    - xhat * (h * xhat).mean(axis=1, keepdims=True))
+        gbias = g2.sum(axis=1)
+        ggain = np.vecdot(g2, xhat)
+        gx = xhat * (ggain / m)[:, None]
+        gx += (gbias / m)[:, None]
+        np.subtract(g2, gx, out=gx)
+        gx *= scale[:, None]
         return (gx.reshape(in_shape), ggain, gbias)
 
     return _record("channel_norm", out, (a, gain, bias), bw)
@@ -678,16 +691,6 @@ def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
 def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - k) // stride + 1
-
-
-def _pad_spatial(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    # zeros plus one slice assignment: several times faster than np.pad
-    # at these sizes
-    xp = np.zeros((x.shape[0], *(s + 2 * padding for s in x.shape[1:])))
-    xp[(slice(None), *(slice(padding, padding + s) for s in x.shape[1:]))] = x
-    return xp
 
 
 def _fold(a: np.ndarray, k: int, length: int) -> np.ndarray:
@@ -702,29 +705,38 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of a (C_in, spatial...) input with a
     (C_out, C_in, k...) kernel, plus an optional per-channel bias.
 
-    The padded input is flattened to ``xf`` of shape (C_in, P), P the size
-    of the padded grid. Output position o reads kernel offset ``off`` at
-    flat index shift(off) + stride * j(o), where shift(off) and j(o) are the
-    flat indices of ``off`` and o on the padded grid, so each offset reads
-    one strided slice of ``xf``. The last kernel axis (extent k) is folded
-    into the GEMM: ``xs`` stacks the k copies of ``xf`` shifted by 0..k-1
-    along the flat axis, and each offset of the other kernel axes is one
-    (C_out, k * C_in) @ (k * C_in, L) product on a strided slice of ``xs``.
-    The products accumulate on a (C_out, O_1 * prod(padded[1:])) buffer
-    indexed by j; a reshape and a crop of its trailing axes to the output
-    extents give the result.
+    The input is laid out flat, as ``xf`` of shape (C_in, P), on a grid
+    whose rows share their padding. Every axis after the first has extent
+    s + gap: the input's s positions, then ``gap`` zeros. A kernel reaches
+    at most ``padding`` positions past either end of a row, so a gap of
+    ``padding`` serves as this row's right pad and the next row's left pad.
+    (A kernel no longer than the padding can put an output's anchor,
+    stride times its index, further out; the gap then grows to reach it.)
+    The first axis has ``padding`` zero rows at both ends, and ``xf``
+    starts with the zeros that the first row's left reach needs: the input
+    sits at the flat index of grid position (padding, ..., padding).
 
-    The backward pass places the gradient on the padded grid at each
-    output's anchor, flat index stride * j(o), behind as many leading zeros
-    as the largest shift (``gd``). The weight gradient is one GEMM per
-    offset of ``gd`` against the matching slice of ``xs``. The input
-    gradient is the correlation of ``gd`` with the kernel flipped along
-    every axis and transposed in its channels, computed like the forward
-    pass on the folded ``gd``, one (C_in, k * C_out) @ (k * C_out, P) GEMM
-    per offset accumulated onto the padded grid, then cropped by the
-    padding. No im2col matrix is built: the tape keeps ``xf`` (the input
-    itself when ``padding`` is 0) and the weight, and the backward pass
-    rebuilds ``xs``.
+    Output position o reads kernel offset ``off`` at flat index
+    shift(off) + stride * j(o), where shift(off) and j(o) are the flat
+    indices of ``off`` and o on the grid, so each offset reads one strided
+    slice of ``xf``. The last kernel axis (extent k) is folded into the
+    GEMM: ``xs`` stacks the k copies of ``xf`` shifted by 0..k-1 along the
+    flat axis, and each offset of the other kernel axes is one
+    (C_out, k * C_in) @ (k * C_in, L) product on a strided slice of ``xs``,
+    L the largest j + 1. The products accumulate on a buffer indexed by j;
+    a reshape and a crop of each row to the output extent give the result.
+
+    The backward pass places the gradient at each output's anchor, flat
+    index stride * j(o), behind as many leading zeros as the largest shift
+    (``gd``). The weight gradient is one GEMM per offset of ``gd`` against
+    the matching slice of ``xs``. The input gradient is the correlation of
+    ``gd`` with the kernel flipped along every axis and transposed in its
+    channels, computed like the forward pass on the folded ``gd``: one
+    (C_in, k * C_out) @ (k * C_out, M) GEMM per offset over the M flat
+    positions from the first input position to the last, then cropped to
+    the input's rows. No im2col matrix is built: the tape keeps ``xf`` (the
+    input itself when ``padding`` is 0) and the weight, and the backward
+    pass rebuilds ``xs``.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     sp_rank = weight.ndim - 2
@@ -746,18 +758,23 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             f"conv output extent would be non-positive: input {sp}, kernel {kernel}, "
             f"stride {stride}, padding {padding}")
 
-    xp = _pad_spatial(x.data, padding)
-    padded_sp = xp.shape[1:]
-    xf = xp.reshape(c_in, -1)
-    n = xf.shape[1]
+    # extents of the grid's axes after the first: each row holds its input
+    # and the gap, and the anchor of every output
+    rows = tuple(max(s + padding, stride * (e - 1) + 1) for s, e in zip(sp[1:], out_sp[1:]))
+    steps = [math.prod(rows[d:]) for d in range(sp_rank)]   # flat stride of each axis
+    start = padding * sum(steps)
+    n = start + (sp[0] + padding) * steps[0]
+    in_crop = (slice(None), slice(None), *(slice(0, s) for s in sp[1:]))
+    if padding:
+        xf = np.zeros((c_in, n))
+        xf[:, start:start + sp[0] * steps[0]].reshape(c_in, sp[0], *rows)[in_crop] = x.data
+    else:
+        xf = x.data.reshape(c_in, -1)
     k_last = kernel[-1]
     fold_len = n - k_last + 1
-    # flat stride of each spatial axis on the padded grid
-    steps = [int(np.prod(padded_sp[d + 1:])) for d in range(sp_rank)]
-    # flat index on the padded grid of every offset whose last coordinate
-    # is 0, in weight order
-    shifts = np.arange(n).reshape(padded_sp)[
-        (*(slice(k) for k in kernel[:-1]), 0)].ravel().tolist()
+    # flat index of every offset whose last coordinate is 0, in weight order
+    shifts = [sum(o * s for o, s in zip(off, steps))
+              for off in itertools.product(*map(range, kernel[:-1]))]
     span = 1 + sum((e - 1) * s for e, s in zip(out_sp, steps))   # L: last j + 1
     reach = stride * (span - 1) + 1
     width = out_sp[0] * steps[0]
@@ -779,7 +796,7 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         np.matmul(w_off, xs[:, s:s + reach:stride], out=part)
         head += part
     crop = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
-    out_data = acc.reshape(c_out, out_sp[0], *padded_sp[1:])[crop]
+    out_data = acc.reshape(c_out, out_sp[0], *rows)[crop]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
@@ -796,10 +813,12 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         # folded like ``xs``; g is written at its anchors in each copy
         lead = shifts[-1] + k_last - 1          # the largest shift
         gs = np.zeros((k_last, c_out, lead + n))
+        lines = stride * (out_sp[0] - 1) + 1
         anchors = (slice(None), *(slice(0, stride * e, stride) for e in out_sp))
         for o in range(k_last):
             # a view: only the contiguous flat axis is split
-            gs[o, :, lead - o:lead - o + n].reshape(c_out, *padded_sp)[anchors] = g
+            flat = gs[o, :, lead - o:lead - o + lines * steps[0]]
+            flat.reshape(c_out, lines, *rows)[anchors] = g
         gw = None
         if needs[1]:
             xs = _fold(xf, k_last, fold_len)
@@ -815,16 +834,17 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             gs = gs.reshape(-1, lead + n)
             wg = wd[..., ::-1].reshape(c_out, c_in, -1, k_last).transpose(2, 1, 3, 0) \
                 .reshape(-1, c_in, k_last * c_out)
-            base = shifts[-1]
-            gxf = np.empty(xf.shape)
-            np.matmul(wg[0], gs[:, base - shifts[0]:base - shifts[0] + n], out=gxf)
-            part = np.empty(xf.shape)
+            # the input occupies flat indices start .. start + m - 1
+            m = 1 + sum((s - 1) * t for s, t in zip(sp, steps))
+            base = shifts[-1] + start
+            gxf = np.empty((c_in, sp[0] * steps[0]))
+            head = gxf[:, :m]
+            np.matmul(wg[0], gs[:, base - shifts[0]:base - shifts[0] + m], out=head)
+            part = np.empty(gxf.shape)[:, :m]
             for w_off, s in zip(wg[1:], shifts[1:]):
-                np.matmul(w_off, gs[:, base - s:base - s + n], out=part)
-                gxf += part
-            gx = gxf.reshape(c_in, *padded_sp)
-            if padding:
-                gx = gx[(slice(None), *(slice(padding, padding + e) for e in sp))]
+                np.matmul(w_off, gs[:, base - s:base - s + m], out=part)
+                head += part
+            gx = gxf.reshape(c_in, sp[0], *rows)[in_crop]
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.reshape(c_out, -1).sum(axis=1))
@@ -897,20 +917,37 @@ def transposed_conv(x, weight) -> Tensor:
 def maxpool(x) -> Tensor:
     """Kernel-2 / stride-2 max pooling; every spatial extent must be even.
 
-    Ties route the gradient to the first maximal element of the window.
+    The input is read as 2^r strided views x[:, o_1::2, ..., o_r::2], one
+    per offset o of the 2x...x2 window in C order, and the forward pass is
+    one ``np.maximum`` chain over them. The backward pass routes each
+    window's gradient to the first view equal to its maximum, so ties go to
+    the first maximal element of the window; a window holding NaN has a NaN
+    maximum and passes no gradient.
     """
     x = as_tensor(x)
     sp = x.shape[1:]
     if any(s % 2 for s in sp):
         raise ShapeError(f"maxpool needs even spatial extents, got {sp}")
-    windows = _blocks(x.data)
-    idx = np.argmax(windows, axis=-1)
-    out = Tensor._wrap(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    xd = x.data
+    slices = [(slice(None), *(slice(o, None, 2) for o in off))
+              for off in itertools.product((0, 1), repeat=len(sp))]
+    views = [xd[sl] for sl in slices]
+    # the earlier view second: where numpy's maximum meets +0 and -0 it
+    # returns its second argument, as the first-max rule does
+    out_data = np.maximum(views[1], views[0])
+    for v in views[2:]:
+        np.maximum(v, out_data, out=out_data)
+    out = Tensor._wrap(out_data)
 
     def bw(g):
-        gw = np.zeros((*idx.shape, 2 ** len(sp)))
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        return (_unblocks(gw),)
+        gx = np.empty(xd.shape)             # the views cover it
+        free = np.ones(out_data.shape, bool)  # windows whose gradient is not yet routed
+        for sl, v in zip(slices, views):
+            hit = v == out_data
+            hit &= free
+            free ^= hit
+            gx[sl] = np.where(hit, g, 0.0)
+        return (gx,)
 
     return _record("maxpool", out, (x,), bw)
 

@@ -280,7 +280,7 @@ def _segmentation_metrics(pairs) -> dict:
     for case_id, pred, truth in pairs:
         counts = confusion(pred, truth)
         pr = precision_recall(counts)
-        per_case.append({"id": case_id, "dsc": dsc(pred, truth),
+        per_case.append({"id": case_id, "dsc": counts.dice,
                          "precision": pr.precision, "recall": pr.recall})
     agg = {}
     for key in ("dsc", "precision", "recall"):

@@ -36,6 +36,12 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fn + self.fp + self.tn
 
+    @property
+    def dice(self) -> float:
+        """2|A.B| / (|A| + |B|); two empty masks score 1.0."""
+        sizes = 2 * self.tp + self.fn + self.fp
+        return 1.0 if sizes == 0 else 2.0 * self.tp / sizes
+
 
 @dataclass
 class PrecisionRecall:
@@ -46,35 +52,26 @@ class PrecisionRecall:
 
 
 def _check_mask(name: str, arr) -> np.ndarray:
+    """The mask as booleans; every value must be 0 or 1."""
     a = np.asarray(arr)
-    u = np.unique(a)
-    if not np.isin(u, (0, 1)).all():
-        raise ContractError(f"{name} must be binary, found values {u[:5]}")
-    return a.astype(np.float64)
+    if not ((a == 0) | (a == 1)).all():
+        raise ContractError(f"{name} must be binary, found values {np.unique(a)[:5]}")
+    return a == 1
 
 
 def dsc(pred, truth) -> float:
     """Dice similarity 2|A.B| / (|A| + |B|); two empty masks score 1.0."""
-    a = _check_mask("pred", pred)
-    b = _check_mask("truth", truth)
-    if a.shape != b.shape:
-        raise ContractError(f"dsc shapes differ: {a.shape} vs {b.shape}")
-    sa, sb = a.sum(), b.sum()
-    if sa == 0 and sb == 0:
-        return 1.0
-    return float(2.0 * (a * b).sum() / (sa + sb))
+    return confusion(pred, truth).dice
 
 
 def confusion(pred, truth) -> ConfusionCounts:
     a = _check_mask("pred", pred)
     b = _check_mask("truth", truth)
     if a.shape != b.shape:
-        raise ContractError(f"confusion shapes differ: {a.shape} vs {b.shape}")
-    tp = int(((a == 1) & (b == 1)).sum())
-    fn = int(((a == 0) & (b == 1)).sum())
-    fp = int(((a == 1) & (b == 0)).sum())
-    tn = int(((a == 0) & (b == 0)).sum())
-    return ConfusionCounts(tp, fn, fp, tn)
+        raise ContractError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    tp = int(np.count_nonzero(a & b))
+    n_pred, n_truth = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+    return ConfusionCounts(tp, n_truth - tp, n_pred - tp, a.size - n_pred - n_truth + tp)
 
 
 def precision_recall(counts: ConfusionCounts) -> PrecisionRecall:

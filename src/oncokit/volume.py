@@ -60,8 +60,7 @@ class Volume:
         if any(s <= 0 for s in self.spacing):
             raise ContractError(f"spacing must be positive, got {self.spacing}")
         if self.modality == "MASK":
-            u = np.unique(arr)
-            if not np.isin(u, (0.0, 1.0)).all():
+            if not ((arr == 0) | (arr == 1)).all():
                 raise ContractError("MASK volumes must contain only 0 and 1")
         object.__setattr__(self, "data", arr)
         # spacing is carried on disk as f32; snap to that grid up front so a

@@ -3,8 +3,9 @@
 The oracles below are the earlier implementations of the Cox likelihood
 parts, the Breslow baseline, the MTLR admissible-sequence mask, the
 per-subject MTLR tail-sum risk, the Fenwick-tree concordance, the
-cell-by-cell EHR reader and the im2col convolution and transposed
-convolution, kept here only as references. Each survival case runs on seeded cohorts with heavy ties
+cell-by-cell EHR reader, the im2col convolution and transposed
+convolution, the np.var channel norm and the argmax max pool, kept here
+only as references. Each survival case runs on seeded cohorts with heavy ties
 (times rounded to integers) and with no ties, at n = 50 and n = 2000.
 """
 
@@ -14,7 +15,18 @@ import math
 import numpy as np
 import pytest
 
-from oncokit.autodiff import Tape, Tensor, backward, conv, transposed_conv, tsum
+from oncokit.autodiff import (
+    Tape,
+    Tensor,
+    _blocks,
+    _unblocks,
+    backward,
+    channel_norm,
+    conv,
+    maxpool,
+    transposed_conv,
+    tsum,
+)
 from oncokit.cox import _breslow_baseline, _loglik_parts
 from oncokit.ehr import Cohort, load_ehr
 from oncokit.errors import ContractError
@@ -238,6 +250,32 @@ def transposed_conv_col2im(x, w, g):
     out = _col2im(w2.T @ x2, c_out, kernel, 2, g.shape[1:], sp)
     gcols = _im2col(g, kernel, 2, sp)
     return out, (w2 @ gcols).reshape(x.shape), (x2 @ gcols.T).reshape(w.shape)
+
+
+def channel_norm_var(x, gain, bias, g, eps=1e-5):
+    """The channel norm built on np.var: the output, and the gradients of
+    sum(output * g) with respect to the input, the gain and the bias."""
+    c = x.shape[0]
+    x2, g2 = x.reshape(c, -1), g.reshape(c, -1)
+    mu = x2.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(x2.var(axis=1, keepdims=True) + eps)
+    xhat = (x2 - mu) * inv
+    out = xhat * gain[:, None] + bias[:, None]
+    h = g2 * gain[:, None]
+    gx = inv * (h - h.mean(axis=1, keepdims=True)
+                - xhat * (h * xhat).mean(axis=1, keepdims=True))
+    return out.reshape(x.shape), gx.reshape(x.shape), np.sum(g2 * xhat, axis=1), g2.sum(axis=1)
+
+
+def maxpool_argmax(x, g):
+    """The kernel-2 max pool that gathers each window's entries last and
+    takes their argmax: the output, and the gradient of sum(output * g)
+    with respect to the input."""
+    windows = _blocks(x)
+    idx = np.argmax(windows, axis=-1)
+    gw = np.zeros(windows.shape)
+    np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+    return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0], _unblocks(gw)
 
 
 def _is_number(text):
@@ -472,7 +510,13 @@ CONV_CASES = [(sp, c_in, k, stride, padding)
               for sp in ((7, 9), (5, 7, 6)) for c_in in (1, 2, 16) for k in (1, 2, 3)
               for stride in (1, 2) for padding in (0, 1)] + [
     ((9, 8), 2, 3, 3, 2), ((6, 7, 5), 3, 2, 3, 2),      # stride and padding past the grid
-    ((32, 64), 2, 3, 1, 1)]
+    ((32, 64), 2, 3, 1, 1)] + [
+    # inner extents 1 and 2, as at the bottom of the 3D U-Net
+    (sp, c_in, k, stride, padding)
+    for sp, c_in in [((2, 2, 1), 64)] + [(sp, c) for sp in ((4, 4, 2), (3, 1, 2), (16, 16, 8))
+                                         for c in (2, 16)]
+    for k in (1, 3) for stride in (1, 2) for padding in (0, 1, 2)
+    if min(sp) + 2 * padding >= k]
 
 
 @pytest.mark.parametrize("sp, c_in, k, stride, padding", CONV_CASES)
@@ -516,3 +560,65 @@ def test_transposed_conv_matches_col2im(sp, c_in):
     for a, e in zip(got, expected):
         assert a.shape == e.shape
         assert _rel(a, e) <= 1e-12
+
+
+# ------------------------------------------------------------------ channel norm and max pool
+
+def _norm_input(sp, c, rng):
+    """Normal channels, plus a constant channel (variance 0) and one with
+    mean 1e6 and standard deviation 1."""
+    x = rng.normal(size=(c, *sp)) * rng.uniform(0.5, 3.0, size=(c, *(1,) * len(sp)))
+    x[0] = 2.5
+    x[1] = 1e6 + rng.normal(size=sp)
+    return x
+
+
+NORM_CASES = [(sp, c) for sp in ((32, 64), (16, 32), (4, 8), (1, 3)) for c in (2, 8, 64)] + \
+             [(sp, c) for sp in ((16, 16, 8), (8, 8, 4), (4, 4, 2), (2, 2, 1), (3, 1, 2))
+              for c in (2, 8, 32)]
+
+
+@pytest.mark.parametrize("sp, c", NORM_CASES)
+def test_channel_norm_matches_var(sp, c):
+    rng = np.random.default_rng([len(sp), *sp, c])
+    x = _norm_input(sp, c, rng)
+    gain, bias = rng.normal(size=c), rng.normal(size=c)
+    g = rng.normal(size=x.shape)
+    expected = channel_norm_var(x, gain, bias, g)
+    tensors = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    with Tape() as tape:
+        out = channel_norm(*tensors)
+        loss = tsum(out * Tensor(g))
+    grads = backward(tape, loss)
+    got = [out.data] + [grads[t].data for t in tensors]
+    for a, e in zip(got, expected):
+        assert a.shape == e.shape
+        assert _rel(a, e) <= 1e-12
+
+
+def _pool_input(sp, c, kind, rng):
+    if kind == "distinct":
+        return rng.normal(size=(c, *sp))
+    if kind == "ties":             # small integers: most windows hold a tied maximum
+        return np.round(rng.normal(size=(c, *sp)) * 1.5) + 0.0
+    return np.full((c, *sp), 0.75)   # every window is one four- or eight-way tie
+
+
+POOL_CASES = [(sp, c, kind) for sp in ((32, 64), (4, 6), (2, 2), (16, 16, 8), (4, 4, 2), (2, 6, 4))
+              for c in (1, 8) for kind in ("distinct", "ties", "constant")]
+
+
+@pytest.mark.parametrize("sp, c, kind", POOL_CASES)
+def test_maxpool_matches_argmax(sp, c, kind):
+    rng = np.random.default_rng([len(sp), *sp, c])
+    x = _pool_input(sp, c, kind, rng)
+    g = rng.normal(size=(c, *(s // 2 for s in sp)))
+    expected = maxpool_argmax(x, g)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = maxpool(xt)
+        loss = tsum(out * Tensor(g))
+    got = (out.data, backward(tape, loss)[xt].data)
+    for a, e in zip(got, expected):
+        assert a.shape == e.shape
+        assert a.tobytes() == e.tobytes()
