@@ -316,13 +316,6 @@ def power(a, exponent: float) -> Tensor:
     return _record("pow", out, (a,), bw)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    out = Tensor._wrap(out_data)
-    return _record("exp", out, (a,), lambda g: (g * out_data,))
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor._wrap(np.log(a.data))
@@ -782,19 +775,9 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     wf = weight.data.reshape(c_out, c_in, -1, k_last).transpose(2, 0, 3, 1) \
         .reshape(-1, c_out, k_last * c_in)
 
-    xs = _fold(xf, k_last, fold_len)
-    # The first product is written straight into the accumulator; j past
-    # span only reaches positions the crop drops, so it is never zeroed.
-    # The product buffer shares the accumulator's strides: numpy adds two
-    # equally strided views several times faster than a view and a
-    # contiguous array.
+    # j past span only reaches positions the crop drops, so it is never set
     acc = np.empty((c_out, width))
-    head = acc[:, :span]
-    np.matmul(wf[0], xs[:, shifts[0]:shifts[0] + reach:stride], out=head)
-    part = np.empty((c_out, width))[:, :span]
-    for w_off, s in zip(wf[1:], shifts[1:]):
-        np.matmul(w_off, xs[:, s:s + reach:stride], out=part)
-        head += part
+    _gemm_sum(wf, _fold(xf, k_last, fold_len), shifts, stride, acc, span)
     crop = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
     out_data = acc.reshape(c_out, out_sp[0], *rows)[crop]
     if bias is not None:
@@ -838,18 +821,29 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             m = 1 + sum((s - 1) * t for s, t in zip(sp, steps))
             base = shifts[-1] + start
             gxf = np.empty((c_in, sp[0] * steps[0]))
-            head = gxf[:, :m]
-            np.matmul(wg[0], gs[:, base - shifts[0]:base - shifts[0] + m], out=head)
-            part = np.empty(gxf.shape)[:, :m]
-            for w_off, s in zip(wg[1:], shifts[1:]):
-                np.matmul(w_off, gs[:, base - s:base - s + m], out=part)
-                head += part
+            _gemm_sum(wg, gs, [base - s for s in shifts], 1, gxf, m)
             gx = gxf.reshape(c_in, sp[0], *rows)[in_crop]
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.reshape(c_out, -1).sum(axis=1))
 
     return _record("conv", out, inputs, bw)
+
+
+def _gemm_sum(weights, src, starts, step, out, width):
+    """out[:, :width] = sum over i of weights[i] @ src[:, starts[i]::step][:, :width].
+
+    The first product is written straight into ``out``. The product buffer
+    shares ``out``'s strides: numpy adds two equally strided views several
+    times faster than a view and a contiguous array.
+    """
+    reach = step * (width - 1) + 1
+    head = out[:, :width]
+    np.matmul(weights[0], src[:, starts[0]:starts[0] + reach:step], out=head)
+    part = np.empty(out.shape)[:, :width]
+    for w, s in zip(weights[1:], starts[1:]):
+        np.matmul(w, src[:, s:s + reach:step], out=part)
+        head += part
 
 
 def _blocks(a: np.ndarray) -> np.ndarray:

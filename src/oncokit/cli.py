@@ -174,7 +174,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats_model(args) -> int:
-    from .segnets import UNet, UnetrDecoder, model_stats, unetr_layer_specs
+    from .segnets import UNet, model_stats, unetr_layer_specs
     from .vit import EncoderConfig
 
     rank = 2 if args.arch == "unet2d" else 3
@@ -184,11 +184,7 @@ def cmd_stats_model(args) -> int:
     else:
         cfg = EncoderConfig(extents, 2, args.patch, args.embed, args.layers,
                             args.heads)
-        decoder = UnetrDecoder(cfg, width=args.width)
-        dec = model_stats(decoder, extents)
-        specs = unetr_layer_specs(cfg, width=args.width)    # the encoder's, then the decoder's
-        enc = model_stats(specs[:len(specs) - len(decoder.layer_specs())], (1,))
-        stats = {key: dec[key] + enc[key] for key in ("params", "macs")}
+        stats = model_stats(unetr_layer_specs(cfg, width=args.width), extents)
     print(json.dumps(stats, sort_keys=True))
     return 0
 

@@ -1,4 +1,4 @@
-"""Intensity normalization, isotropic resampling and bounding-box cropping.
+"""Intensity normalization and isotropic resampling.
 
 CT intensities are clamped to (-1024, 1024) and scaled into (-1, 1); PET
 intensities are z-scored over the whole volume. Resampling is trilinear for
@@ -103,28 +103,3 @@ def resample_isotropic(volume: Volume, target_spacing: float = 1.0) -> Volume:
         out = trilinear_sample(data, ch, cw, cd)
     return volume.with_data(out, spacing=(target_spacing,) * 3,
                             note=f"resample:{target_spacing}")
-
-
-def crop_to_bbox(volume: Volume, origin: tuple[int, int, int],
-                 size: tuple[int, int, int] = (144, 144, 144)) -> Volume:
-    """Copy a size-shaped box starting at origin (voxel indices).
-
-    The box may extend past the volume; outside voxels are zero and the
-    amount of padding per face is recorded in provenance. A box with no
-    overlap at all is rejected.
-    """
-    if any(s < 1 for s in size):
-        raise ContractError(f"crop size must be >= 1 per axis, got {size}")
-    origin = tuple(int(o) for o in origin)
-    lo = [max(o, 0) for o in origin]
-    hi = [min(o + s, e) for o, s, e in zip(origin, size, volume.shape)]
-    if any(h <= l for l, h in zip(lo, hi)):
-        raise ContractError(
-            f"crop box at {origin} size {size} lies outside volume {volume.shape}")
-    out = np.zeros(size, dtype=np.float32)
-    dst = tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, origin))
-    src = tuple(slice(l, h) for l, h in zip(lo, hi))
-    out[dst] = volume.data[src]
-    pads = tuple((l - o, (o + s) - h)
-                 for l, h, o, s in zip(lo, hi, origin, size))
-    return volume.with_data(out, note=f"crop:{origin}:{size}:pad={pads}")

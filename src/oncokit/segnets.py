@@ -20,6 +20,12 @@ and summing learnable parameters and multiply-accumulates:
     linear         in * out (parameters add out for the bias)
     norm           0 MACs, 2 * C parameters
     table          0 MACs, rows * width parameters (the positional rows)
+    branch         0 MACs, 0 parameters; the walk restarts at the input
+                   extents divided by ``stride``
+
+A ``branch`` is how the decoder's parallel paths fit one walk: each tap
+chain and the ladder start from the token grid, so each is preceded by
+``branch(patch)``.
 """
 
 from __future__ import annotations
@@ -45,12 +51,13 @@ from .vit import EncoderConfig, EncoderOutput, tokens_to_grid
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str              # conv | transposed_conv | norm | activation | pool | linear | table
+    # kind: conv | transposed_conv | norm | activation | pool | linear | table | branch
+    kind: str
     rank: int = 0
     c_in: int = 0
     c_out: int = 0
     kernel: int = 0
-    stride: int = 1
+    stride: int = 1        # for branch: the divisor of the input extents
     padding: int = 0
     bias: bool = True      # linear only
 
@@ -58,28 +65,32 @@ class LayerSpec:
 def model_stats(net_or_specs, input_shape) -> dict:
     """Parameter and MAC totals for a network over a given spatial shape.
 
-    Sequential networks resolve through their spec chain; networks with
-    parallel branches provide their own ``stats`` method.
+    Walks the spec chain once. Spatial specs (conv, transposed_conv, pool,
+    branch) must see ``spec.rank`` extents; a ``branch`` restarts the walk at
+    the input extents divided by its ``stride``.
     """
-    if hasattr(net_or_specs, "stats"):
-        return net_or_specs.stats(input_shape)
     specs = net_or_specs.layer_specs() if hasattr(net_or_specs, "layer_specs") \
         else list(net_or_specs)
-    spatial = tuple(int(e) for e in input_shape)
+    inputs = tuple(int(e) for e in input_shape)
+    spatial = inputs
     params = 0
     macs = 0
     for index, spec in enumerate(specs):
+        if spec.kind in ("conv", "transposed_conv", "pool", "branch") \
+                and len(spatial) != spec.rank:
+            raise ShapeError(f"layer {index} ({spec.kind}): expected rank-{spec.rank} "
+                             f"extents, got {spatial}")
         if spec.kind == "conv":
             out_sp = tuple((s + 2 * spec.padding - spec.kernel) // spec.stride + 1
                            for s in spatial)
             if any(e < 1 for e in out_sp):
                 raise ShapeError(f"layer {index} ({spec.kind}): extents {spatial} collapse")
             params += spec.c_out * spec.c_in * spec.kernel ** spec.rank + spec.c_out
-            macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * int(np.prod(out_sp))
+            macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * math.prod(out_sp)
             spatial = out_sp
         elif spec.kind == "transposed_conv":
             params += spec.c_in * spec.c_out * spec.kernel ** spec.rank
-            macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * int(np.prod(spatial))
+            macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * math.prod(spatial)
             spatial = tuple((s - 1) * spec.stride + spec.kernel for s in spatial)
         elif spec.kind == "norm":
             params += 2 * spec.c_in
@@ -89,6 +100,11 @@ def model_stats(net_or_specs, input_shape) -> dict:
             if any(s % 2 for s in spatial):
                 raise ShapeError(f"layer {index} (pool): odd extents {spatial}")
             spatial = tuple(s // 2 for s in spatial)
+        elif spec.kind == "branch":
+            if any(s % spec.stride for s in inputs):
+                raise ShapeError(f"layer {index} (branch): extents {inputs} "
+                                 f"not divisible by {spec.stride}")
+            spatial = tuple(s // spec.stride for s in inputs)
         elif spec.kind == "linear":
             params += spec.c_in * spec.c_out + (spec.c_out if spec.bias else 0)
             macs += spec.c_in * spec.c_out
@@ -155,6 +171,9 @@ class _ParamBuilder:
 
     def pool(self):
         self.specs.append(LayerSpec("pool", self.rank, 0, 0, 2, 2))
+
+    def branch(self, stride):
+        self.specs.append(LayerSpec("branch", self.rank, stride=stride))
 
 
 def _block(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
@@ -237,8 +256,7 @@ class UnetrDecoder:
         self.steps = steps
         rank = enc_cfg.rank
         k = enc_cfg.embed_dim
-        widths = [width * 2 ** i for i in range(max(steps, 1))]
-        self._widths = widths
+        widths = [width * 2 ** i for i in range(steps)]
         b = _ParamBuilder(rank, seed)
 
         # full-resolution stem over the raw input
@@ -249,14 +267,15 @@ class UnetrDecoder:
         # pairs until the tap reaches its ladder level
         for level in range(1, steps):
             name = f"tap{level}"
+            b.branch(enc_cfg.patch)
             b.tconv(f"{name}.up{steps - 1}", k, widths[steps - 1])
             for r in range(steps - 1, level, -1):
                 b.conv_block(f"{name}.c{r}", widths[r], widths[r])
                 b.tconv(f"{name}.up{r - 1}", widths[r], widths[r - 1])
 
         # ladder from the final tap back to full resolution
-        if steps >= 1:
-            b.tconv("ladder.up_final", k, widths[steps - 1])
+        b.branch(enc_cfg.patch)
+        b.tconv("ladder.up_final", k, widths[steps - 1])
         for level in range(steps - 1, 0, -1):
             b.conv_block(f"ladder{level}.c1", 2 * widths[level], widths[level])
             b.conv_block(f"ladder{level}.c2", widths[level], widths[level])
@@ -313,47 +332,6 @@ class UnetrDecoder:
         current = _block(p, current, "out.c1")
         current = _block(p, current, "out.c2")
         return conv(current, p["head.w"], bias=p["head.b"])
-
-    def stats(self, input_shape) -> dict:
-        """Branch-aware parameter and MAC accounting (same formulas as the
-        sequential walker, applied along each tap path separately)."""
-        cfg = self.cfg
-        rank = cfg.rank
-        spatial = tuple(int(e) for e in input_shape)
-        if len(spatial) != rank:
-            raise ShapeError(f"expected rank-{rank} extents, got {spatial}")
-        for axis, extent in enumerate(spatial):
-            if extent % cfg.patch:
-                raise ShapeError(f"axis {axis} extent {extent} not divisible by patch")
-        params = sum(int(np.prod(t.shape)) for t in self.params.values())
-        widths = self._widths
-        steps = self.steps
-        k = cfg.embed_dim
-        grid = tuple(e // cfg.patch for e in spatial)
-
-        def conv_macs(c_in, c_out, kernel, sp):
-            return kernel ** rank * c_in * c_out * int(np.prod(sp))
-
-        def res_at(level):   # spatial extents at ladder level `level`
-            return tuple(e // 2 ** level for e in spatial)
-
-        macs = 0
-        macs += conv_macs(cfg.channels, widths[0], 3, spatial)      # stem.c1
-        macs += conv_macs(widths[0], widths[0], 3, spatial)         # stem.c2
-        macs += conv_macs(k, widths[steps - 1], 2, grid)            # ladder.up_final
-        for level in range(steps - 1, 0, -1):
-            # tap branch: deconv off the grid, then conv+deconv pairs
-            macs += conv_macs(k, widths[steps - 1], 2, grid)
-            for r in range(steps - 1, level, -1):
-                macs += conv_macs(widths[r], widths[r], 3, res_at(r))
-                macs += conv_macs(widths[r], widths[r - 1], 2, res_at(r))
-            macs += conv_macs(2 * widths[level], widths[level], 3, res_at(level))
-            macs += conv_macs(widths[level], widths[level], 3, res_at(level))
-            macs += conv_macs(widths[level], widths[level - 1], 2, res_at(level))
-        macs += conv_macs(2 * widths[0], widths[0], 3, spatial)     # out.c1
-        macs += conv_macs(widths[0], widths[0], 3, spatial)         # out.c2
-        macs += conv_macs(widths[0], 1, 1, spatial)                 # head
-        return {"params": int(params), "macs": int(macs)}
 
 
 def unetr_layer_specs(cfg: EncoderConfig, width: int = 16) -> list[LayerSpec]:

@@ -14,8 +14,7 @@ is fixed:
     36      ...   H*W*D f32 LE payload, row-major
 
 Round trips are bit-exact. Provenance notes (which preprocessing steps have
-touched a volume, padding introduced by cropping) live only in memory; the
-file format does not carry them.
+touched a volume) live only in memory; the file format does not carry them.
 """
 
 from __future__ import annotations

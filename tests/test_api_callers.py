@@ -18,8 +18,6 @@ BENCH = ROOT / "perfbench"
 # module.qualified name -> why it stays without a caller in the program
 ALLOWED = {
     "metrics.c_index_naive": "the quadratic oracle the fast concordance is tested against",
-    "preprocess.crop_to_bbox": "cropping is in the paper's module map; no config field "
-                               "reaches it yet",
     "ehr.save_feature_stats": "feature stats are in the paper's module map; no config field "
                               "reaches them yet",
     "ehr.load_feature_stats": "feature stats are in the paper's module map; no config field "

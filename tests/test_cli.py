@@ -277,7 +277,19 @@ class TestStatsModel:
                      "--patch", "8", "--embed", "64", "--layers", "4",
                      "--heads", "4", "--width", "8"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["params"] > 0 and stats["macs"] > 0
+        assert stats == {"macs": 197263360, "params": 465049}
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--input", "32x32x16"], {"macs": 948174848, "params": 97496369}),
+        (["--input", "144x144x144"], {"macs": 156270133248, "params": 98053169}),
+        (["--input", "64x64x32", "--patch", "8", "--embed", "32", "--layers", "4",
+          "--heads", "4"], {"macs": 6151028736, "params": 732593}),
+        (["--input", "32x32x32", "--patch", "2", "--embed", "16", "--layers", "3",
+          "--heads", "2"], {"macs": 943203584, "params": 106401}),
+    ])
+    def test_unetr_stats_pinned(self, capsys, args, expected):
+        assert main(["stats", "model", "--arch", "unetr", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
 
     def test_bad_extents_exit_code(self):
         assert main(["stats", "model", "--arch", "unet2d",

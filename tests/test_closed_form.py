@@ -601,11 +601,15 @@ def _pool_input(sp, c, kind, rng):
         return rng.normal(size=(c, *sp))
     if kind == "ties":             # small integers: most windows hold a tied maximum
         return np.round(rng.normal(size=(c, *sp)) * 1.5) + 0.0
+    if kind == "zeros":            # +0 ties -0, in either order, in most windows
+        return rng.choice([0.0, -0.0, -1.0], size=(c, *sp))
     return np.full((c, *sp), 0.75)   # every window is one four- or eight-way tie
 
 
-POOL_CASES = [(sp, c, kind) for sp in ((32, 64), (4, 6), (2, 2), (16, 16, 8), (4, 4, 2), (2, 6, 4))
-              for c in (1, 8) for kind in ("distinct", "ties", "constant")]
+POOL_SHAPES = ((32, 64), (4, 6), (2, 2), (16, 16, 8), (4, 4, 2), (2, 6, 4))
+POOL_CASES = [(sp, c, kind) for sp in POOL_SHAPES
+              for c in (1, 8) for kind in ("distinct", "ties", "constant")] \
+    + [(sp, c, "zeros") for sp in POOL_SHAPES for c in (1, 8)]
 
 
 @pytest.mark.parametrize("sp, c, kind", POOL_CASES)
@@ -621,4 +625,5 @@ def test_maxpool_matches_argmax(sp, c, kind):
     got = (out.data, backward(tape, loss)[xt].data)
     for a, e in zip(got, expected):
         assert a.shape == e.shape
+        # bytes hold the sign bit: a +0/-0 tie takes the sign of the first zero
         assert a.tobytes() == e.tobytes()

@@ -1,11 +1,10 @@
-"""Intensity normalization, resampling and cropping contracts."""
+"""Intensity normalization and resampling contracts."""
 
 import numpy as np
 import pytest
 
 from oncokit.errors import ContractError
 from oncokit.preprocess import (
-    crop_to_bbox,
     ct_window_normalize,
     pet_zscore,
     resample_isotropic,
@@ -100,38 +99,3 @@ class TestResample:
         v = Volume(m, (1.7, 1.3, 2.0), "MASK")
         out = resample_isotropic(v)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
-
-
-class TestCrop:
-    def test_full_volume_identity(self):
-        rng = np.random.default_rng(7)
-        v = _vol(rng.normal(size=(5, 6, 7)))
-        out = crop_to_bbox(v, (0, 0, 0), (5, 6, 7))
-        assert np.array_equal(out.data, v.data)
-
-    def test_corner_block(self):
-        data = np.arange(27, dtype=np.float32).reshape(3, 3, 3)
-        out = crop_to_bbox(_vol(data), (0, 0, 0), (2, 2, 2))
-        assert np.array_equal(out.data, data[:2, :2, :2])
-
-    def test_boundary_padding_is_zero(self):
-        v = _vol(np.ones((4, 4, 4)))
-        out = crop_to_bbox(v, (2, 2, 2), (4, 4, 4))
-        assert out.shape == (4, 4, 4)
-        assert np.array_equal(out.data[:2, :2, :2], np.ones((2, 2, 2)))
-        assert out.data[2:].sum() == 0.0
-
-    def test_negative_origin_pads_front(self):
-        v = _vol(np.ones((4, 4, 4)))
-        out = crop_to_bbox(v, (-1, 0, 0), (3, 3, 3))
-        assert out.data[0].sum() == 0.0
-        assert np.array_equal(out.data[1:], np.ones((2, 3, 3)))
-
-    def test_disjoint_box_rejected(self):
-        with pytest.raises(ContractError):
-            crop_to_bbox(_vol(np.ones((4, 4, 4))), (10, 10, 10), (2, 2, 2))
-
-    def test_padding_recorded_in_provenance(self):
-        v = _vol(np.ones((4, 4, 4)))
-        out = crop_to_bbox(v, (2, 0, 0), (4, 4, 4))
-        assert any("pad=" in note for note in out.provenance)

@@ -150,10 +150,24 @@ class TestUnetrDecoder:
 
     def test_stats_params_match_actual(self):
         _, dec = self._encoder_and_decoder()
-        stats = dec.stats((16, 16, 8))
+        stats = model_stats(dec, (16, 16, 8))
         actual = sum(int(np.prod(p.shape)) for p in dec.params.values())
         assert stats["params"] == actual
         assert stats["macs"] > 0
+
+    @pytest.mark.parametrize("shape, patch, params, macs", [
+        ((16, 16), 4, 3629, 302080),
+        ((32, 32), 16, 73789, 2666496),
+    ])
+    def test_stats_2d_pinned(self, shape, patch, params, macs):
+        dec = UnetrDecoder(EncoderConfig(shape, 2, patch, 16, 4, 2, 2), width=4)
+        assert model_stats(dec, shape) == {"params": params, "macs": macs}
+
+    @pytest.mark.parametrize("extents", [(16, 16), (16, 16, 6)])
+    def test_stats_rejects_extents(self, extents):
+        _, dec = self._encoder_and_decoder()
+        with pytest.raises(ShapeError, match="layer"):
+            model_stats(dec, extents)
 
     def test_2d_mode(self):
         cfg = EncoderConfig((16, 16), 1, 4, 16, 4, 2, 2)
