@@ -390,7 +390,7 @@ def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     out = Tensor._wrap(np.transpose(a.data, axes))
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bw(g):
         return (np.transpose(g, inv),)
@@ -429,17 +429,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         return (full,)
 
     return _record("narrow", out, (a,), bw)
-
-
-def rcumsum(a, axis: int = -1) -> Tensor:
-    """Reverse cumulative sum: out[..., k, ...] = sum over j >= k along axis.
-
-    Each input element feeds every output at or before its position, so the
-    gradient is the forward cumulative sum of the upstream gradient.
-    """
-    a = as_tensor(a)
-    out = Tensor._wrap(np.flip(np.cumsum(np.flip(a.data, axis), axis=axis), axis))
-    return _record("rcumsum", out, (a,), lambda g: (np.cumsum(g, axis=axis),))
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +572,11 @@ def softmax(a, axis: int = -1) -> Tensor:
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     m = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = np.sum(e, axis=axis, keepdims=True)
+    soft = a.data - m
+    np.exp(soft, out=soft)
+    s = np.sum(soft, axis=axis, keepdims=True)
     out_data = m + np.log(s)
-    soft = e / s
+    soft /= s
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
     out = Tensor._wrap(out_data)
@@ -596,6 +586,48 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
         return (ge * soft,)
 
     return _record("logsumexp", out, (a,), bw)
+
+
+def tail_logsumexp(a, start, single) -> Tensor:
+    """Column-wise log-sum-exp of a 2D tensor over its rows start[i] to the
+    end; where ``single[i]`` holds, the one entry a[start[i], i] instead.
+
+    Each tail is shifted by its own max, so a tail far below the rest of
+    its column keeps its digits. Rows above a tail are clamped to that max
+    before ``exp`` and then zeroed, so a large entry there cannot overflow.
+    """
+    a = as_tensor(a)
+    start = np.asarray(start)
+    single = np.asarray(single, dtype=bool)
+    if a.ndim != 2 or start.shape != (a.shape[1],) or single.shape != start.shape:
+        raise ShapeError(f"tail_logsumexp needs a 2D tensor and one start and flag per "
+                         f"column, got {a.shape}, {start.shape} and {single.shape}")
+    rows, cols = a.shape
+    one = np.flatnonzero(single)
+    tail = np.flatnonzero(~single)
+    one_at = start[one] * cols + one                  # flat positions of the single reads
+    out_data = np.empty(cols)
+    out_data[one] = a.data.take(one_at)
+    if tail.size:
+        e = a.data[:, tail]
+        admitted = np.arange(rows)[:, None] >= start[tail]
+        top = np.where(admitted, e, -np.inf).max(axis=0)
+        e -= top
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        e *= admitted
+        s = e.sum(axis=0)
+        out_data[tail] = top + np.log(s)
+    out = Tensor._wrap(out_data)
+
+    def bw(g):
+        grad = np.zeros((rows, cols))
+        grad.put(one_at, g[one])
+        if tail.size:
+            grad[:, tail] = e * (g[tail] / s)
+        return (grad,)
+
+    return _record("tail_logsumexp", out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

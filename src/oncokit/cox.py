@@ -185,7 +185,7 @@ def save_cox(model: CoxModel, path) -> None:
         "log_likelihood": model.log_likelihood,
         "ridge": model.ridge,
     }
-    write_atomic(path, json.dumps(payload, indent=2).encode())
+    write_atomic(path, json.dumps(payload).encode())
 
 
 def cox_from_json(obj: dict, source) -> CoxModel:

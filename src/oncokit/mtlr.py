@@ -17,16 +17,26 @@ exponentiated scores over all m+1 sequences. A subject censored at time c
 is marginalized: its numerator sums exp f over every sequence consistent
 with being alive at c (all k with at least as many leading zeros as there
 are boundaries at or before c).
-The sequence scores are one reverse cumulative sum over the boundary
-axis, a differentiable tape op, so the likelihood costs O(n m). The
-admissible sequences come from two ``searchsorted`` calls over the whole
-cohort. Log-sum-exps are max-subtracted; masked-out sequences get a -1e30
-offset, which underflows to an exact zero weight in 64-bit.
+
+The likelihood runs on an interval-major layout: one product with the
+(m+1, m) suffix matrix turns the (n, m) boundary scores into (m+1, n)
+sequence scores, so every log-sum-exp reduces along the first axis, over
+rows of n contiguous values. (At these sizes BLAS runs the O(n m^2)
+product faster than numpy's cumulative sum down that axis.) log Z is
+``logsumexp`` over that axis. The numerator is ``tail_logsumexp``: an
+event's one sequence score, read by index, and for a censored subject the
+log-sum-exp over the suffix of admissible sequences, shifted by that
+suffix's own max. Nothing is masked with an offset, so a subject whose
+admissible sequences sit far below its best one keeps a finite
+likelihood. The admissible sequences come from two ``searchsorted`` calls
+over the whole cohort.
 
 ``survival_from_scores`` and ``risk_from_scores`` take one subject's (m,)
-boundary scores or an (n, m) batch; a batch is scored with one row-wise
-max-subtracted softmax between the reverse cumulative sums, which is how
-cohort risks are computed.
+boundary scores or an (n, m) batch, which is how cohort risks are
+computed. They use the same interval-major layout with one max-subtracted
+softmax per subject, but build the scores with a cumulative sum instead of
+the suffix product, so a subject's risk has the same digits alone and in a
+batch.
 
 The smoothness penalty C/2 * sum ||theta_j||^2 is part of the objective.
 Fitting runs full-batch AdamW on the head and the front end together under
@@ -45,11 +55,10 @@ from .autodiff import (
     Tape,
     Tensor,
     backward,
-    concat,
     logsumexp,
     matmul,
-    rcumsum,
     relu,
+    tail_logsumexp,
     transpose,
     trunc_normal,
     tsum,
@@ -58,9 +67,6 @@ from .autodiff import (
 from .ehr import Cohort
 from .errors import ContractError, malformed, write_atomic
 from .optim import OptimState, adamw_step, cosine_lr
-
-_MASK_OFF = -1e30
-
 
 @dataclass
 class SurvivalCurve:
@@ -151,26 +157,22 @@ def censor_interval(boundaries: np.ndarray, c):
     return int(k) if np.ndim(k) == 0 else k
 
 
-def _admissible_offsets(boundaries, times, events) -> np.ndarray:
-    """(n, m+1) additive mask: 0 where a sequence is consistent, -1e30 not.
+def _suffix_matrix(m: int) -> np.ndarray:
+    """(m+1, m) matrix of ones on and above the diagonal: row k sums boundary
+    scores k..m-1 (0-based), so it maps boundary scores to the m+1 sequence
+    scores, and its last row, all zeros, gives f(x, m) = 0."""
+    return (np.arange(m) >= np.arange(m + 1)[:, None]).astype(np.float64)
 
-    An event admits the one sequence k = event_interval; a censored subject
-    admits every k from censor_interval to m.
-    """
-    m = boundaries.shape[0]
+
+def _admitted_range(boundaries, times, events):
+    """Each subject's first admissible sequence, and whether it is the only
+    one: an event admits the one sequence k = event_interval, a censored
+    subject every k from censor_interval to m."""
     died = events == 1
-    first = censor_interval(boundaries, times)
+    first = np.empty(times.shape, dtype=np.intp)
     first[died] = event_interval(boundaries, times[died])
-    last = np.where(died, first, m)
-    k = np.arange(m + 1)
-    admitted = (k >= first[:, None]) & (k <= last[:, None])
-    return np.where(admitted, 0.0, _MASK_OFF)
-
-
-def _sequence_scores(scores: Tensor) -> Tensor:
-    """(n, m) boundary scores -> (n, m+1) sequence scores: column k is the
-    suffix sum of boundary columns k..m-1 (0-based), and column m is 0."""
-    return rcumsum(concat([scores, zeros((scores.shape[0], 1))], axis=1), axis=1)
+    first[~died] = censor_interval(boundaries, times[~died])
+    return first, died
 
 
 def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
@@ -188,9 +190,9 @@ def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
         raise ContractError(
             f"scores shape {scores.shape} does not match (n, m) = "
             f"({times.shape[0]}, {m})")
-    f = _sequence_scores(scores)                           # (n, m+1)
-    offs = Tensor(_admissible_offsets(boundaries, times, events))
-    return tsum(logsumexp(f, axis=1) - logsumexp(f + offs, axis=1))
+    f = matmul(Tensor(_suffix_matrix(m)), transpose(scores, (1, 0)))   # (m+1, n)
+    first, died = _admitted_range(boundaries, times, events)
+    return tsum(logsumexp(f, axis=0) - tail_logsumexp(f, first, died))
 
 
 def mtlr_objective(theta: Tensor, bias: Tensor, features: Tensor, boundaries, times,
@@ -282,12 +284,23 @@ def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
 # ----------------------------------------------------------------- inference
 
 def _sequence_probabilities(scores) -> np.ndarray:
-    """Row-wise softmax over the m+1 sequence scores: (..., m) -> (..., m+1)."""
+    """Softmax over the m+1 sequence scores: (..., m) -> (..., m+1).
+
+    The scores are laid out interval-major, (m+1, n), as in the likelihood,
+    but built and normalized with cumulative sums down the first axis rather
+    than the suffix product and ``np.sum``: a cumulative sum adds in order
+    whatever n is, so a subject's probabilities carry the same digits alone
+    and in a batch.
+    """
     g = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    f = _sequence_scores(Tensor(g)).data
-    e = np.exp(f - f.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    return probs.reshape(np.shape(scores)[:-1] + (g.shape[1] + 1,))
+    n, m = g.shape
+    f = np.zeros((m + 1, n))
+    np.cumsum(g.T[::-1], axis=0, out=f[m - 1::-1])      # f[k] = sum over j >= k
+    e = np.exp(f - f.max(axis=0))
+    # C order: numpy sums the rows of an F-ordered batch in another order
+    # than a lone row, and risk_from_scores sums along the rows
+    probs = np.ascontiguousarray((e / np.cumsum(e, axis=0)[-1]).T)
+    return probs.reshape(np.shape(scores)[:-1] + (m + 1,))
 
 
 def survival_from_scores(boundaries: np.ndarray, scores) -> SurvivalCurve:
@@ -352,7 +365,7 @@ def save_mtlr(model: MtlrModel, path) -> None:
     if model.hidden_widths:
         payload["hidden_widths"] = list(model.hidden_widths)
         payload["mlp"] = {name: arr.tolist() for name, arr in model.mlp_params.items()}
-    write_atomic(path, json.dumps(payload, indent=2).encode())
+    write_atomic(path, json.dumps(payload).encode())
 
 
 def mtlr_from_json(obj: dict, source) -> MtlrModel:

@@ -25,7 +25,9 @@ and summing learnable parameters and multiply-accumulates:
 
 A ``branch`` is how the decoder's parallel paths fit one walk: each tap
 chain and the ladder start from the token grid, so each is preceded by
-``branch(patch)``.
+``branch(patch)``. One layout function lays the decoder out, either on a
+builder that also draws its weights (``UnetrDecoder``) or on one that only
+records specs (``unetr_layer_specs``), so counting a model draws nothing.
 """
 
 from __future__ import annotations
@@ -138,35 +140,23 @@ def _norm_init(c):
     return Tensor(np.ones(c), requires_grad=True), Tensor(np.zeros(c), requires_grad=True)
 
 
-class _ParamBuilder:
-    """Registers parameters and the matching layer specs as layers are laid out."""
+class _SpecBuilder:
+    """Records the layer specs of a network as its layers are laid out."""
 
-    def __init__(self, rank, seed):
+    def __init__(self, rank):
         self.rank = rank
-        self.rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
         self.specs: list[LayerSpec] = []
 
     def conv_block(self, name, c_in, c_out, k=3, padding=1, with_norm=True):
-        w, b = _conv_init(self.rng, c_out, c_in, k, self.rank)
-        self.params[name + ".w"] = w
-        self.params[name + ".b"] = b
         self.specs.append(LayerSpec("conv", self.rank, c_in, c_out, k, 1, padding))
         if with_norm:
-            gain, bias = _norm_init(c_out)
-            self.params[name + ".norm.gain"] = gain
-            self.params[name + ".norm.bias"] = bias
             self.specs.append(LayerSpec("norm", self.rank, c_out, c_out))
         self.specs.append(LayerSpec("activation", self.rank, c_out, c_out))
 
     def final_conv(self, name, c_in, c_out=1):
-        w, b = _conv_init(self.rng, c_out, c_in, 1, self.rank)
-        self.params[name + ".w"] = w
-        self.params[name + ".b"] = b
         self.specs.append(LayerSpec("conv", self.rank, c_in, c_out, 1, 1, 0))
 
     def tconv(self, name, c_in, c_out):
-        self.params[name + ".w"] = _tconv_init(self.rng, c_in, c_out, 2, self.rank)
         self.specs.append(LayerSpec("transposed_conv", self.rank, c_in, c_out, 2, 2))
 
     def pool(self):
@@ -174,6 +164,36 @@ class _ParamBuilder:
 
     def branch(self, stride):
         self.specs.append(LayerSpec("branch", self.rank, stride=stride))
+
+
+class _ParamBuilder(_SpecBuilder):
+    """A ``_SpecBuilder`` that also draws each layer's parameters, in layout
+    order, from one seeded generator."""
+
+    def __init__(self, rank, seed):
+        super().__init__(rank)
+        self.rng = np.random.default_rng(seed)
+        self.params: dict[str, Tensor] = {}
+
+    def conv_block(self, name, c_in, c_out, k=3, padding=1, with_norm=True):
+        w, b = _conv_init(self.rng, c_out, c_in, k, self.rank)
+        self.params[name + ".w"] = w
+        self.params[name + ".b"] = b
+        if with_norm:
+            gain, bias = _norm_init(c_out)
+            self.params[name + ".norm.gain"] = gain
+            self.params[name + ".norm.bias"] = bias
+        super().conv_block(name, c_in, c_out, k, padding, with_norm)
+
+    def final_conv(self, name, c_in, c_out=1):
+        w, b = _conv_init(self.rng, c_out, c_in, 1, self.rank)
+        self.params[name + ".w"] = w
+        self.params[name + ".b"] = b
+        super().final_conv(name, c_in, c_out)
+
+    def tconv(self, name, c_in, c_out):
+        self.params[name + ".w"] = _tconv_init(self.rng, c_in, c_out, 2, self.rank)
+        super().tconv(name, c_in, c_out)
 
 
 def _block(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
@@ -243,46 +263,51 @@ class UNet:
         return conv(x, p["head.w"], bias=p["head.b"])
 
 
+def _lay_out_unetr_decoder(b: _SpecBuilder, enc_cfg: EncoderConfig, width: int) -> int:
+    """Lays the UNETR decoder's layers out on ``b`` and returns its number of
+    2x upsampling steps, log2 of the patch size."""
+    steps = int(round(math.log2(enc_cfg.patch)))
+    if 2 ** steps != enc_cfg.patch or steps < 1:
+        raise ContractError(f"patch size {enc_cfg.patch} must be a power of two >= 2")
+    if steps - 1 > 3:
+        raise ContractError("at most three intermediate taps are available")
+    k = enc_cfg.embed_dim
+    widths = [width * 2 ** i for i in range(steps)]
+
+    # full-resolution stem over the raw input
+    b.conv_block("stem.c1", enc_cfg.channels, widths[0])
+    b.conv_block("stem.c2", widths[0], widths[0])
+
+    # per-tap processing: one deconv off the grid, then conv+deconv
+    # pairs until the tap reaches its ladder level
+    for level in range(1, steps):
+        name = f"tap{level}"
+        b.branch(enc_cfg.patch)
+        b.tconv(f"{name}.up{steps - 1}", k, widths[steps - 1])
+        for r in range(steps - 1, level, -1):
+            b.conv_block(f"{name}.c{r}", widths[r], widths[r])
+            b.tconv(f"{name}.up{r - 1}", widths[r], widths[r - 1])
+
+    # ladder from the final tap back to full resolution
+    b.branch(enc_cfg.patch)
+    b.tconv("ladder.up_final", k, widths[steps - 1])
+    for level in range(steps - 1, 0, -1):
+        b.conv_block(f"ladder{level}.c1", 2 * widths[level], widths[level])
+        b.conv_block(f"ladder{level}.c2", widths[level], widths[level])
+        b.tconv(f"ladder{level}.up", widths[level], widths[level - 1])
+    b.conv_block("out.c1", 2 * widths[0], widths[0])
+    b.conv_block("out.c2", widths[0], widths[0])
+    b.final_conv("head", widths[0])
+    return steps
+
+
 class UnetrDecoder:
     """Convolutional decoder over transformer taps plus the raw input."""
 
     def __init__(self, enc_cfg: EncoderConfig, width: int = 16, seed: int = 0):
-        steps = int(round(math.log2(enc_cfg.patch)))
-        if 2 ** steps != enc_cfg.patch or steps < 1:
-            raise ContractError(f"patch size {enc_cfg.patch} must be a power of two >= 2")
-        if steps - 1 > 3:
-            raise ContractError("at most three intermediate taps are available")
+        b = _ParamBuilder(enc_cfg.rank, seed)
         self.cfg = enc_cfg
-        self.steps = steps
-        rank = enc_cfg.rank
-        k = enc_cfg.embed_dim
-        widths = [width * 2 ** i for i in range(steps)]
-        b = _ParamBuilder(rank, seed)
-
-        # full-resolution stem over the raw input
-        b.conv_block("stem.c1", enc_cfg.channels, widths[0])
-        b.conv_block("stem.c2", widths[0], widths[0])
-
-        # per-tap processing: one deconv off the grid, then conv+deconv
-        # pairs until the tap reaches its ladder level
-        for level in range(1, steps):
-            name = f"tap{level}"
-            b.branch(enc_cfg.patch)
-            b.tconv(f"{name}.up{steps - 1}", k, widths[steps - 1])
-            for r in range(steps - 1, level, -1):
-                b.conv_block(f"{name}.c{r}", widths[r], widths[r])
-                b.tconv(f"{name}.up{r - 1}", widths[r], widths[r - 1])
-
-        # ladder from the final tap back to full resolution
-        b.branch(enc_cfg.patch)
-        b.tconv("ladder.up_final", k, widths[steps - 1])
-        for level in range(steps - 1, 0, -1):
-            b.conv_block(f"ladder{level}.c1", 2 * widths[level], widths[level])
-            b.conv_block(f"ladder{level}.c2", widths[level], widths[level])
-            b.tconv(f"ladder{level}.up", widths[level], widths[level - 1])
-        b.conv_block("out.c1", 2 * widths[0], widths[0])
-        b.conv_block("out.c2", widths[0], widths[0])
-        b.final_conv("head", widths[0])
+        self.steps = _lay_out_unetr_decoder(b, enc_cfg, width)
         self.params = b.params
         self._specs = b.specs
 
@@ -352,5 +377,6 @@ def unetr_layer_specs(cfg: EncoderConfig, width: int = 16) -> list[LayerSpec]:
         specs.append(LayerSpec("norm", 1, k, k))
         specs.append(LayerSpec("linear", 1, k, cfg.mlp_ratio * k))
         specs.append(LayerSpec("linear", 1, cfg.mlp_ratio * k, k))
-    specs.extend(UnetrDecoder(cfg, width=width).layer_specs())
-    return specs
+    decoder = _SpecBuilder(cfg.rank)
+    _lay_out_unetr_decoder(decoder, cfg, width)
+    return specs + decoder.specs

@@ -106,13 +106,15 @@ def _cases():
         "concat": (lambda a, b: readout(ad.concat([a, b], axis=1)),
                    [normal(3, 2), normal(3, 4)]),
         "narrow": (lambda a: readout(ad.narrow(a, 1, 1, 2)), [normal(3, 4)]),
-        "rcumsum": (lambda a: readout(ad.rcumsum(a, axis=1)), [normal(3, 4)]),
         "matmul": (lambda a, b: readout(ad.matmul(a, b)), [normal(2, 3, 4), normal(4, 5)]),
         "relu": (lambda a: readout(ad.relu(a)), [away(3, 4)]),
         "sigmoid": (lambda a: readout(ad.sigmoid(a)), [normal(3, 4)]),
         "gelu": (lambda a: readout(ad.gelu(a)), [normal(3, 4)]),
         "softmax": (lambda a: readout(ad.softmax(a, axis=-1)), [normal(3, 4)]),
         "logsumexp": (lambda a: readout(ad.logsumexp(a, axis=1)), [normal(3, 4)]),
+        "tail_logsumexp": (lambda a: readout(ad.tail_logsumexp(
+            a, np.array([0, 3, 1, 2, 0]), np.array([False, True, False, True, True]))),
+            [normal(4, 5)]),
         "layer_norm": (lambda a, g, b: readout(ad.layer_norm(a, g, b)),
                        [normal(3, 4), normal(4), normal(4)]),
         "channel_norm": (lambda a, g, b: readout(ad.channel_norm(a, g, b)),

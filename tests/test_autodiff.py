@@ -21,10 +21,10 @@ from oncokit.autodiff import (
     matmul,
     maxpool,
     narrow,
-    rcumsum,
     relu,
     sigmoid,
     softmax,
+    tail_logsumexp,
     transposed_conv,
 )
 from oncokit.errors import ContractError, NumericError, ShapeError
@@ -212,6 +212,35 @@ class TestSoftmax:
         err = check_op(lambda a: logsumexp(a, axis=1).sum(), [x])
         assert err <= 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tail_logsumexp_values(self):
+        # columns: a single read, a whole column, a one-row tail, and a tail
+        # 900 below a row above it that must not overflow
+        a = np.array([[0.5, 1.0, 2.0, 900.0],
+                      [-1.0, 2.0, 3.0, -0.5],
+                      [4.0, -3.0, 0.25, 0.0]])
+        start = np.array([1, 0, 2, 1])
+        single = np.array([True, False, False, False])
+        out = tail_logsumexp(Tensor(a), start, single).data
+        assert out[0] == a[1, 0]
+        assert out[1] == pytest.approx(math.log(sum(math.exp(v) for v in a[:, 1])), rel=1e-15)
+        assert out[2] == a[2, 2]
+        assert out[3] == pytest.approx(math.log(math.exp(-0.5) + 1.0), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tail_logsumexp_gradient(self):
+        a = np.random.default_rng(3).normal(size=(5, 6)) * 3
+        start = np.array([0, 4, 2, 1, 3, 0])
+        single = np.array([False, True, False, True, False, True])
+        err = check_op(lambda t: (tail_logsumexp(t, start, single) ** 2).sum(), [a])
+        assert err <= 1e-6
+
+    def test_tail_logsumexp_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            tail_logsumexp(Tensor(np.zeros((3, 2))), np.array([0, 1, 2]), np.array([1, 0, 1]))
+        with pytest.raises(ShapeError):
+            tail_logsumexp(Tensor(np.zeros(3)), np.array([0]), np.array([True]))
+
 
 class TestActivations:
     def test_relu_values(self):
@@ -316,20 +345,6 @@ class TestShapeOps:
         assert np.array_equal(out.data, [[[5.0, 7.0], [13.0, 15.0]]])
         a = RNG.normal(size=(2, 4, 4, 4))
         err = check_op(lambda t: (maxpool(t) ** 2).sum(), [a])
-        assert err <= 1e-6
-
-    def test_rcumsum_values(self):
-        a = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
-        assert np.array_equal(rcumsum(Tensor(a), axis=1).data,
-                              [[7.0, 6.0, 4.0], [56.0, 48.0, 32.0]])
-        assert np.array_equal(rcumsum(Tensor(a), axis=0).data, [[9.0, 18.0, 36.0], a[1]])
-
-    @pytest.mark.parametrize("shape, axis", [((6,), 0), ((6,), -1), ((4, 5), 0),
-                                             ((4, 5), 1), ((4, 5), -1)])
-    def test_rcumsum_gradient(self, shape, axis):
-        a = RNG.normal(size=shape)
-        r = RNG.normal(size=shape)
-        err = check_op(lambda x: ((rcumsum(x, axis=axis) * r) ** 2).sum(), [a])
         assert err <= 1e-6
 
 

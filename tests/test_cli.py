@@ -98,6 +98,31 @@ def test_predict_and_eval_survival(tmp_path):
                  "--truth", str(data / "ehr.csv")]) == 0
 
 
+@pytest.mark.parametrize("task, kind", [("surv-cox", "cox"), ("surv-mtlr", "mtlr"),
+                                        ("surv-nmtlr", "nmtlr")])
+def test_predict_reads_compact_and_indented_models_alike(tmp_path, task, kind):
+    # model files are compact JSON; files written before that carry indent=2
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "60", "--seed", "5"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": task, "data_dir": str(data), "output_dir": str(tmp_path / "out"),
+        "seed": 2, "cv_folds": 2, "fit_iterations": 20}))
+    assert main(["train", "--config", str(cfg)]) == 0
+    compact = tmp_path / "out" / f"fold_0_{kind}.json"
+    text = compact.read_text()
+    assert "\n" not in text
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(text), indent=2))
+    outs = []
+    for model in (compact, indented):
+        out = tmp_path / f"{model.stem}.csv"
+        assert main(["predict", "--model", str(model), "--ehr", str(data / "ehr.csv"),
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_predict_unreadable_inputs_exit_code(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n", "20", "--seed", "5"])

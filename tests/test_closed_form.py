@@ -1,12 +1,13 @@
 """Closed-form sweeps against the slower implementations they replaced.
 
 The oracles below are the earlier implementations of the Cox likelihood
-parts, the Breslow baseline, the MTLR admissible-sequence mask, the
-per-subject MTLR tail-sum risk, the Fenwick-tree concordance, the
-cell-by-cell EHR reader, the im2col convolution and transposed
-convolution, the np.var channel norm and the argmax max pool, kept here
-only as references. Each survival case runs on seeded cohorts with heavy ties
-(times rounded to integers) and with no ties, at n = 50 and n = 2000.
+parts, the Breslow baseline, the MTLR admissible-sequence mask and the
+subject-major MTLR likelihood built on it, the per-subject MTLR tail-sum
+risk, the Fenwick-tree concordance, the cell-by-cell EHR reader, the
+im2col convolution and transposed convolution, the np.var channel norm and
+the argmax max pool, kept here only as references. Each survival case runs
+on seeded cohorts with heavy ties (times rounded to integers) and with no
+ties, at n = 50 and n = 2000.
 """
 
 import csv
@@ -22,10 +23,14 @@ from oncokit.autodiff import (
     _unblocks,
     backward,
     channel_norm,
+    concat,
     conv,
+    logsumexp,
     maxpool,
+    narrow,
     transposed_conv,
     tsum,
+    zeros,
 )
 from oncokit.cox import _breslow_baseline, _loglik_parts
 from oncokit.ehr import Cohort, load_ehr
@@ -33,10 +38,11 @@ from oncokit.errors import ContractError
 from oncokit.metrics import c_index_naive, concordance_detail
 from oncokit.mtlr import (
     MtlrModel,
-    _admissible_offsets,
+    _admitted_range,
     censor_interval,
     event_interval,
     mtlr_cohort_risks,
+    mtlr_nll_from_scores,
     mtlr_survival,
     risk_from_scores,
     survival_from_scores,
@@ -125,6 +131,17 @@ def admissible_offsets_loop(boundaries, times, events):
         else:
             offs[i, censor_interval(boundaries, times[i]):] = 0.0
     return offs
+
+
+def mtlr_nll_composed(scores, boundaries, times, events):
+    """The likelihood on the subject-major (n, m+1) layout: suffix sums of
+    the boundary scores, then log Z minus a log-sum-exp over the sequences
+    with the -1e30 offset on every inadmissible one."""
+    n, m = scores.shape
+    f = concat([tsum(narrow(scores, 1, k, m - k), axis=1, keepdims=True) for k in range(m)]
+               + [zeros((n, 1))], axis=1)
+    offs = Tensor(admissible_offsets_loop(boundaries, times, events))
+    return tsum(logsumexp(f, axis=1) - logsumexp(f + offs, axis=1))
 
 
 def survival_loop(scores_row):
@@ -390,6 +407,14 @@ def test_breslow_baseline_reads_risk_sets_exactly():
 
 # ------------------------------------------------------------------ MTLR
 
+def _offsets(first, died, m):
+    """The additive mask of the admitted range (first, died)."""
+    k = np.arange(m + 1)
+    last = np.where(died, first, m)
+    admitted = (k >= first[:, None]) & (k <= last[:, None])
+    return np.where(admitted, 0.0, _MASK_OFF)
+
+
 @pytest.mark.parametrize("n, ties", CASES)
 def test_admissible_offsets_match_loop(n, ties):
     x, times, events = _data(n, ties, seed=5 * n + ties)
@@ -397,16 +422,88 @@ def test_admissible_offsets_match_loop(n, ties):
     # censored rows on and between boundaries, and past the last one
     times[:3] = [grid[0], grid[-1], grid[-1] + 1.0]
     events[:3] = [0, 1, 0]
-    assert np.array_equal(_admissible_offsets(grid, times, events),
+    first, died = _admitted_range(grid, times, events)
+    assert np.array_equal(_offsets(first, died, grid.shape[0]),
                           admissible_offsets_loop(grid, times, events))
 
 
 def test_admissible_offsets_reject_event_past_grid():
     with pytest.raises(ContractError, match="beyond the last boundary"):
-        _admissible_offsets(np.array([1.0, 2.0]), np.array([0.5, 2.5]), np.array([1, 1]))
+        _admitted_range(np.array([1.0, 2.0]), np.array([0.5, 2.5]), np.array([1, 1]))
+    with pytest.raises(ContractError, match="beyond the last boundary"):
+        mtlr_nll_from_scores(Tensor(np.zeros((2, 2))), np.array([1.0, 2.0]),
+                             np.array([0.5, 2.5]), np.array([0, 1]))
     # a censored row past the grid is fine
-    offs = _admissible_offsets(np.array([1.0, 2.0]), np.array([2.5]), np.array([0]))
-    assert np.array_equal(offs, [[_MASK_OFF, _MASK_OFF, 0.0]])
+    first, died = _admitted_range(np.array([1.0, 2.0]), np.array([2.5]), np.array([0]))
+    assert np.array_equal(_offsets(first, died, 2), [[_MASK_OFF, _MASK_OFF, 0.0]])
+
+
+def _grad_rel(a, b):
+    """Error relative to the larger of max |b| and 1: each entry of a score
+    gradient is a difference of two partial sums of probabilities, so it
+    lies within [-1, 1], and it is exactly 0 for a subject that admits every
+    sequence, where the two paths leave float dust of different signs."""
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1.0))
+
+
+def _nll_and_grad(nll, scores, boundaries, times, events):
+    s = Tensor(scores, requires_grad=True)
+    with Tape() as tape:
+        loss = nll(s, boundaries, times, events)
+    return float(loss.data), backward(tape, loss)[s].data
+
+
+def _likelihood_case(n, m, cohort, seed):
+    """Scores, boundaries 1..m, tied half-unit times and events. The first
+    rows sit before the first boundary, on one, past the last and on the
+    last; in the mixed cohort the first three are censored and the fourth
+    is an event."""
+    rng = np.random.default_rng(seed)
+    boundaries = np.arange(1.0, m + 1.0)
+    times = rng.integers(1, 2 * m + 3, size=n) / 2.0
+    events = {"mixed": (rng.random(n) < 0.6).astype(np.int64),
+              "censored": np.zeros(n, dtype=np.int64),
+              "events": np.ones(n, dtype=np.int64)}[cohort]
+    edge_times = [0.5, boundaries[m // 2], m + 1.0, boundaries[-1]][:n]
+    times[:len(edge_times)] = edge_times
+    if cohort == "mixed":
+        events[:len(edge_times)] = [0, 0, 0, 1][:n]
+    # an event can only happen on the grid
+    times[events == 1] = np.minimum(times[events == 1], boundaries[-1])
+    return rng.normal(size=(n, m)) * 2.0, boundaries, times, events
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cohort", ["mixed", "censored", "events"])
+@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_mtlr_nll_matches_composed(n, m, cohort):
+    case = _likelihood_case(n, m, cohort, seed=100 * n + m)
+    loss, grad = _nll_and_grad(mtlr_nll_from_scores, *case)
+    ref_loss, ref_grad = _nll_and_grad(mtlr_nll_composed, *case)
+    assert _rel(loss, ref_loss) <= 1e-12
+    assert _grad_rel(grad, ref_grad) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mtlr_nll_far_below_best_sequence():
+    # row 0 is censored after two boundaries: its admissible sequences
+    # k = 2..4 score 0, -410 and 0 while sequence 0 scores 820, so its
+    # admitted mass is exp(-820) of the best. Row 1 is censored on a
+    # boundary, row 2 dies in an interval scoring 1,230 below its best and
+    # row 3 in its first interval.
+    boundaries = np.array([1.0, 2.0, 3.0, 4.0])
+    scores = np.array([[410.0, 410.0, 410.0, -410.0],
+                       [-400.0, 405.0, 395.0, -399.0],
+                       [410.0, 410.0, 410.0, -410.0],
+                       [-400.0, 400.0, -400.0, 400.0]])
+    times = np.array([2.5, 2.0, 4.0, 1.0])
+    events = np.array([0, 0, 1, 1])
+    loss, grad = _nll_and_grad(mtlr_nll_from_scores, scores, boundaries, times, events)
+    ref_loss, ref_grad = _nll_and_grad(mtlr_nll_composed, scores, boundaries, times, events)
+    assert np.isfinite(loss) and np.isfinite(grad).all()
+    assert _rel(loss, ref_loss) <= 1e-12
+    assert _grad_rel(grad, ref_grad) <= 1e-12
 
 
 @pytest.mark.parametrize("n, ties", CASES)

@@ -1,5 +1,7 @@
 """U-Nets, the tap decoder, mask binarization and stats accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,30 @@ class TestUnetrDecoder:
         _, dec = self._encoder_and_decoder()
         with pytest.raises(ShapeError, match="layer"):
             model_stats(dec, extents)
+
+    @pytest.mark.parametrize("cfg, width", [
+        (EncoderConfig((16, 16, 8), 2, 4, 16, 1, 2, 2), 4),
+        (EncoderConfig((32, 32), 2, 16, 24, 1, 2, 2), 8),
+        (EncoderConfig((16, 16, 16), 1, 8, 16, 1, 2, 2, ehr_dim=3), 2),
+    ])
+    def test_spec_layout_matches_built_decoder(self, cfg, width):
+        # unetr_layer_specs lays the decoder out without drawing its weights
+        specs = UnetrDecoder(cfg, width=width).layer_specs()
+        assert unetr_layer_specs(cfg, width=width)[-len(specs):] == specs
+
+    @pytest.mark.parametrize("cfg, width, digest", [
+        (EncoderConfig((16, 16, 8), 2, 4, 16, 1, 2, 2), 4,
+         "ac0d1eb4e40cb9a6f2df76ed0fc0648d57f7f3a13c97308787d9df994f7aea6e"),
+        (EncoderConfig((32, 32), 2, 16, 24, 1, 2, 2), 8,
+         "fd3fe69c6339d9885f9dc92811181c35498787986a698d5146dd3bb9493b1bd2"),
+    ])
+    def test_drawn_weights_pinned(self, cfg, width, digest):
+        dec = UnetrDecoder(cfg, width=width, seed=3)
+        h = hashlib.sha256()
+        for name, param in dec.params.items():
+            h.update(name.encode())
+            h.update(param.data.tobytes())
+        assert h.hexdigest() == digest
 
     def test_2d_mode(self):
         cfg = EncoderConfig((16, 16), 1, 4, 16, 4, 2, 2)
