@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .augment import AugmentConfig, augment
-from .autodiff import Tape, Tensor, backward, sigmoid
+from .autodiff import Tensor, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
 from .ehr import Cohort, load_ehr, numbered_rows, save_ehr
@@ -39,7 +39,7 @@ from .fusion import deep_fusion_risk
 from .losses import combined_loss
 from .metrics import concordance_detail, confusion, dsc, precision_recall
 from .mtlr import FitConfig, mtlr_cohort_risks, mtlr_fit, risk_from_scores, save_mtlr, time_grid
-from .optim import OptimState, ParamTree, adamw_step, cosine_lr
+from .optim import OptimState, share_params, train
 from .preprocess import ct_window_normalize, pet_zscore, resample_isotropic
 from .segnets import UNet, UnetrDecoder, predict_mask
 from .superimage import SuperImageLayout, from_super_image, to_super_image
@@ -216,46 +216,12 @@ def _prepped_triplet(cohort: Cohort, i: int) -> tuple[Volume, Volume, Volume]:
 
 # --------------------------------------------------------------------- training
 
-def _minibatch_train(params: dict[str, Tensor], set_params, loss, n: int,
-                     epochs: int, batch_size: int, state: OptimState,
-                     seed: int) -> list[float]:
-    """AdamW over seeded minibatches of samples 0..n-1; returns epoch losses.
-
-    Each epoch draws a permutation from the seeded generator and takes its
-    learning rate from the warm-restart cosine schedule. ``loss(index,
-    epoch)`` builds one sample's scalar loss on its own tape; gradients are
-    summed over the batch, divided by its size and applied in one AdamW
-    step, and ``set_params`` hands the updated dict back to the model.
-    """
-    rng = np.random.default_rng(seed)
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        lr_now = cosine_lr(epoch, state)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            totals: dict[str, np.ndarray] = {}
-            for idx in batch:
-                with Tape() as tape:
-                    value = loss(int(idx), epoch)
-                grads = backward(tape, value)
-                for name, p in params.items():
-                    g = grads[p].data
-                    totals[name] = totals[name] + g if name in totals else g
-                epoch_loss += float(value.data)
-            gmap = {k: v / len(batch) for k, v in totals.items()}
-            params = adamw_step(params, gmap, state, lr=lr_now)
-            set_params(params)
-        history.append(epoch_loss / n)
-    return history
-
-
 def train_segmentation(net, samples, epochs: int, batch_size: int,
                        lr: float, weight_decay: float, period: int,
                        seed: int, augment_cfg: AugmentConfig | None = None,
                        raw_triplets=None) -> list[float]:
-    """Full training loop over (input, mask) pairs; returns epoch losses.
+    """Trains ``net`` on (input, mask) pairs with ``optim.train``; returns
+    the epoch losses.
 
     When an augmentation config is given, ``raw_triplets`` supplies the
     (ct, pet, mask) volumes to re-augment each epoch; samples are then
@@ -271,8 +237,7 @@ def train_segmentation(net, samples, epochs: int, batch_size: int,
         return combined_loss(sigmoid(net.forward(Tensor(x))), Tensor(y))
 
     state = OptimState(base_lr=lr, weight_decay=weight_decay, period=period)
-    return _minibatch_train(net.params, lambda p: setattr(net, "params", p),
-                            loss, len(samples), epochs, batch_size, state, seed)
+    return train(net.params, loss, len(samples), epochs, batch_size, state, seed)[0]
 
 
 def _segmentation_metrics(pairs) -> dict:
@@ -300,20 +265,13 @@ def _survival_metrics(times, risks, events) -> dict:
 # --------------------------------------------------------------------- tasks
 
 class _UnetrSeg:
-    """ViT encoder + tap decoder bundled to look like a UNet for training."""
+    """ViT encoder + tap decoder bundled to look like a UNet for training;
+    both parts share its one ``params`` dict."""
 
     def __init__(self, enc: ViTEncoder, dec: UnetrDecoder):
         self.enc = enc
         self.dec = dec
-        self._tree = ParamTree(("enc.", enc.params), ("dec.", dec.params))
-
-    @property
-    def params(self):
-        return self._tree.flat()
-
-    @params.setter
-    def params(self, flat):
-        self._tree.assign(flat)
+        self.params = share_params(enc, dec)
 
     def forward(self, x: Tensor) -> Tensor:
         axes = tuple(range(1, x.ndim)) + (0,)
@@ -443,8 +401,7 @@ def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
 
     state = OptimState(base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
                        period=cfg.schedule_period)
-    _minibatch_train(model.params, model.set_params, loss, len(train_idx),
-                     cfg.epochs, cfg.batch_size, state, fold_seed)
+    train(model.params, loss, len(train_idx), cfg.epochs, cfg.batch_size, state, fold_seed)
     risks = []
     dscs = []
     for i in val_idx:

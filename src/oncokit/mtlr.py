@@ -39,9 +39,11 @@ the suffix product, so a subject's risk has the same digits alone and in a
 batch.
 
 The smoothness penalty C/2 * sum ||theta_j||^2 is part of the objective.
-Fitting runs full-batch AdamW on the head and the front end together under
-the shared warm-restart cosine schedule until the gradient norm drops below
-1e-6 (or the iteration cap), and is deterministic for a fixed seed.
+Fitting runs ``optim.train`` with the whole cohort as its one sample, so
+each epoch is one full-batch AdamW update of the head and the front end
+together, without weight decay, under a 50-update warm-restart cosine
+period. It stops once the gradient norm is at most ``grad_tol`` (1e-6 by
+default) or at the iteration cap, and is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Tape,
     Tensor,
-    backward,
     logsumexp,
     matmul,
     relu,
@@ -66,7 +66,7 @@ from .autodiff import (
 )
 from .ehr import Cohort
 from .errors import ContractError, malformed, write_atomic
-from .optim import OptimState, adamw_step, cosine_lr
+from .optim import OptimState, train
 
 @dataclass
 class SurvivalCurve:
@@ -213,27 +213,6 @@ class FitConfig:
     seed: int = 0
 
 
-def _fit_params(param_init: dict[str, Tensor], loss_fn, cfg: FitConfig):
-    """Full-batch AdamW loop without weight decay, on a 50-update cosine
-    period: returns the parameters, the number of updates and the last
-    gradient norm."""
-    params = dict(param_init)
-    state = OptimState(base_lr=cfg.base_lr, weight_decay=0.0, period=50)
-    grad_norm = np.inf
-    iterations = 0
-    for step in range(cfg.iterations):
-        with Tape() as tape:
-            loss = loss_fn(params)
-        grads = backward(tape, loss)
-        gmap = {name: grads[p].data for name, p in params.items()}
-        grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in gmap.values())))
-        if grad_norm <= cfg.grad_tol:
-            break
-        params = adamw_step(params, gmap, state, lr=cosine_lr(step, state))
-        iterations = step + 1
-    return params, iterations, grad_norm
-
-
 def _mlp_forward(params: dict[str, Tensor], x: Tensor, depth: int) -> Tensor:
     """The front end on the tape (``MtlrModel.features`` is its numpy twin)."""
     h = x
@@ -258,23 +237,25 @@ def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
     hidden_widths = tuple(int(wd) for wd in hidden_widths)
 
     rng = np.random.default_rng(cfg.seed)
-    init: dict[str, Tensor] = {}
+    params: dict[str, Tensor] = {}
     width = x.shape[1]
     for i, wd in enumerate(hidden_widths):
-        init[f"mlp.{i}.w"] = trunc_normal(rng, (width, wd), std=1.0 / np.sqrt(width))
-        init[f"mlp.{i}.b"] = zeros((wd,), requires_grad=True)
+        params[f"mlp.{i}.w"] = trunc_normal(rng, (width, wd), std=1.0 / np.sqrt(width))
+        params[f"mlp.{i}.b"] = zeros((wd,), requires_grad=True)
         width = wd
-    init["theta"] = zeros((n_bounds, width), requires_grad=True)
-    init["bias"] = zeros((n_bounds,), requires_grad=True)
+    params["theta"] = zeros((n_bounds, width), requires_grad=True)
+    params["bias"] = zeros((n_bounds,), requires_grad=True)
     depth = len(hidden_widths)
     xt = Tensor(x)
 
-    def loss_fn(params):
+    def loss(index, epoch):
         return mtlr_objective(params["theta"], params["bias"],
                               _mlp_forward(params, xt, depth), boundaries, times,
                               events, smoothing)
 
-    params, iterations, grad_norm = _fit_params(init, loss_fn, cfg)
+    state = OptimState(base_lr=cfg.base_lr, weight_decay=0.0, period=50)
+    _, iterations, grad_norm = train(params, loss, 1, cfg.iterations, 1, state, cfg.seed,
+                                     cfg.grad_tol)
     mlp = {name: t.data.copy() for name, t in params.items() if name.startswith("mlp.")}
     return MtlrModel(boundaries, params["theta"].data.copy(), params["bias"].data.copy(),
                      smoothing, list(cohort.feature_names), iterations, grad_norm,

@@ -1,10 +1,11 @@
-"""AdamW with decoupled weight decay and a warm-restart cosine schedule.
+"""AdamW with decoupled weight decay, a warm-restart cosine schedule, and
+the one training loop that drives them.
 
 Parameters live in plain name -> Tensor dicts; a step returns a fresh dict
 so the tensors themselves stay immutable. Given the same state and inputs
-the update is bit-deterministic. A model built from several parts exposes
-one flat dict through ``ParamTree``, which namespaces each part's names
-with a prefix.
+the update is bit-deterministic. ``train`` writes each step back into the
+caller's dict, so a model built from parts shares one dict among them
+(``share_params``) and every part sees the update.
 """
 
 from __future__ import annotations
@@ -14,8 +15,12 @@ from dataclasses import dataclass, field
 import math
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tape, Tensor, backward
 from .errors import ContractError, NumericError, ShapeError
+
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+FLOOR_LR = 1e-5
 
 
 @dataclass
@@ -23,16 +28,13 @@ class OptimState:
     """Per-parameter moment accumulators plus the training schedule knobs.
 
     Defaults follow the training recipe used throughout: base learning rate
-    1e-3 decaying to a 1e-5 floor over each 25-epoch period, weight decay
-    1e-5, betas (0.9, 0.999) and eps 1e-8.
+    1e-3 decaying to the ``FLOOR_LR`` of 1e-5 over each 25-epoch period and
+    weight decay 1e-5; the moments use ``BETAS`` and ``EPS``.
     """
 
     base_lr: float = 1e-3
     weight_decay: float = 1e-5
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     period: int = 25
-    floor_lr: float = 1e-5
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -42,28 +44,20 @@ class OptimState:
             raise ContractError("optimizer step counter must be >= 0")
 
 
-class ParamTree:
-    """One flat name -> Tensor view over several parts' parameter dicts.
-
-    Parts are (prefix, dict) pairs; the flat names are prefix + part name,
-    in part order. ``assign`` writes flat entries back into the first part
-    whose prefix they carry, so a "" prefix catches names stored whole.
-    """
-
-    def __init__(self, *parts: tuple[str, dict[str, Tensor]]):
-        self.parts = parts
-
-    def flat(self) -> dict[str, Tensor]:
-        return {prefix + name: t for prefix, params in self.parts
-                for name, t in params.items()}
-
-    def assign(self, flat: dict[str, Tensor]) -> None:
-        for name, value in flat.items():
-            owners = [part for part in self.parts if name.startswith(part[0])]
-            if not owners:
-                raise ContractError(f"parameter {name!r} matches no part prefix")
-            prefix, params = owners[0]
-            params[name[len(prefix):]] = value
+def share_params(*parts) -> dict[str, Tensor]:
+    """One dict holding every part's parameters under the part's own names,
+    in part order; it becomes each part's ``params``, so an in-place update
+    reaches them all. Two parts with a name in common are a
+    ``ContractError``."""
+    joined: dict[str, Tensor] = {}
+    for part in parts:
+        shared = joined.keys() & part.params.keys()
+        if shared:
+            raise ContractError(f"parts share parameter names {sorted(shared)}")
+        joined.update(part.params)
+    for part in parts:
+        part.params = joined
+    return joined
 
 
 def cosine_lr(epoch: float, state: OptimState) -> float:
@@ -77,7 +71,7 @@ def cosine_lr(epoch: float, state: OptimState) -> float:
         raise ContractError("epoch must be >= 0")
     p = float(state.period)
     phase = math.fmod(float(epoch), p)
-    return state.floor_lr + 0.5 * (state.base_lr - state.floor_lr) * (
+    return FLOOR_LR + 0.5 * (state.base_lr - FLOOR_LR) * (
         1.0 + math.cos(math.pi * phase / p))
 
 
@@ -93,7 +87,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor | np.ndarray],
         lr = state.base_lr
     state.step += 1
     t = state.step
-    b1, b2 = state.betas
+    b1, b2 = BETAS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     out: dict[str, Tensor] = {}
@@ -114,7 +108,48 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor | np.ndarray],
         v = b2 * v + (1.0 - b2) * (g * g)
         state.m[name] = m
         state.v[name] = v
-        update = (m / c1) / (np.sqrt(v / c2) + state.eps)
+        update = (m / c1) / (np.sqrt(v / c2) + EPS)
         new = p.data - lr * update - lr * state.weight_decay * p.data
         out[name] = Tensor._wrap(new, requires_grad=True)
     return out
+
+
+def train(params: dict[str, Tensor], loss, n: int, epochs: int, batch_size: int,
+          state: OptimState, seed: int, grad_tol: float = -math.inf):
+    """AdamW over seeded minibatches of samples 0..n-1, written into ``params``.
+
+    Each epoch draws a permutation from the seeded generator and takes its
+    learning rate from the warm-restart cosine schedule. ``loss(index,
+    epoch)`` builds one sample's scalar loss on its own tape from the tensors
+    now in ``params``; gradients are summed over the batch and divided by its
+    size. When their norm is at most ``grad_tol`` the loop stops before that
+    update (the default never stops). Returns the mean loss of each finished
+    epoch, the number of updates and the last batch-gradient norm.
+    """
+    rng = np.random.default_rng(seed)
+    history: list[float] = []
+    updates = 0
+    grad_norm = math.inf
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        lr_now = cosine_lr(epoch, state)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            totals: dict[str, np.ndarray] = {}
+            for idx in batch:
+                with Tape() as tape:
+                    value = loss(int(idx), epoch)
+                grads = backward(tape, value)
+                for name, p in params.items():
+                    g = grads[p].data
+                    totals[name] = totals[name] + g if name in totals else g
+                epoch_loss += float(value.data)
+            gmap = {k: v / len(batch) for k, v in totals.items()}
+            grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in gmap.values())))
+            if grad_norm <= grad_tol:
+                return history, updates, grad_norm
+            params.update(adamw_step(params, gmap, state, lr=lr_now))
+            updates += 1
+        history.append(epoch_loss / n)
+    return history, updates, grad_norm

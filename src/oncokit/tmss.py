@@ -29,7 +29,7 @@ from .autodiff import (
 from .errors import ContractError
 from .losses import combined_loss
 from .mtlr import mtlr_nll_from_scores
-from .optim import ParamTree
+from .optim import share_params
 from .segnets import UnetrDecoder
 from .vit import EncoderConfig, ViTEncoder
 
@@ -43,7 +43,8 @@ class TmssOutput:
 
 
 class TmssModel:
-    """Shared encoder, mask decoder and linear survival head."""
+    """Shared encoder, mask decoder and linear survival head, whose tensors
+    sit in one ``params`` dict that the encoder and decoder share."""
 
     def __init__(self, enc_cfg: EncoderConfig, boundaries, decoder_width: int = 8,
                  seed: int = 0):
@@ -55,19 +56,24 @@ class TmssModel:
         rng = np.random.default_rng(seed + 2)
         m = self.boundaries.shape[0]
         k = enc_cfg.embed_dim
-        self.head = {
+        self.params = {
             "surv.w": trunc_normal(rng, (2 * k, m), std=0.02),
             "surv.b": zeros((m,), requires_grad=True),
         }
-        self._tree = ParamTree(("enc.", self.encoder.params),
-                               ("dec.", self.decoder.params), ("", self.head))
+        share_params(self.encoder, self.decoder, self)
 
-    @property
-    def params(self) -> dict[str, Tensor]:
-        return self._tree.flat()
-
-    def set_params(self, flat: dict[str, Tensor]) -> None:
-        self._tree.assign(flat)
+    def set_params(self, values: dict[str, Tensor]) -> None:
+        """Replace every parameter in place; ``values`` must carry exactly the
+        model's names, each with the model's shape."""
+        missing = sorted(self.params.keys() - values.keys())
+        unknown = sorted(values.keys() - self.params.keys())
+        if missing or unknown:
+            raise ContractError(f"parameters missing: {missing}; unknown: {unknown}")
+        for name, t in values.items():
+            if t.shape != self.params[name].shape:
+                raise ContractError(f"parameter {name!r} has shape {t.shape}, "
+                                    f"expected {self.params[name].shape}")
+        self.params.update(values)
 
     def forward(self, volume_hwdc: Tensor, covariates: Tensor) -> TmssOutput:
         """volume_hwdc is channels-last (spatial..., C) as the embedder expects."""
@@ -79,7 +85,7 @@ class TmssModel:
         ehr_out = narrow(final, 0, 0, 1)                          # (1, K)
         img_mean = tmean(narrow(final, 0, 1, final.shape[0] - 1), axis=0, keepdims=True)
         feats = concat([ehr_out, img_mean], axis=1)               # (1, 2K)
-        scores = matmul(feats, self.head["surv.w"]) + self.head["surv.b"]
+        scores = matmul(feats, self.params["surv.w"]) + self.params["surv.b"]
         return TmssOutput(logits=logits, scores=scores)
 
 

@@ -380,17 +380,19 @@ class TestGradientCoverage:
 
     @staticmethod
     def _mtlr_fit_ops(monkeypatch, hidden_widths) -> set:
-        """Ops on the tape of one update of the real fit."""
+        """Ops on the tape of one update of the real fit, which runs on
+        ``optim.train``."""
         import oncokit.mtlr as mtlr
+        import oncokit.optim as optim
 
         seen = set()
-        real = mtlr.backward
+        real = optim.backward
 
         def spy(tape, loss):
             seen.update(node.op for node in tape._nodes)
             return real(tape, loss)
 
-        monkeypatch.setattr(mtlr, "backward", spy)
+        monkeypatch.setattr(optim, "backward", spy)
         cohort = gen_synthetic_cohort(20, seed=1, beta=[1.0, -0.5], censor_frac=0.3)
         mtlr.mtlr_fit(cohort, m=3, config=mtlr.FitConfig(iterations=1),
                       hidden_widths=hidden_widths)

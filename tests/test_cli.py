@@ -332,8 +332,7 @@ class TestStatsModel:
                      "--heads", str(heads), "--width", str(width)]) == 0
         stats = json.loads(capsys.readouterr().out)
         cfg = EncoderConfig(extents, 2, patch, embed, layers, heads)
-        built = {**ViTEncoder(cfg).params, **{"dec." + k: v for k, v in
-                                               UnetrDecoder(cfg, width=width).params.items()}}
+        built = {**ViTEncoder(cfg).params, **UnetrDecoder(cfg, width=width).params}
         assert stats["params"] == sum(t.size for t in built.values())
 
 

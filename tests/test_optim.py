@@ -1,11 +1,14 @@
-"""AdamW step semantics and the warm-restart cosine schedule."""
+"""AdamW step semantics, the warm-restart cosine schedule, the shared
+training loop and parameter dicts shared among a model's parts."""
 
 import numpy as np
 import pytest
 
 from oncokit.autodiff import Tape, Tensor, backward
-from oncokit.errors import NumericError
-from oncokit.optim import OptimState, adamw_step, cosine_lr
+from oncokit.errors import ContractError, NumericError
+from oncokit.optim import FLOOR_LR, OptimState, adamw_step, cosine_lr, share_params, train
+from oncokit.tmss import TmssModel, tmss_loss
+from oncokit.vit import EncoderConfig, ViTEncoder
 
 
 def test_zero_grad_zero_decay_leaves_params():
@@ -81,4 +84,88 @@ class TestCosineSchedule:
     def test_never_below_floor(self):
         state = OptimState()
         rates = [cosine_lr(e / 10.0, state) for e in range(0, 1000)]
-        assert min(rates) >= state.floor_lr
+        assert min(rates) >= FLOOR_LR
+
+
+def _square_loss(params, targets, seen):
+    """loss(index, epoch) = (w - targets[index])^2, noting each call's
+    (epoch, w, loss) in ``seen``."""
+    def loss(index, epoch):
+        w = params["w"]
+        value = ((w - Tensor(targets[index])) ** 2).sum()
+        seen.append((epoch, float(w.data[0]), float(value.data)))
+        return value
+    return loss
+
+
+class TestTrain:
+    def test_stops_before_first_update_within_grad_tol(self):
+        params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+        seen = []
+        state = OptimState(base_lr=0.05, weight_decay=0.0)
+        _, updates, grad_norm = train(params, _square_loss(params, [0.0], seen), 1,
+                                      200, 1, state, seed=0, grad_tol=0.5)
+        norms = [abs(2.0 * w) for _, w, _ in seen]      # d/dw w^2
+        assert 0 < updates < 200
+        assert updates == len(seen) - 1 == state.step
+        assert all(norm > 0.5 for norm in norms[:-1])
+        assert grad_norm == norms[-1] <= 0.5
+        assert params["w"].data[0] == seen[-1][1]       # the last gradient was not applied
+
+    def test_grad_tol_met_at_start_makes_no_update(self):
+        w0 = Tensor(np.array([1.0]), requires_grad=True)
+        params = {"w": w0}
+        history, updates, grad_norm = train(params, _square_loss(params, [0.0], []), 1,
+                                            5, 1, OptimState(), seed=0, grad_tol=2.0)
+        assert (history, updates, grad_norm) == ([], 0, 2.0)
+        assert params["w"] is w0
+
+    def test_one_mean_loss_per_epoch(self):
+        params = {"w": Tensor(np.array([0.0]), requires_grad=True)}
+        seen = []
+        targets = [1.0, -2.0, 0.5, 3.0]
+        history, updates, _ = train(params, _square_loss(params, targets, seen), 4,
+                                    3, 3, OptimState(), seed=5)
+        assert len(history) == 3
+        assert updates == 6                             # batches of 3 and 1, three times
+        for epoch, mean in enumerate(history):
+            losses = [value for e, _, value in seen if e == epoch]
+            assert len(losses) == 4
+            assert mean == pytest.approx(sum(losses) / 4, rel=1e-15)
+
+    def test_updates_callers_dict_in_place(self):
+        w0 = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+        params = {"w": w0}
+        loss = _square_loss(params, [np.zeros(2)], [])
+        train(params, loss, 1, 2, 1, OptimState(), seed=0)
+        assert params["w"] is not w0
+        assert np.all(np.abs(params["w"].data) < 1.0)
+        assert np.array_equal(w0.data, [1.0, -1.0])     # tensors stay immutable
+
+
+class TestSharedParams:
+    CFG = EncoderConfig((8, 8, 8), channels=2, patch=4, embed_dim=16, layers=1,
+                        heads=2, mlp_ratio=2, ehr_dim=2)
+
+    def test_train_step_reaches_every_part_of_tmss(self):
+        model = TmssModel(self.CFG, boundaries=[1.0, 2.0], decoder_width=4, seed=0)
+        rng = np.random.default_rng(3)
+        vol, cov = Tensor(rng.normal(size=(8, 8, 8, 2))), Tensor(rng.normal(size=2))
+        mask = Tensor((rng.random((1, 8, 8, 8)) > 0.8).astype(float))
+        before = model.encoder.params["embed.proj"]
+
+        def loss(index, epoch):
+            out = model.forward(vol, cov)
+            return tmss_loss(out.logits, mask, out.scores, 1.5, 1, model.boundaries)
+
+        train(model.params, loss, 1, 1, 1, OptimState(), seed=0)
+        assert model.encoder.params is model.params
+        assert model.decoder.params is model.params
+        assert not np.array_equal(model.encoder.params["embed.proj"].data, before.data)
+
+    def test_parts_sharing_a_name_refused(self):
+        a, b = ViTEncoder(self.CFG, seed=0), ViTEncoder(self.CFG, seed=1)
+        own_a, own_b = a.params, b.params
+        with pytest.raises(ContractError, match="embed.proj"):
+            share_params(a, b)
+        assert a.params is own_a and b.params is own_b
