@@ -1,4 +1,4 @@
-"""Tabular cohort handling: CSV ingestion, one-hot expansion, feature stats.
+r"""Tabular cohort handling: CSV ingestion, one-hot expansion, feature stats.
 
 The expected layout is UTF-8 CSV (a leading byte-order mark is accepted)
 with header ``id,time,event,center`` and any number of feature columns
@@ -8,18 +8,28 @@ and expanded one-hot (one column per level, level-sorted) in the original
 column order.
 
 A ``Cohort`` is stored as columns: ids, times, events, centers, the three
-volume paths and one (n, p) covariate matrix, all read-only. The file is
-read once and each column converted in one pass; only a file that fails a
-check is walked row by row, to name the offending ``path:line``.
+volume paths and one (n, p) covariate matrix, all read-only.
+
+``read_rows`` decodes the file once and hands back its columns, and each
+column is converted in one pass. A plain file, the kind ``save_ehr`` and
+``oncokit predict`` write, is split on commas as text. It has no ``"``, no
+lone ``\r``, no NUL, one kind of line end (``\n`` or ``\r\n``) and no
+field longer than ``csv.field_size_limit()``; every row has the header's
+width and every row's first field is not blank, so no row is blank. Any
+other file is read by ``csv.reader``, which gives a plain file the same
+fields. A file that is not UTF-8, or that ``csv.reader`` refuses, is a
+``DataError``. Only a file that fails a check on its values is walked row
+by row, to name the offending ``path:line``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,6 +131,61 @@ def _floats(values, n: int) -> np.ndarray | None:
         return None
 
 
+Columns = tuple[list[str] | None, int, list[Sequence[str]] | None]
+
+
+def _split_plain(text: str) -> Columns | None:
+    r"""``read_rows`` of a plain file, split as text; None for any other file.
+    Each line end becomes a ``"\n"`` token of its own, so the rows are
+    strides of one flat list and one count checks every row's width."""
+    eol = "\r\n" if "\r" in text else "\n"
+    text = text.removesuffix(eol)
+    n = text.count("\n")
+    marked = text.replace(eol, ",\n,")     # a lone "\r" is left in place
+    if not text or any(c in marked for c in '"\r\0'):
+        return None
+    # a field longer than the limit would hold a whole block, with no comma
+    block = max(1, (csv.field_size_limit() + 1) // 2)
+    if any(marked.find(",", i, i + block) < 0 for i in range(0, len(marked) - block + 1, block)):
+        return None
+    flat = marked.split(",")
+    width = flat.index("\n") if n else len(flat)
+    stride = width + 1
+    if len(flat) != (n + 1) * stride - 1 or flat[width::stride].count("\n") != n \
+            or not all(map(str.strip, flat[::stride])):
+        return None
+    return flat[:width], n, [flat[j::stride] for j in range(stride, stride + width)]
+
+
+def read_rows(path) -> Columns:
+    """The header, the number of rows that are not blank and the text of
+    each column of a UTF-8 CSV file (a leading byte-order mark is dropped).
+    The header is None for an empty file, and the columns are None when a
+    row's width differs from the header's. Nothing is stripped."""
+    path = Path(path)
+    data = path.read_bytes()
+    content = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text, byte {len(data) - len(content) + exc.start}: "
+                        f"{exc.reason}") from None
+    plain = _split_plain(text)
+    if plain is not None:
+        return plain
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        return None, 0, None
+    header, body = rows[0], [row for row in rows[1:] if any(map(str.strip, row))]
+    if not set(map(len, body)) <= {len(header)}:
+        return header, len(body), None
+    return header, len(body), list(zip(*body)) or [()] * len(header)
+
+
 def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
     """``(line, row)`` for every row of a ``csv.reader`` that is not blank.
     ``line`` is the physical line the row ends on, so a quoted field that
@@ -173,11 +238,10 @@ def load_ehr(path, normalize: bool = False,
     are kept on the training scale.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    header, n, columns = read_rows(path)
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise DataError(f"{path}: missing required column {col!r}")
@@ -185,11 +249,9 @@ def load_ehr(path, normalize: bool = False,
         if header.count(name) > 1:
             raise DataError(f"{path}: duplicate column {name!r}")
 
-    body = [row for row in rows[1:] if any(map(str.strip, row))]
-    n = len(body)
-    if not set(map(len, body)) <= {len(header)}:
+    if columns is None:
         _first_bad_row(path, header)
-    raw = dict(zip(header, zip(*body))) if n else dict.fromkeys(header, ())
+    raw = dict(zip(header, columns))
     ids, centers, event_text = (list(map(str.strip, raw[name]))
                                 for name in ("id", "center", "event"))
     times = _floats(raw["time"], n)     # float() ignores what strip() removes

@@ -33,7 +33,7 @@ from .augment import AugmentConfig, augment
 from .autodiff import Tensor, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
-from .ehr import Cohort, load_ehr, numbered_rows, save_ehr
+from .ehr import Cohort, load_ehr, numbered_rows, read_rows, save_ehr
 from .errors import ConfigError, DataError, OncokitError, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
@@ -531,21 +531,21 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
 
 
 def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
-    """Ids and risks of an ``id,risk`` CSV, each column converted in one pass."""
-    with open(pred_csv, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or "id" not in rows[0] or "risk" not in rows[0]:
+    """Ids and risks of an ``id,risk`` CSV. ``read_rows`` gives the columns
+    and each is converted in one pass; a file with a row of another width
+    than the header's, a repeated id or a risk that is not a finite number
+    is read row by row."""
+    header, n, columns = read_rows(pred_csv)
+    if header is None or "id" not in header or "risk" not in header:
         raise DataError(f"{pred_csv}: header must contain id,risk")
-    col = {name: j for j, name in enumerate(rows[0])}    # the last column of a name
-    i_id, i_risk = col["id"], col["risk"]
-    body = [row for row in rows[1:] if any(map(str.strip, row))]    # skip blank lines
-    if all(len(row) > max(i_id, i_risk) for row in body):
-        ids = [row[i_id] for row in body]
+    if columns is not None:
+        col = dict(zip(header, columns))    # the last column of a name
+        ids = list(col["id"])
         try:
-            risks = np.fromiter((float(row[i_risk]) for row in body), np.float64, len(body))
+            risks = np.fromiter(map(float, col["risk"]), np.float64, n)
         except ValueError:
             risks = None
-        if risks is not None and np.isfinite(risks).all() and len(set(ids)) == len(ids):
+        if risks is not None and np.isfinite(risks).all() and len(set(ids)) == n:
             return ids, risks
     return _read_predictions_by_row(pred_csv)
 

@@ -393,3 +393,33 @@ def test_eval_survival_reads_bom_prediction_and_lists_missing(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["missing"] == ["zz9"]
     assert report["n"] == 4
+
+
+@pytest.mark.parametrize("bad, named", [
+    (b"caf\xe9", ": not UTF-8 text, byte "),                       # Latin-1
+    (b"c" * 140_000, ":3: field larger than field limit"),
+])
+def test_undecodable_or_oversized_csv_is_data_error(tmp_path, capsys, bad, named):
+    data, broken = tmp_path / "data", tmp_path / "broken"
+    main(["synth", "--out", str(data), "--n", "20", "--seed", "5"])
+    header, first, second, *rest = (data / "ehr.csv").read_bytes().split(b"\r\n")
+    fields = second.split(b",")
+    fields[3] = bad                                               # the center
+    broken.mkdir()
+    ehr = broken / "ehr.csv"
+    ehr.write_bytes(b"\r\n".join([header, first, b",".join(fields), *rest]))
+    pred = tmp_path / "risks.csv"
+    pred.write_bytes(b"id,risk\r\ns00000,0.1\r\n" + bad + b",0.2\r\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "surv-cox", "data_dir": str(broken),
+                               "output_dir": str(tmp_path / "out"), "seed": 1,
+                               "cv_folds": 2}))
+    capsys.readouterr()
+    runs = [(["train", "--config", str(cfg)], ehr),
+            (["eval", "--task", "surv", "--pred", str(pred), "--truth", str(ehr)], ehr),
+            (["eval", "--task", "surv", "--pred", str(pred),
+              "--truth", str(data / "ehr.csv")], pred)]
+    for argv, named_file in runs:
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {named_file}{named}"), (argv, err[:200])
