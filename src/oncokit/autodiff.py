@@ -28,6 +28,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NORM_EPS = 1e-5    # added to the variance in layer_norm and channel_norm
 
 _LOCAL = threading.local()
 
@@ -569,21 +570,18 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _record("softmax", out, (a,), bw)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     m = np.max(a.data, axis=axis, keepdims=True)
     soft = a.data - m
     np.exp(soft, out=soft)
     s = np.sum(soft, axis=axis, keepdims=True)
-    out_data = m + np.log(s)
+    out_data = np.squeeze(m + np.log(s), axis=axis)
     soft /= s
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
     out = Tensor._wrap(out_data)
 
     def bw(g):
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (ge * soft,)
+        return (np.expand_dims(g, axis) * soft,)
 
     return _record("logsumexp", out, (a,), bw)
 
@@ -634,21 +632,19 @@ def tail_logsumexp(a, start, single) -> Tensor:
 # normalization layers
 # ---------------------------------------------------------------------------
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain, bias) -> Tensor:
     """Zero-mean unit-variance over the last axis, then affine gain/bias.
 
-    Uses the population variance; ``eps`` keeps constant rows finite (they
-    normalize to exactly zero before the affine step).
+    Uses the population variance; the 1e-5 added to it keeps constant rows
+    finite (they normalize to exactly zero before the affine step).
     """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
     k = a.shape[-1]
     if gain.shape != (k,) or bias.shape != (k,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({k},)")
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat = (a.data - mu) * inv
     out = Tensor._wrap(xhat * gain.data + bias.data)
     gd = gain.data
@@ -665,7 +661,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record("layer_norm", out, (a, gain, bias), bw)
 
 
-def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+def channel_norm(a, gain, bias) -> Tensor:
     """Per-channel normalization over all spatial positions.
 
     Input layout is (C, spatial...); gain and bias are per-channel. This is
@@ -674,9 +670,9 @@ def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
     The forward pass centres each channel once. The variance is the mean
     square of the centred values (two passes over the input, never
-    E[x^2] - E[x]^2), and scaling them in place by 1 / sqrt(var + eps)
-    gives ``xhat``. The affine step writes one new array. Over the m
-    positions of a channel, with h = gain * g, mean(h) = gain * sum(g) / m
+    E[x^2] - E[x]^2), and scaling them in place by 1 / sqrt(var + eps),
+    eps = 1e-5, gives ``xhat``. The affine step writes one new array. Over
+    the m positions of a channel, with h = gain * g, mean(h) = gain * sum(g) / m
     and mean(h * xhat) = gain * sum(g * xhat) / m, so the backward pass
     takes two reductions per channel, which are also the bias and gain
     gradients, and gives
@@ -690,7 +686,7 @@ def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     x2 = a.data.reshape(c, -1)
     m = x2.shape[1]
     xhat = x2 - x2.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / m + eps)
+    inv = 1.0 / np.sqrt(np.vecdot(xhat, xhat) / m + _NORM_EPS)
     xhat *= inv[:, None]
     out2 = xhat * gain.data[:, None]
     out2 += bias.data[:, None]
@@ -714,10 +710,6 @@ def channel_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 # convolution family
 # ---------------------------------------------------------------------------
 
-def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - k) // stride + 1
-
-
 def _fold(a: np.ndarray, k: int, length: int) -> np.ndarray:
     """(k * C, length) array whose row o * C + c is a[c, o:o + length]."""
     out = np.empty((k, a.shape[0], length))
@@ -726,7 +718,7 @@ def _fold(a: np.ndarray, k: int, length: int) -> np.ndarray:
     return out.reshape(-1, length)
 
 
-def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv(x, weight, bias=None, padding: int = 0) -> Tensor:
     """Cross-correlation of a (C_in, spatial...) input with a
     (C_out, C_in, k...) kernel, plus an optional per-channel bias.
 
@@ -735,28 +727,28 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     s + gap: the input's s positions, then ``gap`` zeros. A kernel reaches
     at most ``padding`` positions past either end of a row, so a gap of
     ``padding`` serves as this row's right pad and the next row's left pad.
-    (A kernel no longer than the padding can put an output's anchor,
-    stride times its index, further out; the gap then grows to reach it.)
-    The first axis has ``padding`` zero rows at both ends, and ``xf``
-    starts with the zeros that the first row's left reach needs: the input
-    sits at the flat index of grid position (padding, ..., padding).
+    (When the kernel is no longer than the padding, a row has more outputs
+    than input positions and gap; the gap then grows to hold them.) The
+    first axis has ``padding`` zero rows at both ends, and ``xf`` starts
+    with the zeros that the first row's left reach needs: the input sits at
+    the flat index of grid position (padding, ..., padding).
 
     Output position o reads kernel offset ``off`` at flat index
-    shift(off) + stride * j(o), where shift(off) and j(o) are the flat
-    indices of ``off`` and o on the grid, so each offset reads one strided
-    slice of ``xf``. The last kernel axis (extent k) is folded into the
-    GEMM: ``xs`` stacks the k copies of ``xf`` shifted by 0..k-1 along the
-    flat axis, and each offset of the other kernel axes is one
-    (C_out, k * C_in) @ (k * C_in, L) product on a strided slice of ``xs``,
-    L the largest j + 1. The products accumulate on a buffer indexed by j;
-    a reshape and a crop of each row to the output extent give the result.
+    shift(off) + j(o), where shift(off) and j(o) are the flat indices of
+    ``off`` and o on the grid, so each offset reads one contiguous slice of
+    ``xf``. The last kernel axis (extent k) is folded into the GEMM: ``xs``
+    stacks the k copies of ``xf`` shifted by 0..k-1 along the flat axis,
+    and each offset of the other kernel axes is one
+    (C_out, k * C_in) @ (k * C_in, L) product on a slice of ``xs``, L the
+    largest j + 1. The products accumulate on a buffer indexed by j; a
+    reshape and a crop of each row to the output extent give the result.
 
-    The backward pass places the gradient at each output's anchor, flat
-    index stride * j(o), behind as many leading zeros as the largest shift
-    (``gd``). The weight gradient is one GEMM per offset of ``gd`` against
-    the matching slice of ``xs``. The input gradient is the correlation of
-    ``gd`` with the kernel flipped along every axis and transposed in its
-    channels, computed like the forward pass on the folded ``gd``: one
+    The backward pass places the gradient at each output's flat index j(o),
+    behind as many leading zeros as the largest shift (``gd``). The weight
+    gradient is one GEMM per offset of ``gd`` against the matching slice of
+    ``xs``. The input gradient is the correlation of ``gd`` with the kernel
+    flipped along every axis and transposed in its channels, computed like
+    the forward pass on the folded ``gd``: one
     (C_in, k * C_out) @ (k * C_out, M) GEMM per offset over the M flat
     positions from the first input position to the last, then cropped to
     the input's rows. No im2col matrix is built: the tape keeps ``xf`` (the
@@ -772,20 +764,19 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     c_out, c_in = weight.shape[0], weight.shape[1]
     if x.shape[0] != c_in:
         raise ShapeError(f"conv input channels {x.shape[0]} != weight C_in {c_in}")
-    if stride < 1 or padding < 0:
-        raise ContractError(f"conv needs stride >= 1 and padding >= 0, "
-                            f"got stride {stride}, padding {padding}")
+    if padding < 0:
+        raise ContractError(f"conv needs padding >= 0, got {padding}")
     kernel = weight.shape[2:]
     sp = x.shape[1:]
-    out_sp = tuple(_conv_out_extent(s, k, stride, padding) for s, k in zip(sp, kernel))
+    out_sp = tuple(s + 2 * padding - k + 1 for s, k in zip(sp, kernel))
     if any(e < 1 for e in out_sp):
         raise ShapeError(
             f"conv output extent would be non-positive: input {sp}, kernel {kernel}, "
-            f"stride {stride}, padding {padding}")
+            f"padding {padding}")
 
     # extents of the grid's axes after the first: each row holds its input
-    # and the gap, and the anchor of every output
-    rows = tuple(max(s + padding, stride * (e - 1) + 1) for s, e in zip(sp[1:], out_sp[1:]))
+    # and the gap, and every output
+    rows = tuple(max(s + padding, e) for s, e in zip(sp[1:], out_sp[1:]))
     steps = [math.prod(rows[d:]) for d in range(sp_rank)]   # flat stride of each axis
     start = padding * sum(steps)
     n = start + (sp[0] + padding) * steps[0]
@@ -801,7 +792,6 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     shifts = [sum(o * s for o, s in zip(off, steps))
               for off in itertools.product(*map(range, kernel[:-1]))]
     span = 1 + sum((e - 1) * s for e, s in zip(out_sp, steps))   # L: last j + 1
-    reach = stride * (span - 1) + 1
     width = out_sp[0] * steps[0]
     # (offsets, C_out, k_last * C_in), columns in the row order of ``xs``
     wf = weight.data.reshape(c_out, c_in, -1, k_last).transpose(2, 0, 3, 1) \
@@ -809,7 +799,7 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     # j past span only reaches positions the crop drops, so it is never set
     acc = np.empty((c_out, width))
-    _gemm_sum(wf, _fold(xf, k_last, fold_len), shifts, stride, acc, span)
+    _gemm_sum(wf, _fold(xf, k_last, fold_len), shifts, acc, span)
     crop = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
     out_data = acc.reshape(c_out, out_sp[0], *rows)[crop]
     if bias is not None:
@@ -825,22 +815,21 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def bw(g):
         # gs[o] is gd shifted left by o, so gs.reshape(-1, lead + n) is gd
-        # folded like ``xs``; g is written at its anchors in each copy
+        # folded like ``xs``; g is written at its outputs in each copy
         lead = shifts[-1] + k_last - 1          # the largest shift
         gs = np.zeros((k_last, c_out, lead + n))
-        lines = stride * (out_sp[0] - 1) + 1
-        anchors = (slice(None), *(slice(0, stride * e, stride) for e in out_sp))
+        at_outputs = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
         for o in range(k_last):
             # a view: only the contiguous flat axis is split
-            flat = gs[o, :, lead - o:lead - o + lines * steps[0]]
-            flat.reshape(c_out, lines, *rows)[anchors] = g
+            flat = gs[o, :, lead - o:lead - o + width]
+            flat.reshape(c_out, out_sp[0], *rows)[at_outputs] = g
         gw = None
         if needs[1]:
             xs = _fold(xf, k_last, fold_len)
-            g_anchored = gs[0, :, lead:lead + reach]
+            g_placed = gs[0, :, lead:lead + span]
             gwf = np.empty((len(shifts), c_out, k_last * c_in))
             for i, s in enumerate(shifts):
-                np.matmul(g_anchored, xs[:, s:s + reach].T, out=gwf[i])
+                np.matmul(g_placed, xs[:, s:s + span].T, out=gwf[i])
             gw = gwf.reshape(-1, c_out, k_last, c_in).transpose(1, 3, 0, 2).reshape(wd.shape)
         gx = None
         if needs[0]:
@@ -853,7 +842,7 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             m = 1 + sum((s - 1) * t for s, t in zip(sp, steps))
             base = shifts[-1] + start
             gxf = np.empty((c_in, sp[0] * steps[0]))
-            _gemm_sum(wg, gs, [base - s for s in shifts], 1, gxf, m)
+            _gemm_sum(wg, gs, [base - s for s in shifts], gxf, m)
             gx = gxf.reshape(c_in, sp[0], *rows)[in_crop]
         if bias is None:
             return (gx, gw)
@@ -862,19 +851,18 @@ def conv(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     return _record("conv", out, inputs, bw)
 
 
-def _gemm_sum(weights, src, starts, step, out, width):
-    """out[:, :width] = sum over i of weights[i] @ src[:, starts[i]::step][:, :width].
+def _gemm_sum(weights, src, starts, out, width):
+    """out[:, :width] = sum over i of weights[i] @ src[:, starts[i]:starts[i] + width].
 
     The first product is written straight into ``out``. The product buffer
     shares ``out``'s strides: numpy adds two equally strided views several
     times faster than a view and a contiguous array.
     """
-    reach = step * (width - 1) + 1
     head = out[:, :width]
-    np.matmul(weights[0], src[:, starts[0]:starts[0] + reach:step], out=head)
+    np.matmul(weights[0], src[:, starts[0]:starts[0] + width], out=head)
     part = np.empty(out.shape)[:, :width]
     for w, s in zip(weights[1:], starts[1:]):
-        np.matmul(w, src[:, s:s + reach:step], out=part)
+        np.matmul(w, src[:, s:s + width], out=part)
         head += part
 
 

@@ -1,4 +1,4 @@
-r"""Tabular cohort handling: CSV ingestion, one-hot expansion, feature stats.
+r"""Tabular cohort handling: CSV ingestion and one-hot expansion.
 
 The expected layout is UTF-8 CSV (a leading byte-order mark is accepted)
 with header ``id,time,event,center`` and any number of feature columns
@@ -27,7 +27,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import json
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -228,15 +227,8 @@ def _first_bad_row(path: Path, header: list[str], numeric=()) -> None:
                                     f"got {text!r}")
 
 
-def load_ehr(path, normalize: bool = False,
-             stats: dict[str, dict[str, float]] | None = None) -> Cohort:
-    """Read a cohort CSV; optionally z-score numeric features.
-
-    When ``normalize`` is set and no stats are given, means and stds are
-    fit from this file (retrievable via ``fit_feature_stats``); passing
-    previously saved stats reuses them, which is how prediction-time inputs
-    are kept on the training scale.
-    """
+def load_ehr(path) -> Cohort:
+    """Read a cohort CSV."""
     path = Path(path)
     header, n, columns = read_rows(path)
     if header is None:
@@ -281,43 +273,7 @@ def load_ehr(path, normalize: bool = False,
     x = np.hstack(blocks) if blocks else np.empty((n, 0))
     if not np.isfinite(x).all():
         _first_bad_row(path, header, numeric)
-    cohort = Cohort(ids, times, events, x, feature_names, centers)
-
-    if normalize or stats is not None:
-        if stats is None:
-            stats = fit_feature_stats(cohort)
-        cohort = apply_feature_stats(cohort, stats)
-    return cohort
-
-
-def fit_feature_stats(cohort: Cohort) -> dict[str, dict[str, float]]:
-    """Mean/std per numeric feature; one-hot columns are left alone."""
-    x = cohort.covariate_matrix()
-    stats = {}
-    for j, name in enumerate(cohort.feature_names):
-        if "=" in name:
-            continue
-        stats[name] = {"mean": float(x[:, j].mean()), "std": float(x[:, j].std())}
-    return stats
-
-
-def apply_feature_stats(cohort: Cohort, stats: dict[str, dict[str, float]]) -> Cohort:
-    """The cohort with each feature named in ``stats`` z-scored."""
-    cols = [j for j, name in enumerate(cohort.feature_names) if name in stats]
-    entries = [stats[cohort.feature_names[j]] for j in cols]
-    mean = np.array([e["mean"] for e in entries], dtype=np.float64)
-    scale = np.array([e["std"] if e["std"] > 0 else 1.0 for e in entries], dtype=np.float64)
-    x = cohort.covariate_matrix().copy()
-    x[:, cols] = (x[:, cols] - mean) / scale
-    return cohort.replace(covariates=x)
-
-
-def save_feature_stats(stats: dict, path) -> None:
-    write_atomic(path, json.dumps(stats, indent=2, sort_keys=True).encode())
-
-
-def load_feature_stats(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return Cohort(ids, times, events, x, feature_names, centers)
 
 
 def save_ehr(cohort: Cohort, path) -> None:

@@ -48,10 +48,6 @@ from .tmss import TmssModel, tmss_loss
 from .vit import ViTEncoder, encoder_preset
 from .volume import Volume, read_volume, write_volume
 
-TASKS = ("seg2d-si", "seg3d", "unetr", "surv-cox", "surv-mtlr", "surv-nmtlr",
-         "fusion", "tmss")
-
-
 @dataclass
 class ExperimentConfig:
     task: str
@@ -256,10 +252,10 @@ def _segmentation_metrics(pairs) -> dict:
 
 
 def _survival_metrics(times, risks, events) -> dict:
-    res = concordance_detail(times, risks, events, orientation="hazard")
+    res = concordance_detail(times, risks, events)
     return {"c_index": res.value, "n": res.n,
             "comparable_pairs": res.comparable_pairs,
-            "orientation": res.orientation}
+            "orientation": "hazard"}
 
 
 # --------------------------------------------------------------------- tasks
@@ -303,12 +299,10 @@ def _seg_model(task: str, preset: str, sample_shape, seed: int,
     if task in ("seg2d-si", "seg3d"):        # a 2D sample is a super image
         depth, width = (3, 8) if preset == "toy" else (4, 16)
         return UNet(len(spatial), in_channels=2, depth=depth, base_width=width, seed=seed)
-    if task == "unetr":
-        cfg = encoder_preset(preset, spatial, patch=patch)
-        enc = ViTEncoder(cfg, seed=seed)
-        dec = UnetrDecoder(cfg, width=decoder_width, seed=seed + 1)
-        return _UnetrSeg(enc, dec)
-    raise ConfigError(f"not a segmentation task: {task}")
+    cfg = encoder_preset(preset, spatial, patch=patch)      # unetr
+    enc = ViTEncoder(cfg, seed=seed)
+    dec = UnetrDecoder(cfg, width=decoder_width, seed=seed + 1)
+    return _UnetrSeg(enc, dec)
 
 
 def _run_seg_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
@@ -362,15 +356,13 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
         save_mtlr(model, out_dir / f"fold_{fold_index}_{cfg.task[5:]}.json")
         extra = {"hidden_widths": list(cfg.hidden_widths)} if neural \
             else {"intervals": int(model.boundaries.shape[0])}
-    elif cfg.task == "fusion":
+    else:                                   # fusion
         cox_model = cox_fit(train)
         mtlr_model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing,
                               config=fit_cfg)
         risks = deep_fusion_risk(cox_cohort_risks(cox_model, val),
                                  mtlr_cohort_risks(mtlr_model, val))
         extra = {"components": ["cox", "mtlr"], "fusion": "normalized"}
-    else:
-        raise ConfigError(f"not a tabular survival task: {cfg.task}")
     metrics = _survival_metrics(val.times(), risks, val.events())
     metrics.update(extra)
     return metrics
@@ -419,6 +411,14 @@ def _run_tmss_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
 
 # --------------------------------------------------------------------- driver
 
+# the runner of one fold of each task
+_FOLD_RUNNERS = {"seg2d-si": _run_seg_fold, "seg3d": _run_seg_fold, "unetr": _run_seg_fold,
+                 "surv-cox": _run_surv_fold, "surv-mtlr": _run_surv_fold,
+                 "surv-nmtlr": _run_surv_fold, "fusion": _run_surv_fold,
+                 "tmss": _run_tmss_fold}
+TASKS = tuple(_FOLD_RUNNERS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg.validate()
     started = time.time()
@@ -440,16 +440,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         entry = {"fold": fold_index, "train_size": int(len(train_idx)),
                  "val_size": int(len(val_idx))}
         try:
-            if cfg.task in ("seg2d-si", "seg3d", "unetr"):
-                metrics = _run_seg_fold(cfg, cohort, train_idx, val_idx,
-                                        fold_seed, out_dir, fold_index)
-            elif cfg.task == "tmss":
-                metrics = _run_tmss_fold(cfg, cohort, train_idx, val_idx,
-                                         fold_seed, out_dir, fold_index)
-            else:
-                metrics = _run_surv_fold(cfg, cohort, train_idx, val_idx,
-                                         fold_seed, out_dir, fold_index)
-            entry["metrics"] = metrics
+            entry["metrics"] = _FOLD_RUNNERS[cfg.task](cfg, cohort, train_idx, val_idx,
+                                                       fold_seed, out_dir, fold_index)
         except Exception as exc:
             entry["error"] = {"type": type(exc).__name__, "message": str(exc),
                               "trace": traceback.format_exc(limit=6)}
@@ -531,7 +523,8 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
 
 
 def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
-    """Ids and risks of an ``id,risk`` CSV. ``read_rows`` gives the columns
+    """Ids and risks of an ``id,risk`` CSV, each id stripped of surrounding
+    space as ``load_ehr`` strips cohort ids. ``read_rows`` gives the columns
     and each is converted in one pass; a file with a row of another width
     than the header's, a repeated id or a risk that is not a finite number
     is read row by row."""
@@ -540,7 +533,7 @@ def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
         raise DataError(f"{pred_csv}: header must contain id,risk")
     if columns is not None:
         col = dict(zip(header, columns))    # the last column of a name
-        ids = list(col["id"])
+        ids = list(map(str.strip, col["id"]))
         try:
             risks = np.fromiter(map(float, col["risk"]), np.float64, n)
         except ValueError:
@@ -563,7 +556,7 @@ def _read_predictions_by_row(pred_csv) -> tuple[list[str], np.ndarray]:
             where = f"{pred_csv}:{line}"
             if len(row) <= max(i_id, i_risk):
                 raise DataError(f"{where}: row too short to reach the id and risk columns")
-            sid, text = row[i_id], row[i_risk]
+            sid, text = row[i_id].strip(), row[i_risk]
             if sid in seen:
                 raise DataError(f"{where}: duplicate id {sid!r}")
             seen.add(sid)

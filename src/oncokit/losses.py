@@ -7,26 +7,17 @@ when evaluated under a tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .autodiff import Tensor, as_tensor, clip, log, power, tsum, tmean
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 
 _PROB_FLOOR = 1e-7
+_DICE_SMOOTH = 1e-5
+_FOCAL_ALPHA = 1.0
+_FOCAL_GAMMA = 2.0
 
 
-@dataclass
-class FocalConfig:
-    alpha: float = 1.0
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ContractError("focal gamma must be >= 0")
-
-
-def dice_loss(pred, target, smooth: float = 1e-5) -> Tensor:
-    """1 - (2 sum(p y) + s) / (sum(p^2) + sum(y^2) + s).
+def dice_loss(pred, target) -> Tensor:
+    """1 - (2 sum(p y) + s) / (sum(p^2) + sum(y^2) + s), s = 1e-5.
 
     The smoothing term keeps empty masks finite and pins the empty-vs-empty
     case at zero loss.
@@ -37,28 +28,27 @@ def dice_loss(pred, target, smooth: float = 1e-5) -> Tensor:
         raise ShapeError(f"dice_loss shapes differ: {pred.shape} vs {target.shape}")
     inter = tsum(pred * target)
     denom = tsum(pred * pred) + tsum(target * target)
-    return 1.0 - (2.0 * inter + smooth) / (denom + smooth)
+    return 1.0 - (2.0 * inter + _DICE_SMOOTH) / (denom + _DICE_SMOOTH)
 
 
-def focal_loss(pred, target, cfg: FocalConfig | None = None) -> Tensor:
+def focal_loss(pred, target) -> Tensor:
     """Mean-reduced focal loss with the standard two-branch form.
 
     Per element: -[alpha y (1-p)^gamma log p + (1-y) p^gamma log(1-p)],
-    with p clamped to [1e-7, 1 - 1e-7] before the logs.
+    with alpha = 1, gamma = 2 and p clamped to [1e-7, 1 - 1e-7] before the
+    logs.
     """
-    cfg = cfg or FocalConfig()
     pred = as_tensor(pred)
     target = as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"focal_loss shapes differ: {pred.shape} vs {target.shape}")
     p = clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     y = target
-    pos = cfg.alpha * y * power(1.0 - p, cfg.gamma) * log(p)
-    neg_term = (1.0 - y) * power(p, cfg.gamma) * log(1.0 - p)
+    pos = _FOCAL_ALPHA * y * power(1.0 - p, _FOCAL_GAMMA) * log(p)
+    neg_term = (1.0 - y) * power(p, _FOCAL_GAMMA) * log(1.0 - p)
     return -tmean(pos + neg_term)
 
 
-def combined_loss(pred, target, cfg: FocalConfig | None = None,
-                  smooth: float = 1e-5) -> Tensor:
+def combined_loss(pred, target) -> Tensor:
     """dice_loss + focal_loss, the segmentation training objective."""
-    return dice_loss(pred, target, smooth=smooth) + focal_loss(pred, target, cfg=cfg)
+    return dice_loss(pred, target) + focal_loss(pred, target)

@@ -9,11 +9,11 @@ numpy sorts and ``searchsorted``, returning the index with its pair counts;
         -----------------------------------------
         sum 1[T_i > T_j] delta_j
 
-kept as an oracle. Both use strict inequalities by default (ties in eta
-score nothing); pass ties="harrell" for half-credit tie handling. As
-printed, a larger score paired with a longer survival counts as concordant;
-orientation="hazard" negates the scores first, which is the convention for
-risk outputs where larger means an earlier expected event.
+kept as an oracle. As printed, a larger score paired with a longer survival
+counts as concordant. ``concordance_detail`` takes hazard-oriented risks
+(larger means an earlier expected event), so it equals ``c_index_naive``
+of the negated risks. Both use strict inequalities: ties in eta score
+nothing.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ class ConcordanceResult:
     concordant: float
     comparable_pairs: int
     n: int
-    orientation: str
-    ties: str
 
 
 def _validate(times, risks, events):
@@ -137,23 +135,17 @@ def _earlier_higher(rank: np.ndarray, query: np.ndarray) -> int:
     return total
 
 
-def concordance_detail(times, risks, events, orientation: str = "literal",
-                       ties: str = "strict") -> ConcordanceResult:
-    """Concordance over comparable pairs, counted with sorts in O(n log^2 n).
+def concordance_detail(times, risks, events) -> ConcordanceResult:
+    """Concordance of hazard-oriented risks over comparable pairs, counted
+    with sorts in O(n log^2 n).
 
-    Subjects are ordered by time descending and, inside a time tie, by
-    risk rank ascending, so for an event subject the subjects before it
-    with a higher rank are exactly its concordant partners: a tied earlier
-    subject never ranks above it. Harrell ties count equal ranks at strictly
-    larger times from one sort keyed by (rank, time rank).
+    The ranks are those of the negated risks. Subjects are ordered by time
+    descending and, inside a time tie, by rank ascending, so for an event
+    subject the subjects before it with a higher rank are exactly its
+    concordant partners: a tied earlier subject never ranks above it.
     """
     t, r, e = _validate(times, risks, events)
-    if orientation not in ("literal", "hazard"):
-        raise ContractError(f"unknown orientation {orientation!r}")
-    if ties not in ("strict", "harrell"):
-        raise ContractError(f"unknown ties mode {ties!r}")
-    if orientation == "hazard":
-        r = -r
+    r = -r
     n = t.shape[0]
     rank = np.searchsorted(np.unique(r), r)
     event = e == 1
@@ -163,30 +155,17 @@ def concordance_detail(times, risks, events, orientation: str = "literal",
         raise EvaluationError("no comparable pairs: concordance is undefined")
     order = np.lexsort((rank, -t))
     concordant = float(_earlier_higher(rank[order], event[order]))
-    if ties == "harrell":
-        t_rank = np.searchsorted(sorted_t, t)             # equal times, equal rank
-        keys = rank * n + t_rank
-        ordered = np.sort(keys)
-        equal = (np.searchsorted(ordered, (rank[event] + 1) * n, side="left")
-                 - np.searchsorted(ordered, keys[event], side="right"))
-        concordant += 0.5 * int(equal.sum())
-    return ConcordanceResult(concordant / comparable, concordant, comparable,
-                             n, orientation, ties)
+    return ConcordanceResult(concordant / comparable, concordant, comparable, n)
 
 
-def c_index_naive(times, risks, events, orientation: str = "literal",
-                  ties: str = "strict") -> float:
-    """Definitional quadratic enumeration; the oracle for ``concordance_detail``."""
+def c_index_naive(times, risks, events) -> float:
+    """The printed double sum, enumerated; with the risks negated, the
+    oracle for ``concordance_detail``."""
     t, r, e = _validate(times, risks, events)
-    if orientation == "hazard":
-        r = -r
     later = t[:, None] > t[None, :]          # T_i > T_j
     weight = later * e[None, :]              # only event rows j count
     den = weight.sum()
     if den == 0:
         raise EvaluationError("no comparable pairs: concordance is undefined")
     higher = r[:, None] > r[None, :]
-    num = float((weight * higher).sum())
-    if ties == "harrell":
-        num += 0.5 * float((weight * (r[:, None] == r[None, :])).sum())
-    return num / float(den)
+    return float((weight * higher).sum()) / float(den)

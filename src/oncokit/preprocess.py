@@ -31,12 +31,12 @@ def ct_window_normalize(volume: Volume) -> Volume:
     return volume.with_data(out, note=_CT_TAG)
 
 
-def pet_zscore(volume: Volume, eps: float = 1e-8) -> Volume:
-    """Standardize PET values: (x - mean) / (std + eps), population std."""
+def pet_zscore(volume: Volume) -> Volume:
+    """Standardize PET values: (x - mean) / (std + 1e-8), population std."""
     if volume.modality != "PET":
         raise ContractError(f"pet_zscore expects PET, got {volume.modality}")
     data = volume.data.astype(np.float64)
-    out = (data - data.mean()) / (data.std() + eps)
+    out = (data - data.mean()) / (data.std() + 1e-8)
     return volume.with_data(out, note="pet_zscore")
 
 

@@ -117,11 +117,11 @@ def model_stats(net_or_specs, input_shape) -> dict:
     return {"params": int(params), "macs": int(macs)}
 
 
-def predict_mask(logits, threshold: float = 0.5) -> np.ndarray:
-    """Binarize logits: sigmoid(logit) strictly above the threshold."""
+def predict_mask(logits) -> np.ndarray:
+    """Binarize logits: sigmoid(logit) strictly above 0.5."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     prob = 1.0 / (1.0 + np.exp(-np.clip(arr, -60, 60)))
-    return (prob > threshold).astype(np.float32)
+    return (prob > 0.5).astype(np.float32)
 
 
 def _conv_init(rng, c_out, c_in, k, rank):
@@ -147,14 +147,13 @@ class _SpecBuilder:
         self.rank = rank
         self.specs: list[LayerSpec] = []
 
-    def conv_block(self, name, c_in, c_out, k=3, padding=1, with_norm=True):
-        self.specs.append(LayerSpec("conv", self.rank, c_in, c_out, k, 1, padding))
-        if with_norm:
-            self.specs.append(LayerSpec("norm", self.rank, c_out, c_out))
+    def conv_block(self, name, c_in, c_out):
+        self.specs.append(LayerSpec("conv", self.rank, c_in, c_out, 3, 1, 1))
+        self.specs.append(LayerSpec("norm", self.rank, c_out, c_out))
         self.specs.append(LayerSpec("activation", self.rank, c_out, c_out))
 
-    def final_conv(self, name, c_in, c_out=1):
-        self.specs.append(LayerSpec("conv", self.rank, c_in, c_out, 1, 1, 0))
+    def final_conv(self, name, c_in):
+        self.specs.append(LayerSpec("conv", self.rank, c_in, 1, 1, 1, 0))
 
     def tconv(self, name, c_in, c_out):
         self.specs.append(LayerSpec("transposed_conv", self.rank, c_in, c_out, 2, 2))
@@ -175,21 +174,20 @@ class _ParamBuilder(_SpecBuilder):
         self.rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
 
-    def conv_block(self, name, c_in, c_out, k=3, padding=1, with_norm=True):
-        w, b = _conv_init(self.rng, c_out, c_in, k, self.rank)
+    def conv_block(self, name, c_in, c_out):
+        w, b = _conv_init(self.rng, c_out, c_in, 3, self.rank)
         self.params[name + ".w"] = w
         self.params[name + ".b"] = b
-        if with_norm:
-            gain, bias = _norm_init(c_out)
-            self.params[name + ".norm.gain"] = gain
-            self.params[name + ".norm.bias"] = bias
-        super().conv_block(name, c_in, c_out, k, padding, with_norm)
+        gain, bias = _norm_init(c_out)
+        self.params[name + ".norm.gain"] = gain
+        self.params[name + ".norm.bias"] = bias
+        super().conv_block(name, c_in, c_out)
 
-    def final_conv(self, name, c_in, c_out=1):
-        w, b = _conv_init(self.rng, c_out, c_in, 1, self.rank)
+    def final_conv(self, name, c_in):
+        w, b = _conv_init(self.rng, 1, c_in, 1, self.rank)
         self.params[name + ".w"] = w
         self.params[name + ".b"] = b
-        super().final_conv(name, c_in, c_out)
+        super().final_conv(name, c_in)
 
     def tconv(self, name, c_in, c_out):
         self.params[name + ".w"] = _tconv_init(self.rng, c_in, c_out, 2, self.rank)

@@ -25,6 +25,8 @@ from .ehr import Cohort
 from .errors import ContractError
 from .volume import Volume
 
+_WEIBULL = (0.05, 1.5)      # (lam, rho) of the planted event times
+
 
 def sample_weibull_times(eta: np.ndarray, lam: float, rho: float,
                          rng: np.random.Generator) -> np.ndarray:
@@ -108,11 +110,12 @@ def make_tumor_volumes(rng: np.random.Generator, shape: tuple[int, int, int],
     )
 
 
-def gen_synthetic_cohort(n: int, seed: int, beta, weibull=(0.05, 1.5),
-                         censor_frac: float = 0.0, with_volumes: bool = False,
+def gen_synthetic_cohort(n: int, seed: int, beta, censor_frac: float = 0.0,
+                         with_volumes: bool = False,
                          volume_shape: tuple[int, int, int] = (32, 32, 16),
                          n_centers: int = 2):
-    """Generate a cohort of ``n`` subjects under a planted linear hazard.
+    """Generate a cohort of ``n`` subjects under a planted linear hazard,
+    with Weibull event times (lam, rho) = ``_WEIBULL``.
 
     Returns the cohort, or (cohort, SyntheticVolumes) when ``with_volumes``.
     Covariate 0 doubles as the tumor-size driver for generated volumes.
@@ -120,7 +123,7 @@ def gen_synthetic_cohort(n: int, seed: int, beta, weibull=(0.05, 1.5),
     if n < 2:
         raise ContractError("need at least 2 subjects")
     beta = np.asarray(beta, dtype=np.float64)
-    lam, rho = weibull
+    lam, rho = _WEIBULL
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(size=(n, beta.shape[0]))
     eta = np.exp(x @ beta)

@@ -92,11 +92,12 @@ class EncoderConfig:
 _PRESETS = {"toy": (8, 64, 4, 4, 2), "paper": (16, 768, 12, 12, 4)}
 
 
-def encoder_preset(preset: str, input_shape, channels: int = 2, patch: int | None = None,
+def encoder_preset(preset: str, input_shape, patch: int | None = None,
                    ehr_dim: int | None = None) -> EncoderConfig:
-    """Encoder configuration of a named preset; ``patch`` overrides its patch side."""
+    """Encoder configuration of a named preset over CT and PET channels;
+    ``patch`` overrides its patch side."""
     default_patch, *sizes = _PRESETS[preset]
-    return EncoderConfig(tuple(input_shape), channels, patch or default_patch, *sizes, ehr_dim)
+    return EncoderConfig(tuple(input_shape), 2, patch or default_patch, *sizes, ehr_dim)
 
 
 @dataclass

@@ -68,6 +68,13 @@ class TestMatmul:
         assert err <= 1e-6
 
 
+def _every_second(shape):
+    """1 at every second position of each spatial axis, 0 elsewhere."""
+    every = np.zeros(shape)
+    every[(slice(None), *(slice(None, None, 2),) * (len(shape) - 1))] = 1.0
+    return every
+
+
 class TestConv:
     def test_one_by_one_identity(self):
         x = Tensor(RNG.normal(size=(1, 5, 5)))
@@ -94,9 +101,11 @@ class TestConv:
         assert err <= 1e-6
 
     def test_gradient_3d_strided(self):
+        # the loss reads every second output, the outputs of a stride-2 conv
         x = RNG.normal(size=(1, 4, 4, 4))
         w = RNG.normal(size=(2, 1, 2, 2, 2))
-        err = check_op(lambda a, c: (conv(a, c, stride=2) ** 2).sum(), [x, w])
+        every = Tensor(_every_second((2, 3, 3, 3)))
+        err = check_op(lambda a, c: (conv(a, c) ** 2 * every).sum(), [x, w])
         assert err <= 1e-6
 
     def test_gradient_3d_padded(self):
@@ -110,15 +119,19 @@ class TestConv:
         x = RNG.normal(size=(2, 5, 6))
         w = RNG.normal(size=(3, 2, 3, 3))
         b = RNG.normal(size=(3,))
-        err = check_op(lambda a, c, d: (conv(a, c, bias=d, stride=2, padding=1) ** 2).sum(),
+        every = Tensor(_every_second((3, 5, 6)))
+        err = check_op(lambda a, c, d: (conv(a, c, bias=d, padding=1) ** 2 * every).sum(),
                        [x, w, b])
         assert err <= 1e-6
 
     @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1)])
     def test_bad_stride_or_padding(self, stride, padding):
-        with pytest.raises(ContractError):
-            conv(Tensor(np.zeros((1, 6, 6))), Tensor(np.zeros((1, 1, 3, 3))),
-                 stride=stride, padding=padding)
+        x, w = Tensor(np.zeros((1, 6, 6))), Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(TypeError):          # conv takes no stride
+            conv(x, w, stride=stride, padding=padding)
+        if padding < 0:
+            with pytest.raises(ContractError):
+                conv(x, w, padding=padding)
 
 
 class TestTransposedConv:
@@ -135,7 +148,10 @@ class TestTransposedConv:
         x = RNG.normal(size=(2, *sp))
         w = RNG.normal(size=(3, 2, *((2,) * rank)))
         y = RNG.normal(size=(3, *out_sp))
-        lhs = float(np.sum(conv(Tensor(x), Tensor(w), stride=2).data * y))
+        # the stride-2 conv: the stride-1 conv read at every second output
+        out = conv(Tensor(x), Tensor(w)).data
+        strided = out[(slice(None), *(slice(None, None, 2),) * rank)]
+        lhs = float(np.sum(strided * y))
         rhs = float(np.sum(x * transposed_conv(Tensor(y), Tensor(w)).data))
         assert abs(lhs - rhs) <= 1e-9
 

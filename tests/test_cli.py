@@ -358,6 +358,7 @@ def test_malformed_values_exit_config(tmp_path, capsys, argv):
     ("s00003,inf", ":4: risk"),
     ("s00003,", ":4: risk"),
     ("s00001,0.5", "duplicate id 's00001'"),
+    (" s00001 ,0.5", "duplicate id 's00001'"),
 ])
 def test_eval_survival_bad_prediction_is_data_error(tmp_path, capsys, bad, named):
     data = tmp_path / "data"
@@ -367,6 +368,21 @@ def test_eval_survival_bad_prediction_is_data_error(tmp_path, capsys, bad, named
     assert main(["eval", "--task", "surv", "--pred", str(pred),
                  "--truth", str(data / "ehr.csv")]) == 3
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["", ",x"], ids=["columns", "rows"])
+def test_eval_survival_strips_prediction_ids(tmp_path, extra):
+    # a row wider than the header sends the file to the row-by-row reader
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "6", "--seed", "1"])
+    pred = tmp_path / "risks.csv"
+    pred.write_text("id,risk\n s00001,0.3\ns00002 ,0.5\ns00003,0.1" + extra + "\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--task", "surv", "--pred", str(pred),
+                 "--truth", str(data / "ehr.csv"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["missing"] == []
+    assert report["n"] == 3
 
 
 def test_eval_survival_short_row_is_data_error(tmp_path, capsys):

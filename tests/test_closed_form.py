@@ -187,11 +187,10 @@ class Fenwick:
         return s
 
 
-def concordance_fenwick(t, r, e, orientation, ties):
-    """(concordant, comparable): walking times in descending order, the
-    subjects already inserted are those with strictly larger T."""
-    if orientation == "hazard":
-        r = -r
+def concordance_fenwick(t, r, e):
+    """(concordant, comparable) of the printed c-index: walking times in
+    descending order, the subjects already inserted are those with strictly
+    larger T."""
     n = t.shape[0]
     uniq = np.unique(r)
     rank = np.searchsorted(uniq, r)
@@ -210,9 +209,6 @@ def concordance_fenwick(t, r, e, orientation, ties):
                 comparable += tree.total
                 leq = tree.prefix(int(rank[j]))
                 concordant += tree.total - leq
-                if ties == "harrell":
-                    eq = leq - (tree.prefix(int(rank[j]) - 1) if rank[j] > 0 else 0)
-                    concordant += 0.5 * eq
         for j in group:
             tree.add(int(rank[j]))
         pos = group_end
@@ -559,12 +555,11 @@ def test_concordance_matches_fenwick_and_naive(n, time_ties, risk_ties):
     e = (rng.random(n) < 0.7).astype(np.int64)
     e[0] = 1
     t[0] = t.min() / 2          # subject 0 has an event before everyone else
-    for orientation in ("literal", "hazard"):
-        for ties in ("strict", "harrell"):
-            res = concordance_detail(t, r, e, orientation=orientation, ties=ties)
-            concordant, comparable = concordance_fenwick(t, r, e, orientation, ties)
-            assert (res.concordant, res.comparable_pairs) == (concordant, comparable)
-            assert res.value == c_index_naive(t, r, e, orientation=orientation, ties=ties)
+    # r is a hazard-oriented risk; the printed form scores -r
+    res = concordance_detail(t, r, e)
+    concordant, comparable = concordance_fenwick(t, -r, e)
+    assert (res.concordant, res.comparable_pairs) == (concordant, comparable)
+    assert res.value == c_index_naive(t, -r, e)
 
 
 # ------------------------------------------------------------------ EHR reader
@@ -618,6 +613,8 @@ CONV_CASES = [(sp, c_in, k, stride, padding)
 
 @pytest.mark.parametrize("sp, c_in, k, stride, padding", CONV_CASES)
 def test_conv_matches_im2col(sp, c_in, k, stride, padding):
+    """``conv`` read at every stride-th output is the strided im2col
+    convolution, gradients included."""
     rng = np.random.default_rng([len(sp), c_in, k, stride, padding])
     c_out = 8 if sp == (32, 64) else 3          # the super image: the U-Net's first layer
     x = rng.normal(size=(c_in, *sp))
@@ -625,12 +622,15 @@ def test_conv_matches_im2col(sp, c_in, k, stride, padding):
     b = rng.normal(size=c_out)
     g = rng.normal(size=(c_out, *((s + 2 * padding - k) // stride + 1 for s in sp)))
     expected = conv_im2col(x, w, b, stride, padding, g)
+    strided = (slice(None), *(slice(None, None, stride),) * len(sp))
+    g_all = np.zeros((c_out, *(s + 2 * padding - k + 1 for s in sp)))
+    g_all[strided] = g
     tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
     with Tape() as tape:
-        out = conv(*tensors, stride=stride, padding=padding)
-        loss = tsum(out * Tensor(g))
+        out = conv(*tensors, padding=padding)
+        loss = tsum(out * Tensor(g_all))
     grads = backward(tape, loss)
-    got = [out.data] + [grads[t].data for t in tensors]
+    got = [out.data[strided]] + [grads[t].data for t in tensors]
     for a, e in zip(got, expected):
         assert a.shape == e.shape
         assert _rel(a, e) <= 1e-12

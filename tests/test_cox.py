@@ -153,9 +153,8 @@ class TestRisk:
         cohort = gen_synthetic_cohort(400, seed=6, beta=[1.5], censor_frac=0.2)
         model = cox_fit(cohort)
         res = concordance_detail(cohort.times(), cox_cohort_risks(model, cohort),
-                                 cohort.events(), orientation="hazard")
+                                 cohort.events())
         assert res.value >= 0.7
-        assert res.orientation == "hazard"
 
 
 def test_persistence_roundtrip(tmp_path):

@@ -1,16 +1,9 @@
-"""Cohort CSV parsing, one-hot expansion and normalization stats."""
+"""Cohort CSV parsing and one-hot expansion."""
 
 import numpy as np
 import pytest
 
-from oncokit.ehr import (
-    Cohort,
-    fit_feature_stats,
-    load_ehr,
-    load_feature_stats,
-    save_ehr,
-    save_feature_stats,
-)
+from oncokit.ehr import Cohort, load_ehr, save_ehr
 from oncokit.errors import DataError
 
 
@@ -69,34 +62,6 @@ def test_duplicate_ids_rejected(tmp_path):
     p = _write(tmp_path, "id,time,event,center,age\na,1,1,c,5\na,2,0,c,6\n")
     with pytest.raises(DataError):
         load_ehr(p)
-
-
-def test_normalize_and_stats_roundtrip(tmp_path):
-    p = _write(tmp_path, "id,time,event,center,age,stage\n"
-                         "a,1,1,c,60,I\nb,2,0,c,40,II\nc,3,1,c,50,I\n")
-    cohort = load_ehr(p, normalize=True)
-    x = cohort.covariate_matrix()
-    age = x[:, cohort.feature_names.index("age")]
-    assert abs(age.mean()) <= 1e-12
-    # one-hot block untouched
-    assert set(np.unique(x[:, 1:])) <= {0.0, 1.0}
-
-    raw = load_ehr(p)
-    stats = fit_feature_stats(raw)
-    sp = tmp_path / "stats.json"
-    save_feature_stats(stats, sp)
-    again = load_feature_stats(sp)
-    assert again["age"]["mean"] == pytest.approx(50.0)
-    fresh = load_ehr(p, stats=again)
-    assert np.allclose(fresh.covariate_matrix(), x)
-
-
-def test_stats_reused_at_predict_time(tmp_path):
-    train = _write(tmp_path, "id,time,event,center,age\na,1,1,c,60\nb,2,0,c,40\n", "tr.csv")
-    test = _write(tmp_path, "id,time,event,center,age\nq,5,1,c,50\n", "te.csv")
-    stats = fit_feature_stats(load_ehr(train))
-    te = load_ehr(test, stats=stats)
-    assert te.subjects[0].covariates[0] == pytest.approx((50.0 - 50.0) / 10.0)
 
 
 def test_save_ehr_roundtrip(tmp_path):

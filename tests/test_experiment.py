@@ -257,7 +257,7 @@ class TestRunLifecycle:
         clean = run_experiment(ExperimentConfig(
             task="surv-cox", data_dir=str(tmp_path / "d"),
             output_dir=str(tmp_path / "clean"), seed=21, cv_folds=3))
-        real = experiment._run_surv_fold
+        real = experiment._FOLD_RUNNERS["surv-cox"]
 
         def singular_first_fold(cfg, cohort, train_idx, val_idx, fold_seed, out_dir,
                                 fold_index):
@@ -265,7 +265,7 @@ class TestRunLifecycle:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real(cfg, cohort, train_idx, val_idx, fold_seed, out_dir, fold_index)
 
-        monkeypatch.setattr(experiment, "_run_surv_fold", singular_first_fold)
+        monkeypatch.setitem(experiment._FOLD_RUNNERS, "surv-cox", singular_first_fold)
         report = run_experiment(ExperimentConfig(
             task="surv-cox", data_dir=str(tmp_path / "d"),
             output_dir=str(tmp_path / "out"), seed=21, cv_folds=3))
@@ -328,7 +328,7 @@ class TestEvaluate:
         from oncokit.metrics import concordance_detail
         expected = concordance_detail(cohort.times(),
                                       np.exp(2.0 * cohort.covariate_matrix()[:, 0]),
-                                      cohort.events(), orientation="hazard").value
+                                      cohort.events()).value
         assert report["c_index"] == pytest.approx(expected)
 
 

@@ -51,9 +51,9 @@ class TestDeepFusion:
         rm = mtlr_cohort_risks(mtlr, holdout)
         fused = deep_fusion_risk(rc, rm)
         t, e = holdout.times(), holdout.events()
-        c_cox = concordance_detail(t, rc, e, orientation="hazard").value
-        c_mtlr = concordance_detail(t, rm, e, orientation="hazard").value
-        c_fused = concordance_detail(t, fused, e, orientation="hazard").value
+        c_cox = concordance_detail(t, rc, e).value
+        c_mtlr = concordance_detail(t, rm, e).value
+        c_fused = concordance_detail(t, fused, e).value
         # observed behavior on aligned components, not a theorem
         assert c_fused >= min(c_cox, c_mtlr) - 0.01
 

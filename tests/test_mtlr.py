@@ -200,7 +200,7 @@ class TestFit:
         test = gen_synthetic_cohort(300, seed=11, beta=[2.0], censor_frac=0.2)
         model = mtlr_fit(train, smoothing=1.0)
         res = concordance_detail(test.times(), mtlr_cohort_risks(model, test),
-                                 test.events(), orientation="hazard")
+                                 test.events())
         assert res.value >= 0.8
 
     def test_huge_smoothing_kills_weights(self):
@@ -250,10 +250,8 @@ class TestNeuralFit:
 
         lin_risks = [mtlr_risk(linear, s.covariates) for s in test.subjects]
         net_risks = mtlr_cohort_risks(neural, test)
-        c_lin = concordance_detail(test.times(), np.array(lin_risks), test.events(),
-                                   orientation="hazard").value
-        c_net = concordance_detail(test.times(), net_risks, test.events(),
-                                   orientation="hazard").value
+        c_lin = concordance_detail(test.times(), np.array(lin_risks), test.events()).value
+        c_net = concordance_detail(test.times(), net_risks, test.events()).value
         assert c_net >= c_lin + 0.05
 
     def test_gradient_through_mlp_head(self):

