@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,6 +212,10 @@ def backward(tape: Tape, loss: Tensor) -> GradMap:
     if loss_id is None:
         raise ContractError("loss tensor was not recorded on this tape")
     table: dict[int, np.ndarray] = {loss_id: np.ones(loss.shape)}
+    # entries whose array this loop allocated: a backward_fn may return its
+    # g itself, a view of it, or one array for two inputs, so only a sum
+    # made here is added into in place
+    owned: set[int] = set()
     for node in reversed(tape._nodes):
         out_grad = table.get(node.out_id)
         if out_grad is None:
@@ -223,8 +227,12 @@ def backward(tape: Tape, loss: Tensor) -> GradMap:
             existing = table.get(in_id)
             if existing is None:
                 table[in_id] = g
+            elif in_id in owned:
+                existing += g
             else:
-                table[in_id] = existing + g
+                table[in_id] = total = existing + g
+                if isinstance(total, np.ndarray):    # not a numpy scalar
+                    owned.add(in_id)
     return GradMap(tape, table)
 
 
@@ -586,29 +594,52 @@ def logsumexp(a, axis: int = -1) -> Tensor:
     return _record("logsumexp", out, (a,), bw)
 
 
-def tail_logsumexp(a, start, single) -> Tensor:
-    """Column-wise log-sum-exp of a 2D tensor over its rows start[i] to the
-    end; where ``single[i]`` holds, the one entry a[start[i], i] instead.
+class _Tails(NamedTuple):
+    """Where ``tail_logsumexp`` reads a (rows, cols) tensor."""
+
+    rows: int
+    cols: int
+    one: np.ndarray        # columns read at a single entry
+    one_at: np.ndarray     # flat positions of those entries
+    tail: np.ndarray       # columns reduced over a tail
+    admitted: np.ndarray   # (rows, len(tail)) bool: the row lies in the column's tail
+
+
+def tail_sets(start, single, rows: int) -> _Tails:
+    """The reads of ``tail_logsumexp`` on a (rows, len(start)) tensor: column
+    i is reduced over rows start[i] to the end, or, where ``single[i]``
+    holds, read at row start[i] alone. A caller that reduces many tensors
+    of one layout builds this once."""
+    start = np.asarray(start)
+    single = np.asarray(single, dtype=bool)
+    if start.ndim != 1 or single.shape != start.shape:
+        raise ShapeError(f"tail_sets needs one start and flag per column, got "
+                         f"{start.shape} and {single.shape}")
+    cols = start.shape[0]
+    one = np.flatnonzero(single)
+    tail = np.flatnonzero(~single)
+    return _Tails(rows, cols, one, start[one] * cols + one, tail,
+                  np.arange(rows)[:, None] >= start[tail])
+
+
+def tail_logsumexp(a, tails: _Tails) -> Tensor:
+    """Column-wise log-sum-exp of a 2D tensor over each column's tail of
+    rows, or its one entry, as ``tails`` (from ``tail_sets``) lays out.
 
     Each tail is shifted by its own max, so a tail far below the rest of
     its column keeps its digits. Rows above a tail are clamped to that max
     before ``exp`` and then zeroed, so a large entry there cannot overflow.
     """
     a = as_tensor(a)
-    start = np.asarray(start)
-    single = np.asarray(single, dtype=bool)
-    if a.ndim != 2 or start.shape != (a.shape[1],) or single.shape != start.shape:
-        raise ShapeError(f"tail_logsumexp needs a 2D tensor and one start and flag per "
-                         f"column, got {a.shape}, {start.shape} and {single.shape}")
+    if a.shape != (tails.rows, tails.cols):
+        raise ShapeError(f"tail_logsumexp laid out for ({tails.rows}, {tails.cols}) "
+                         f"got a tensor of shape {a.shape}")
     rows, cols = a.shape
-    one = np.flatnonzero(single)
-    tail = np.flatnonzero(~single)
-    one_at = start[one] * cols + one                  # flat positions of the single reads
+    one, one_at, tail, admitted = tails.one, tails.one_at, tails.tail, tails.admitted
     out_data = np.empty(cols)
     out_data[one] = a.data.take(one_at)
     if tail.size:
         e = a.data[:, tail]
-        admitted = np.arange(rows)[:, None] >= start[tail]
         top = np.where(admitted, e, -np.inf).max(axis=0)
         e -= top
         np.minimum(e, 0.0, out=e)

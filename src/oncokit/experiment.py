@@ -523,12 +523,14 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
 
 
 def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
-    """Ids and risks of an ``id,risk`` CSV, each id stripped of surrounding
-    space as ``load_ehr`` strips cohort ids. ``read_rows`` gives the columns
-    and each is converted in one pass; a file with a row of another width
-    than the header's, a repeated id or a risk that is not a finite number
-    is read row by row."""
+    """Ids and risks of an ``id,risk`` CSV, each header name and id stripped
+    of surrounding space as ``load_ehr`` strips cohort names and ids.
+    ``read_rows`` gives the columns and each is converted in one pass; a
+    file with a row of another width than the header's, a repeated id or a
+    risk that is not a finite number is read row by row."""
     header, n, columns = read_rows(pred_csv)
+    if header is not None:
+        header = [name.strip() for name in header]
     if header is None or "id" not in header or "risk" not in header:
         raise DataError(f"{pred_csv}: header must contain id,risk")
     if columns is not None:
@@ -550,7 +552,7 @@ def _read_predictions_by_row(pred_csv) -> tuple[list[str], np.ndarray]:
     ids, risks, seen = [], [], set()
     with open(pred_csv, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        col = {name: j for j, name in enumerate(next(reader))}
+        col = {name.strip(): j for j, name in enumerate(next(reader))}
         i_id, i_risk = col["id"], col["risk"]
         for line, row in numbered_rows(reader):
             where = f"{pred_csv}:{line}"

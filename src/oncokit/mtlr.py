@@ -29,7 +29,8 @@ log-sum-exp over the suffix of admissible sequences, shifted by that
 suffix's own max. Nothing is masked with an offset, so a subject whose
 admissible sequences sit far below its best one keeps a finite
 likelihood. The admissible sequences come from two ``searchsorted`` calls
-over the whole cohort.
+over the whole cohort, made once per fit: ``mtlr_fit`` hands the layout
+they give ``tail_logsumexp`` to every iteration.
 
 ``survival_from_scores`` and ``risk_from_scores`` take one subject's (m,)
 boundary scores or an (n, m) batch, which is how cohort risks are
@@ -59,6 +60,7 @@ from .autodiff import (
     matmul,
     relu,
     tail_logsumexp,
+    tail_sets,
     transpose,
     trunc_normal,
     tsum,
@@ -175,12 +177,19 @@ def _admitted_range(boundaries, times, events):
     return first, died
 
 
-def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
+def _admitted_tails(boundaries, times, events):
+    """``tail_logsumexp``'s layout of the admitted ranges on the (m+1, n)
+    sequence scores."""
+    return tail_sets(*_admitted_range(boundaries, times, events), boundaries.shape[0] + 1)
+
+
+def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events, *, tails=None) -> Tensor:
     """Negative log-likelihood given per-boundary scores G (n, m).
 
     This is the piece shared by the linear model, the neural front end and
     any head producing boundary scores; it is differentiable through
-    ``scores``.
+    ``scores``. A fit passes ``tails``, the admitted ranges it derived once
+    from the same boundaries, times and events.
     """
     boundaries = np.asarray(boundaries, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
@@ -191,15 +200,17 @@ def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events) -> Tensor:
             f"scores shape {scores.shape} does not match (n, m) = "
             f"({times.shape[0]}, {m})")
     f = matmul(Tensor(_suffix_matrix(m)), transpose(scores, (1, 0)))   # (m+1, n)
-    first, died = _admitted_range(boundaries, times, events)
-    return tsum(logsumexp(f, axis=0) - tail_logsumexp(f, first, died))
+    if tails is None:
+        tails = _admitted_tails(boundaries, times, events)
+    return tsum(logsumexp(f, axis=0) - tail_logsumexp(f, tails))
 
 
 def mtlr_objective(theta: Tensor, bias: Tensor, features: Tensor, boundaries, times,
-                   events, smoothing: float) -> Tensor:
-    """Penalized negative log-likelihood of the head over front-end features."""
+                   events, smoothing: float, *, tails=None) -> Tensor:
+    """Penalized negative log-likelihood of the head over front-end features;
+    ``tails`` is passed on to ``mtlr_nll_from_scores``."""
     scores = matmul(features, transpose(theta, (1, 0))) + bias
-    nll = mtlr_nll_from_scores(scores, boundaries, times, events)
+    nll = mtlr_nll_from_scores(scores, boundaries, times, events, tails=tails)
     if smoothing != 0.0:
         nll = nll + (smoothing / 2.0) * tsum(theta * theta)
     return nll
@@ -247,11 +258,12 @@ def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
     params["bias"] = zeros((n_bounds,), requires_grad=True)
     depth = len(hidden_widths)
     xt = Tensor(x)
+    tails = _admitted_tails(boundaries, times, events)
 
     def loss(index, epoch):
         return mtlr_objective(params["theta"], params["bias"],
                               _mlp_forward(params, xt, depth), boundaries, times,
-                              events, smoothing)
+                              events, smoothing, tails=tails)
 
     state = OptimState(base_lr=cfg.base_lr, weight_decay=0.0, period=50)
     _, iterations, grad_norm = train(params, loss, 1, cfg.iterations, 1, state, cfg.seed,

@@ -112,8 +112,8 @@ def _cases():
         "gelu": (lambda a: readout(ad.gelu(a)), [normal(3, 4)]),
         "softmax": (lambda a: readout(ad.softmax(a, axis=-1)), [normal(3, 4)]),
         "logsumexp": (lambda a: readout(ad.logsumexp(a, axis=1)), [normal(3, 4)]),
-        "tail_logsumexp": (lambda a: readout(ad.tail_logsumexp(
-            a, np.array([0, 3, 1, 2, 0]), np.array([False, True, False, True, True]))),
+        "tail_logsumexp": (lambda a: readout(ad.tail_logsumexp(a, ad.tail_sets(
+            np.array([0, 3, 1, 2, 0]), np.array([False, True, False, True, True]), 4))),
             [normal(4, 5)]),
         "layer_norm": (lambda a, g, b: readout(ad.layer_norm(a, g, b)),
                        [normal(3, 4), normal(4), normal(4)]),

@@ -8,6 +8,7 @@ import pytest
 from gradcheck import GRADIENT_CASES, check_op
 
 from oncokit.autodiff import (
+    GradMap,
     Tape,
     Tensor,
     backward,
@@ -22,10 +23,14 @@ from oncokit.autodiff import (
     maxpool,
     narrow,
     relu,
+    reshape,
     sigmoid,
     softmax,
     tail_logsumexp,
+    tail_sets,
+    transpose,
     transposed_conv,
+    tsum,
 )
 from oncokit.errors import ContractError, NumericError, ShapeError
 from oncokit.experiment import _seg_model
@@ -237,7 +242,7 @@ class TestSoftmax:
                       [4.0, -3.0, 0.25, 0.0]])
         start = np.array([1, 0, 2, 1])
         single = np.array([True, False, False, False])
-        out = tail_logsumexp(Tensor(a), start, single).data
+        out = tail_logsumexp(Tensor(a), tail_sets(start, single, 3)).data
         assert out[0] == a[1, 0]
         assert out[1] == pytest.approx(math.log(sum(math.exp(v) for v in a[:, 1])), rel=1e-15)
         assert out[2] == a[2, 2]
@@ -248,14 +253,18 @@ class TestSoftmax:
         a = np.random.default_rng(3).normal(size=(5, 6)) * 3
         start = np.array([0, 4, 2, 1, 3, 0])
         single = np.array([False, True, False, True, False, True])
-        err = check_op(lambda t: (tail_logsumexp(t, start, single) ** 2).sum(), [a])
+        tails = tail_sets(start, single, 5)
+        err = check_op(lambda t: (tail_logsumexp(t, tails) ** 2).sum(), [a])
         assert err <= 1e-6
 
     def test_tail_logsumexp_shapes_checked(self):
         with pytest.raises(ShapeError):
-            tail_logsumexp(Tensor(np.zeros((3, 2))), np.array([0, 1, 2]), np.array([1, 0, 1]))
+            tail_logsumexp(Tensor(np.zeros((3, 2))),
+                           tail_sets(np.array([0, 1, 2]), np.array([1, 0, 1]), 3))
         with pytest.raises(ShapeError):
-            tail_logsumexp(Tensor(np.zeros(3)), np.array([0]), np.array([True]))
+            tail_logsumexp(Tensor(np.zeros(3)), tail_sets(np.array([0]), np.array([True]), 3))
+        with pytest.raises(ShapeError):
+            tail_sets(np.array([0, 1]), np.array([True]), 3)
 
 
 class TestActivations:
@@ -329,6 +338,68 @@ class TestBackward:
 
         err = check_op(net, params)
         assert err <= 1e-5
+
+
+def _backward_out_of_place(tape, loss):
+    """``backward`` with every second and later contribution summed into a
+    fresh array."""
+    table = {tape._lookup(loss): np.ones(loss.shape)}
+    for node in reversed(tape._nodes):
+        out_grad = table.get(node.out_id)
+        if out_grad is None:
+            continue
+        for in_id, g in zip(node.input_ids, node.backward_fn(out_grad)):
+            if g is not None:
+                table[in_id] = g if in_id not in table else table[in_id] + g
+    return GradMap(tape, table)
+
+
+_W = np.random.default_rng(77).normal(size=(6, 4))
+
+
+def _scalar_twice(x):
+    s = tsum(x * _W[:3])
+    return s * s + s
+
+# each loss reaches a tensor more than once through aliases of one gradient
+# array: add hands its g to both inputs, an unbroadcast (4,) bias gets g
+# itself, reshape, transpose and concat return views, and the 0-d products
+# of a scalar come back as numpy scalars
+ALIASED = {
+    "x_plus_x": (lambda x: tsum((x + x) * _W[:3]), [(3, 4)]),
+    "x_times_x_plus_x": (lambda x: tsum((x * x + x) * _W[:3]), [(3, 4)]),
+    "bias_over_rows": (lambda m, v, b: tsum(b * b) + tsum((m + b) * _W[:3])
+                       + tsum((v + b) * _W[3]), [(3, 4), (4,), (4,)]),
+    "views": (lambda x: tsum(reshape(x, (4, 3)) * _W[:4, :3])
+              + tsum(transpose(x, (1, 0)) * _W[:4, 1:])
+              + tsum(narrow(x, 1, 1, 2) * _W[:3, :2])
+              + tsum(concat([x, x], axis=0) * _W), [(3, 4)]),
+    "scalar_twice": (_scalar_twice, [(3, 4)]),
+}
+
+
+class TestInPlaceAccumulation:
+    """``backward`` adds a third and later contribution into the sum it
+    allocated for the second, and into nothing else."""
+
+    @pytest.mark.parametrize("case", sorted(ALIASED))
+    def test_every_gradient_equals_out_of_place_sum(self, case):
+        f, shapes = ALIASED[case]
+        rng = np.random.default_rng(78)
+        inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        with Tape() as tape:
+            loss = f(*inputs)
+        grads = backward(tape, loss)
+        reference = _backward_out_of_place(tape, loss)
+        for t in tape._tensors:
+            assert grads[t].shape == reference[t].shape
+            assert grads[t].data.tobytes() == reference[t].data.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(ALIASED))
+    def test_gradient_matches_differences(self, case):
+        f, shapes = ALIASED[case]
+        rng = np.random.default_rng(79)
+        assert check_op(f, [rng.normal(size=s) for s in shapes]) <= 1e-6
 
 
 class TestShapeOps:

@@ -385,6 +385,20 @@ def test_eval_survival_strips_prediction_ids(tmp_path, extra):
     assert report["n"] == 3
 
 
+@pytest.mark.parametrize("extra", ["", ",x"], ids=["columns", "rows"])
+def test_eval_survival_strips_prediction_header(tmp_path, extra):
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "6", "--seed", "1"])
+    pred = tmp_path / "risks.csv"
+    pred.write_text("id, risk \ns00001,0.3\ns00002,0.5\ns00003,0.1" + extra + "\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--task", "surv", "--pred", str(pred),
+                 "--truth", str(data / "ehr.csv"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["missing"] == []
+    assert report["n"] == 3
+
+
 def test_eval_survival_short_row_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n", "6", "--seed", "5"])

@@ -1,7 +1,9 @@
 """Closed-form sweeps against the slower implementations they replaced.
 
 The oracles below are the earlier implementations of the Cox likelihood
-parts, the Breslow baseline, the MTLR admissible-sequence mask and the
+parts (a per-event loop, and the cumulative sum of w x x^T that the centred
+Gram Hessian replaced, next to an exact rational Hessian), the Breslow
+baseline, the MTLR admissible-sequence mask and the
 subject-major MTLR likelihood built on it, the per-subject MTLR tail-sum
 risk, the Fenwick-tree concordance, the cell-by-cell EHR reader, the
 im2col convolution and transposed convolution, the np.var channel norm and
@@ -12,6 +14,7 @@ ties, at n = 50 and n = 2000.
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from oncokit.autodiff import (
     tsum,
     zeros,
 )
-from oncokit.cox import _breslow_baseline, _loglik_parts
+from oncokit.cox import _breslow_baseline, _loglik_parts, _risk_sets, cox_fit
 from oncokit.ehr import Cohort, load_ehr
 from oncokit.errors import ContractError
 from oncokit.metrics import c_index_naive, concordance_detail
@@ -89,6 +92,52 @@ def loglik_parts_loop(beta, x, times, events, ridge):
         score -= ridge * beta
         hess -= ridge * np.eye(p)
     return ll, score, hess
+
+
+def loglik_parts_cumsum(beta, x, times, events, ridge):
+    """Cumulative sums of w, w x and w x x^T read at each event's tie-group
+    end, an (n, p, p) array for the Hessian."""
+    p = x.shape[1]
+    eta = x @ beta
+    shift = eta.max()
+    w = np.exp(eta - shift)
+    order = np.argsort(-times, kind="stable")
+    ascending = -times[order]
+    ends = np.searchsorted(ascending, ascending, side="right") - 1
+    xs, ws = x[order], w[order]
+    is_event = events[order] == 1
+    at = ends[is_event]
+    s0 = np.cumsum(ws)[at]
+    s1 = np.cumsum(ws[:, None] * xs, axis=0)[at]
+    s2 = np.cumsum(ws[:, None, None] * (xs[:, :, None] * xs[:, None, :]), axis=0)[at]
+    mean = s1 / s0[:, None]
+    ll = float((eta[order][is_event] - (np.log(s0) + shift)).sum())
+    score = (xs[is_event] - mean).sum(axis=0)
+    hess = -(s2 / s0[:, None, None] - mean[:, :, None] * mean[:, None, :]).sum(axis=0)
+    if ridge > 0:
+        ll -= 0.5 * ridge * float(beta @ beta)
+        score -= ridge * beta
+        hess -= ridge * np.eye(p)
+    return ll, score, hess
+
+
+def hessian_exact(beta, x, times, events):
+    """The Breslow Hessian in rational arithmetic on the float64 weights
+    exp(eta - max eta), which it does not depend on the scale of."""
+    eta = x @ beta
+    w = [Fraction(v) for v in np.exp(eta - eta.max())]
+    xf = [[Fraction(v) for v in row] for row in x]
+    p = x.shape[1]
+    hess = [[Fraction(0)] * p for _ in range(p)]
+    for e in np.flatnonzero(events == 1):
+        risk = np.flatnonzero(times >= times[e])
+        s0 = sum(w[i] for i in risk)
+        s1 = [sum(w[i] * xf[i][a] for i in risk) for a in range(p)]
+        for a in range(p):
+            for b in range(p):
+                s2 = sum(w[i] * xf[i][a] * xf[i][b] for i in risk)
+                hess[a][b] -= s2 / s0 - s1[a] * s1[b] / (s0 * s0)
+    return hess
 
 
 def breslow_baseline_loop(beta, x, times, events):
@@ -370,7 +419,7 @@ def test_loglik_parts_match_loop(n, ties, ridge):
     if ties:
         assert np.unique(times).size < n // 2
     beta = np.array([0.7, -0.4, 0.2])
-    ll, score, hess = _loglik_parts(beta, x, times, events, ridge)
+    ll, score, hess = _loglik_parts(beta, _risk_sets(x, times, events), ridge)
     ll0, score0, hess0 = loglik_parts_loop(beta, x, times, events, ridge)
     assert _rel(ll, ll0) <= 1e-10
     assert _rel(score, score0) <= 1e-10
@@ -378,10 +427,45 @@ def test_loglik_parts_match_loop(n, ties, ridge):
 
 
 @pytest.mark.parametrize("n, ties", CASES)
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_loglik_parts_match_cumsum(n, ties, ridge):
+    x, times, events = _data(n, ties, seed=n + ties)
+    beta = np.array([0.7, -0.4, 0.2])
+    ll, score, hess = _loglik_parts(beta, _risk_sets(x, times, events), ridge)
+    ll0, score0, hess0 = loglik_parts_cumsum(beta, x, times, events, ridge)
+    assert _rel(ll, ll0) <= 1e-12
+    assert _rel(score, score0) <= 1e-12
+    assert _rel(hess, hess0) <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+def test_hessian_matches_exact_far_from_origin(offset):
+    # covariates far from zero: an uncentred sum of w x x^T cancels about
+    # log10(offset^2) digits of the risk-set covariance, the centred Gram
+    # product keeps them
+    x, times, events = _data(40, True, seed=17)
+    assert np.unique(times).size < 30
+    x = x + offset
+    beta = np.array([0.7, -0.4, 0.2])
+    hess = _loglik_parts(beta, _risk_sets(x, times, events), 0.0)[2]
+    exact = hessian_exact(beta, x, times, events)
+    scale = max(abs(v) for row in exact for v in row)
+    err = max(abs(Fraction(hess[a, b]) - exact[a][b]) for a in range(3) for b in range(3))
+    assert float(err / scale) <= 1e-11
+
+
+def test_cox_fit_invariant_to_covariate_shift():
+    x, times, events = _data(2000, True, seed=23)
+    beta = cox_fit(_cohort(x, times, events)).coefficients
+    shifted = cox_fit(_cohort(x + 1e3, times, events)).coefficients
+    assert _rel(shifted, beta) <= 1e-9
+
+
+@pytest.mark.parametrize("n, ties", CASES)
 def test_breslow_baseline_matches_loop(n, ties):
     x, times, events = _data(n, ties, seed=3 * n + ties)
     beta = np.array([0.7, -0.4, 0.2])
-    steps = np.array(_breslow_baseline(beta, x, times, events))
+    steps = np.array(_breslow_baseline(beta, _risk_sets(x, times, events)))
     oracle = np.array(breslow_baseline_loop(beta, x, times, events))
     assert steps.shape == oracle.shape
     assert np.array_equal(steps[:, 0], oracle[:, 0])
@@ -393,7 +477,7 @@ def test_breslow_baseline_reads_risk_sets_exactly():
     # loop subtracted a running total that loses digits as the set shrinks
     x, times, events = _data(2000, False, seed=9)
     beta = np.array([0.7, -0.4, 0.2])
-    steps = np.array(_breslow_baseline(beta, x, times, events))
+    steps = np.array(_breslow_baseline(beta, _risk_sets(x, times, events)))
     eta = x @ beta
     w = np.exp(eta - eta.max())
     exact = np.cumsum([1.0 / (math.fsum(w[times >= t]) * np.exp(eta.max()))

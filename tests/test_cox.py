@@ -8,6 +8,7 @@ import pytest
 from oncokit.cox import (
     CoxModel,
     _loglik_parts,
+    _risk_sets,
     cox_cohort_risks,
     cox_fit,
     cox_from_json,
@@ -32,7 +33,7 @@ class TestScoreOracle:
         x = np.array([[1.0], [0.0]])
         t = np.array([1.0, 2.0])
         e = np.array([1, 1])
-        ll, score, hess = _loglik_parts(np.zeros(1), x, t, e, 0.0)
+        ll, score, hess = _loglik_parts(np.zeros(1), _risk_sets(x, t, e), 0.0)
         assert score[0] == pytest.approx(0.5)
         assert ll == pytest.approx(1.0 * 0 - np.log(2.0))
 
@@ -43,14 +44,14 @@ class TestScoreOracle:
         t = rng.uniform(1, 10, size=n)
         e = (rng.random(n) > 0.3).astype(int)
         beta = rng.normal(size=p) * 0.5
-        ll, score, hess = _loglik_parts(beta, x, t, e, ridge=0.1)
+        ll, score, hess = _loglik_parts(beta, _risk_sets(x, t, e), ridge=0.1)
         h = 1e-6
         for j in range(p):
             bp, bm = beta.copy(), beta.copy()
             bp[j] += h
             bm[j] -= h
-            fd = (_loglik_parts(bp, x, t, e, 0.1)[0]
-                  - _loglik_parts(bm, x, t, e, 0.1)[0]) / (2 * h)
+            fd = (_loglik_parts(bp, _risk_sets(x, t, e), 0.1)[0]
+                  - _loglik_parts(bm, _risk_sets(x, t, e), 0.1)[0]) / (2 * h)
             assert score[j] == pytest.approx(fd, abs=1e-5)
 
     def test_ties_share_risk_set(self):
@@ -58,7 +59,7 @@ class TestScoreOracle:
         x = np.array([[1.0], [0.5], [0.0]])
         t = np.array([1.0, 1.0, 2.0])
         e = np.array([1, 1, 0])
-        ll, _, _ = _loglik_parts(np.zeros(1), x, t, e, 0.0)
+        ll, _, _ = _loglik_parts(np.zeros(1), _risk_sets(x, t, e), 0.0)
         assert ll == pytest.approx(-2.0 * np.log(3.0))
 
 
