@@ -561,35 +561,36 @@ def gelu(a) -> Tensor:
 # softmax family
 # ---------------------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max-subtracted) along one axis."""
+def softmax(a) -> Tensor:
+    """Numerically stable softmax (max-subtracted) along the last axis."""
     a = as_tensor(a)
     if np.isnan(a.data).any():
         raise NumericError("softmax received NaN input")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / np.sum(e, axis=axis, keepdims=True)
+    out_data = e / np.sum(e, axis=-1, keepdims=True)
     out = Tensor._wrap(out_data)
 
     def bw(g):
-        inner = np.sum(g * out_data, axis=axis, keepdims=True)
+        inner = np.sum(g * out_data, axis=-1, keepdims=True)
         return (out_data * (g - inner),)
 
     return _record("softmax", out, (a,), bw)
 
 
-def logsumexp(a, axis: int = -1) -> Tensor:
+def logsumexp(a) -> Tensor:
+    """Max-shifted log-sum-exp down the first axis."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
+    m = np.max(a.data, axis=0, keepdims=True)
     soft = a.data - m
     np.exp(soft, out=soft)
-    s = np.sum(soft, axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(s), axis=axis)
+    s = np.sum(soft, axis=0, keepdims=True)
+    out_data = np.squeeze(m + np.log(s), axis=0)
     soft /= s
     out = Tensor._wrap(out_data)
 
     def bw(g):
-        return (np.expand_dims(g, axis) * soft,)
+        return (np.expand_dims(g, 0) * soft,)
 
     return _record("logsumexp", out, (a,), bw)
 

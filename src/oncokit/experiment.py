@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import AugmentConfig, augment
+from .augment import augment
 from .autodiff import Tensor, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
@@ -38,7 +38,7 @@ from .errors import ConfigError, DataError, OncokitError, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
 from .metrics import concordance_detail, confusion, dsc, precision_recall
-from .mtlr import FitConfig, mtlr_cohort_risks, mtlr_fit, risk_from_scores, save_mtlr, time_grid
+from .mtlr import mtlr_cohort_risks, mtlr_fit, risk_from_scores, save_mtlr, time_grid
 from .optim import OptimState, share_params, train
 from .preprocess import ct_window_normalize, pet_zscore, resample_isotropic
 from .segnets import UNet, UnetrDecoder, predict_mask
@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown cv scheme {self.cv_scheme!r}")
         if self.model_preset not in ("toy", "paper"):
             raise ConfigError(f"unknown model preset {self.model_preset!r}")
+        aug = self.augment_seed
+        if aug is not None and (isinstance(aug, bool) or not isinstance(aug, int) or aug < 0):
+            raise ConfigError(f"augment_seed must be None or an int >= 0, got {aug!r}")
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -214,21 +217,23 @@ def _prepped_triplet(cohort: Cohort, i: int) -> tuple[Volume, Volume, Volume]:
 
 def train_segmentation(net, samples, epochs: int, batch_size: int,
                        lr: float, weight_decay: float, period: int,
-                       seed: int, augment_cfg: AugmentConfig | None = None,
+                       seed: int, augment_seed: int | None = None,
                        raw_triplets=None) -> list[float]:
     """Trains ``net`` on (input, mask) pairs with ``optim.train``; returns
     the epoch losses.
 
-    When an augmentation config is given, ``raw_triplets`` supplies the
-    (ct, pet, mask) volumes to re-augment each epoch; samples are then
-    rebuilt on the fly with a per-epoch generator so runs stay seeded, in
-    the sample's own layout (a 2D input means a super image).
+    With an ``augment_seed`` (None trains on the samples as they are),
+    ``raw_triplets`` supplies the (ct, pet, mask) volumes to re-augment:
+    every epoch rebuilds each sample, in its own layout (a 2D input means a
+    super image), from a generator seeded with (seed, augment_seed, epoch,
+    sample index), so runs stay seeded and the two seeds vary the draws
+    independently.
     """
     def loss(idx: int, epoch: int) -> Tensor:
         x, y = samples[idx]
-        if augment_cfg is not None and raw_triplets is not None:
-            worker = np.random.default_rng((seed, epoch, idx))
-            triplet = augment(*raw_triplets[idx], augment_cfg, rng=worker)
+        if augment_seed is not None:
+            worker = np.random.default_rng((seed, augment_seed, epoch, idx))
+            triplet = augment(*raw_triplets[idx], worker)
             x, y = _seg_pair(*triplet, super_image=x.ndim == 3)
         return combined_loss(sigmoid(net.forward(Tensor(x))), Tensor(y))
 
@@ -312,12 +317,10 @@ def _run_seg_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
     val_samples, _ = _seg_samples(cohort, val_idx, as_si)
     net = _seg_model(cfg.task, cfg.model_preset, train_samples[0][0].shape,
                      fold_seed, cfg.decoder_width, cfg.patch)
-    aug = AugmentConfig.recommended(seed=cfg.augment_seed) \
-        if cfg.augment_seed is not None else None
     history = train_segmentation(
         net, train_samples, cfg.epochs, cfg.batch_size, cfg.learning_rate,
         cfg.weight_decay, cfg.schedule_period, fold_seed,
-        augment_cfg=aug, raw_triplets=train_triplets if aug else None)
+        augment_seed=cfg.augment_seed, raw_triplets=train_triplets)
     pairs = []
     for pos, i in enumerate(val_idx):
         x, y = val_samples[pos]
@@ -340,8 +343,6 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                    fold_seed: int, out_dir: Path, fold_index: int) -> dict:
     tabular = _maybe_project(cfg, cohort)
     train, val = tabular.subset(train_idx), tabular.subset(val_idx)
-    fit_cfg = FitConfig(iterations=cfg.fit_iterations, base_lr=cfg.fit_lr,
-                        seed=fold_seed)
     if cfg.task == "surv-cox":
         model = cox_fit(train)
         risks = cox_cohort_risks(model, val)
@@ -350,8 +351,9 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
                  "iterations": model.iterations}
     elif cfg.task in ("surv-mtlr", "surv-nmtlr"):
         neural = cfg.task == "surv-nmtlr"
-        model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing, config=fit_cfg,
-                         hidden_widths=cfg.hidden_widths if neural else ())
+        model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing,
+                         hidden_widths=cfg.hidden_widths if neural else (),
+                         iterations=cfg.fit_iterations, lr=cfg.fit_lr, seed=fold_seed)
         risks = mtlr_cohort_risks(model, val)
         save_mtlr(model, out_dir / f"fold_{fold_index}_{cfg.task[5:]}.json")
         extra = {"hidden_widths": list(cfg.hidden_widths)} if neural \
@@ -359,7 +361,7 @@ def _run_surv_fold(cfg: ExperimentConfig, cohort: Cohort, train_idx, val_idx,
     else:                                   # fusion
         cox_model = cox_fit(train)
         mtlr_model = mtlr_fit(train, m=cfg.m_intervals, smoothing=cfg.smoothing,
-                              config=fit_cfg)
+                              iterations=cfg.fit_iterations, lr=cfg.fit_lr, seed=fold_seed)
         risks = deep_fusion_risk(cox_cohort_risks(cox_model, val),
                                  mtlr_cohort_risks(mtlr_model, val))
         extra = {"components": ["cox", "mtlr"], "fusion": "normalized"}

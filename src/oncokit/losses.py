@@ -12,7 +12,6 @@ from .errors import ShapeError
 
 _PROB_FLOOR = 1e-7
 _DICE_SMOOTH = 1e-5
-_FOCAL_ALPHA = 1.0
 _FOCAL_GAMMA = 2.0
 
 
@@ -34,9 +33,9 @@ def dice_loss(pred, target) -> Tensor:
 def focal_loss(pred, target) -> Tensor:
     """Mean-reduced focal loss with the standard two-branch form.
 
-    Per element: -[alpha y (1-p)^gamma log p + (1-y) p^gamma log(1-p)],
-    with alpha = 1, gamma = 2 and p clamped to [1e-7, 1 - 1e-7] before the
-    logs.
+    Per element: -[y (1-p)^gamma log p + (1-y) p^gamma log(1-p)], with
+    gamma = 2 and p clamped to [1e-7, 1 - 1e-7] before the logs (the
+    positive class weight alpha is 1).
     """
     pred = as_tensor(pred)
     target = as_tensor(target)
@@ -44,7 +43,7 @@ def focal_loss(pred, target) -> Tensor:
         raise ShapeError(f"focal_loss shapes differ: {pred.shape} vs {target.shape}")
     p = clip(pred, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     y = target
-    pos = _FOCAL_ALPHA * y * power(1.0 - p, _FOCAL_GAMMA) * log(p)
+    pos = y * power(1.0 - p, _FOCAL_GAMMA) * log(p)
     neg_term = (1.0 - y) * power(p, _FOCAL_GAMMA) * log(1.0 - p)
     return -tmean(pos + neg_term)
 

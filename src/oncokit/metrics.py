@@ -33,10 +33,6 @@ class ConfusionCounts:
     tn: int
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.fp + self.tn
-
-    @property
     def dice(self) -> float:
         """2|A.B| / (|A| + |B|); two empty masks score 1.0."""
         sizes = 2 * self.tp + self.fn + self.fp
@@ -47,8 +43,6 @@ class ConfusionCounts:
 class PrecisionRecall:
     precision: float
     recall: float
-    precision_defaulted: bool = False   # no positive predictions
-    recall_defaulted: bool = False      # no positive truth
 
 
 def _check_mask(name: str, arr) -> np.ndarray:
@@ -75,16 +69,10 @@ def confusion(pred, truth) -> ConfusionCounts:
 
 
 def precision_recall(counts: ConfusionCounts) -> PrecisionRecall:
-    """tp/(tp+fp) and tp/(tp+fn); empty denominators default to 1.0, flagged."""
-    if counts.tp + counts.fp == 0:
-        precision, p_flag = 1.0, True
-    else:
-        precision, p_flag = counts.tp / (counts.tp + counts.fp), False
-    if counts.tp + counts.fn == 0:
-        recall, r_flag = 1.0, True
-    else:
-        recall, r_flag = counts.tp / (counts.tp + counts.fn), False
-    return PrecisionRecall(precision, recall, p_flag, r_flag)
+    """tp/(tp+fp) and tp/(tp+fn); an empty denominator gives 1.0."""
+    predicted, actual = counts.tp + counts.fp, counts.tp + counts.fn
+    return PrecisionRecall(counts.tp / predicted if predicted else 1.0,
+                           counts.tp / actual if actual else 1.0)
 
 
 @dataclass

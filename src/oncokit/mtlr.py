@@ -43,8 +43,8 @@ The smoothness penalty C/2 * sum ||theta_j||^2 is part of the objective.
 Fitting runs ``optim.train`` with the whole cohort as its one sample, so
 each epoch is one full-batch AdamW update of the head and the front end
 together, without weight decay, under a 50-update warm-restart cosine
-period. It stops once the gradient norm is at most ``grad_tol`` (1e-6 by
-default) or at the iteration cap, and is deterministic for a fixed seed.
+period. It stops once the gradient norm is at most ``GRAD_TOL`` (1e-6) or
+at the iteration cap, and is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ from .autodiff import (
 from .ehr import Cohort
 from .errors import ContractError, malformed, write_atomic
 from .optim import OptimState, train
+
+GRAD_TOL = 1e-6
+
 
 @dataclass
 class SurvivalCurve:
@@ -202,7 +205,7 @@ def mtlr_nll_from_scores(scores: Tensor, boundaries, times, events, *, tails=Non
     f = matmul(Tensor(_suffix_matrix(m)), transpose(scores, (1, 0)))   # (m+1, n)
     if tails is None:
         tails = _admitted_tails(boundaries, times, events)
-    return tsum(logsumexp(f, axis=0) - tail_logsumexp(f, tails))
+    return tsum(logsumexp(f) - tail_logsumexp(f, tails))
 
 
 def mtlr_objective(theta: Tensor, bias: Tensor, features: Tensor, boundaries, times,
@@ -216,14 +219,6 @@ def mtlr_objective(theta: Tensor, bias: Tensor, features: Tensor, boundaries, ti
     return nll
 
 
-@dataclass
-class FitConfig:
-    iterations: int = 2000
-    base_lr: float = 0.05
-    grad_tol: float = 1e-6
-    seed: int = 0
-
-
 def _mlp_forward(params: dict[str, Tensor], x: Tensor, depth: int) -> Tensor:
     """The front end on the tape (``MtlrModel.features`` is its numpy twin)."""
     h = x
@@ -233,13 +228,14 @@ def _mlp_forward(params: dict[str, Tensor], x: Tensor, depth: int) -> Tensor:
 
 
 def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
-             config: FitConfig | None = None, hidden_widths=()) -> MtlrModel:
-    """MTLR head and relu MLP front end trained end to end.
+             hidden_widths=(), *, iterations: int = 2000, lr: float = 0.05,
+             seed: int = 0) -> MtlrModel:
+    """MTLR head and relu MLP front end trained end to end, with at most
+    ``iterations`` AdamW updates from the base learning rate ``lr``.
 
-    Hidden weights start truncated-normal from ``config.seed``, the head at
-    zero. An empty ``hidden_widths`` (the default) fits linear MTLR.
+    Hidden weights start truncated-normal from ``seed``, the head at zero.
+    An empty ``hidden_widths`` (the default) fits linear MTLR.
     """
-    cfg = config or FitConfig()
     boundaries = time_grid(cohort.times(), cohort.events(), m)
     x = cohort.covariate_matrix()
     times = cohort.times()
@@ -247,7 +243,7 @@ def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
     n_bounds = boundaries.shape[0]
     hidden_widths = tuple(int(wd) for wd in hidden_widths)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     width = x.shape[1]
     for i, wd in enumerate(hidden_widths):
@@ -265,12 +261,11 @@ def mtlr_fit(cohort: Cohort, m: int | None = None, smoothing: float = 1.0,
                               _mlp_forward(params, xt, depth), boundaries, times,
                               events, smoothing, tails=tails)
 
-    state = OptimState(base_lr=cfg.base_lr, weight_decay=0.0, period=50)
-    _, iterations, grad_norm = train(params, loss, 1, cfg.iterations, 1, state, cfg.seed,
-                                     cfg.grad_tol)
+    state = OptimState(base_lr=lr, weight_decay=0.0, period=50)
+    _, updates, grad_norm = train(params, loss, 1, iterations, 1, state, seed, GRAD_TOL)
     mlp = {name: t.data.copy() for name, t in params.items() if name.startswith("mlp.")}
     return MtlrModel(boundaries, params["theta"].data.copy(), params["bias"].data.copy(),
-                     smoothing, list(cohort.feature_names), iterations, grad_norm,
+                     smoothing, list(cohort.feature_names), updates, grad_norm,
                      hidden_widths, mlp)
 
 

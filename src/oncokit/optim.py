@@ -35,13 +35,9 @@ class OptimState:
     base_lr: float = 1e-3
     weight_decay: float = 1e-5
     period: int = 25
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.step < 0:
-            raise ContractError("optimizer step counter must be >= 0")
+    step: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
 
 def share_params(*parts) -> dict[str, Tensor]:

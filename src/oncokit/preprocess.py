@@ -2,8 +2,9 @@
 
 CT intensities are clamped to (-1024, 1024) and scaled into (-1, 1); PET
 intensities are z-scored over the whole volume. Resampling is trilinear for
-images and nearest-neighbor for masks so binarity survives. Each step tags
-the volume's provenance.
+images and nearest-neighbor for masks so binarity survives. No step marks
+the volume it returns, so none can tell whether it already ran: ``oncokit
+prep`` run on its own output windows the CT a second time.
 """
 
 from __future__ import annotations
@@ -14,21 +15,18 @@ from .errors import ContractError, ShapeError
 from .volume import Volume
 
 CT_WINDOW = 1024.0
-_CT_TAG = "ct_window"
 
 
 def ct_window_normalize(volume: Volume) -> Volume:
     """Clamp CT values to +-1024 HU and scale into [-1, 1].
 
-    Idempotent: a volume already carrying the ct_window provenance tag is
-    returned unchanged, so re-running a preparation pipeline is safe.
+    Not idempotent: a volume that is already windowed is scaled down by
+    1024 again, as the volume does not record that it was windowed.
     """
     if volume.modality != "CT":
         raise ContractError(f"ct_window_normalize expects CT, got {volume.modality}")
-    if _CT_TAG in volume.provenance:
-        return volume
     out = np.clip(volume.data, -CT_WINDOW, CT_WINDOW) / CT_WINDOW
-    return volume.with_data(out, note=_CT_TAG)
+    return volume.with_data(out)
 
 
 def pet_zscore(volume: Volume) -> Volume:
@@ -37,7 +35,7 @@ def pet_zscore(volume: Volume) -> Volume:
         raise ContractError(f"pet_zscore expects PET, got {volume.modality}")
     data = volume.data.astype(np.float64)
     out = (data - data.mean()) / (data.std() + 1e-8)
-    return volume.with_data(out, note="pet_zscore")
+    return volume.with_data(out)
 
 
 def _sample_coords(old_extent: int, new_extent: int, step: float) -> np.ndarray:
@@ -79,7 +77,8 @@ def resample_isotropic(volume: Volume, target_spacing: float = 1.0) -> Volume:
 
     New extents are round(old * spacing / target). Output voxel i samples
     the input at i * target / spacing, clamped to the grid, with trilinear
-    interpolation; MASK volumes use nearest-neighbor instead.
+    interpolation; MASK volumes use nearest-neighbor instead. A volume
+    already on that grid is returned as it is.
     """
     if target_spacing <= 0:
         raise ContractError("target spacing must be positive")
@@ -90,7 +89,7 @@ def resample_isotropic(volume: Volume, target_spacing: float = 1.0) -> Volume:
             f"resampling {volume.shape} at {volume.spacing} mm to "
             f"{target_spacing} mm collapses an extent: {new_extents}")
     if new_extents == volume.shape and all(s == target_spacing for s in volume.spacing):
-        return volume.tagged(f"resample:{target_spacing}")
+        return volume
     axes = [_sample_coords(old, new, target_spacing / s)
             for old, new, s in zip(volume.shape, new_extents, volume.spacing)]
     ch = axes[0][:, None, None]
@@ -101,5 +100,4 @@ def resample_isotropic(volume: Volume, target_spacing: float = 1.0) -> Volume:
         out = nearest_sample(data, ch, cw, cd)
     else:
         out = trilinear_sample(data, ch, cw, cd)
-    return volume.with_data(out, spacing=(target_spacing,) * 3,
-                            note=f"resample:{target_spacing}")
+    return volume.with_data(out, spacing=(target_spacing,) * 3)

@@ -209,7 +209,7 @@ class ViTEncoder:
         q = split(matmul(z, p[prefix + "wq"]) + p[prefix + "bq"])
         k = split(matmul(z, p[prefix + "wk"]) + p[prefix + "bk"])
         v = split(matmul(z, p[prefix + "wv"]) + p[prefix + "bv"])
-        att = softmax(matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(kh)), axis=-1)
+        att = softmax(matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(kh)))
         mixed = matmul(att, v)                                  # (heads, N, kh)
         merged = reshape(transpose(mixed, (1, 0, 2)), (n, heads * kh))
         return matmul(merged, p[prefix + "w_msa"]) + p[prefix + "b_msa"]

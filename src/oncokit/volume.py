@@ -13,14 +13,14 @@ is fixed:
     33      3     reserved (zero)
     36      ...   H*W*D f32 LE payload, row-major
 
-Round trips are bit-exact. Provenance notes (which preprocessing steps have
-touched a volume) live only in memory; the file format does not carry them.
+Round trips are bit-exact. A volume carries no record of the
+preprocessing steps that produced it, in memory or on disk.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ class Volume:
     data: np.ndarray                      # float32, shape (H, W, D)
     spacing: tuple[float, float, float]   # mm per voxel along H, W, D
     modality: str
-    provenance: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float32)
@@ -70,13 +69,9 @@ class Volume:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def with_data(self, data, spacing=None, note: str | None = None) -> "Volume":
-        prov = self.provenance + ((note,) if note else ())
+    def with_data(self, data, spacing=None) -> "Volume":
         return replace(self, data=np.asarray(data, dtype=np.float32),
-                       spacing=spacing or self.spacing, provenance=prov)
-
-    def tagged(self, note: str) -> "Volume":
-        return replace(self, provenance=self.provenance + (note,))
+                       spacing=spacing or self.spacing)
 
 
 def write_volume(volume: Volume, path) -> None:

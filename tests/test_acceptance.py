@@ -98,7 +98,7 @@ def test_criterion_01_gradient_suite():
 
     def attn(z, q, k, v):
         att = softmax(matmul(matmul(z, q), transpose(matmul(z, k), (1, 0)))
-                      * (1.0 / np.sqrt(3.0)), axis=-1)
+                      * (1.0 / np.sqrt(3.0)))
         return (matmul(att, matmul(z, v)) ** 2).sum()
 
     assert check_op(attn, [zq, wq, wk, wv]) <= tol
@@ -355,7 +355,7 @@ def test_criterion_08_transformer_invariants():
     wq = Tensor(RNG.normal(size=(16, 8)))
     wk = Tensor(RNG.normal(size=(16, 8)))
     att = softmax(matmul(matmul(z, wq), transpose(matmul(z, wk), (1, 0)))
-                  * (1.0 / np.sqrt(8)), axis=-1)
+                  * (1.0 / np.sqrt(8)))
     assert np.abs(att.data.sum(axis=-1) - 1.0).max() <= 1e-12
 
     cfg = EncoderConfig((16, 16, 8), 1, 8, 16, 2, 2, 2)

@@ -12,7 +12,12 @@ An option is a parameter with a default. It counts as set when a call of
 the definition's name, in the same places, passes it by keyword, passes
 enough positional arguments to reach it, or unpacks ``*`` or ``**`` into
 the call. An option no program call sets is a configuration that only
-tests exercise.
+tests exercise. A defaulted ``init`` field of a public dataclass or
+NamedTuple is held to the same rule, with its class's constructor calls:
+the class's name outside the class, and ``cls(...)`` inside it.
+
+No module imports a name it never reads, which a deletion can leave
+behind.
 """
 
 import ast
@@ -124,15 +129,58 @@ def _argument(call: ast.Call, name: str, position: int | None):
     return None
 
 
-def _unset_options() -> set[str]:
-    """``module.qualified name(parameter)`` of each option that no program
-    call sets. A call inside a public definition that passes on one of that
-    definition's own options, by its bare name, sets the callee's option
-    only if the caller's option is set."""
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass, or a class that derives from ``NamedTuple``."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) \
+        or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+
+
+def _fields():
+    """(module.class.field, field, path, node, position) for every
+    defaulted ``init`` field of a public dataclass or NamedTuple.
+    ``position`` is the field's index among a constructor call's positional
+    arguments."""
+    for qualname, path, node in _definitions():
+        if not (isinstance(node, ast.ClassDef) and _is_record(node)):
+            continue
+        position = 0
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            default = stmt.value
+            if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
+                spec = {k.arg: k.value for k in default.keywords}
+                if getattr(spec.get("init"), "value", True) is False:
+                    continue
+                default = spec.get("default", spec.get("default_factory"))
+            if default is not None:
+                yield f"{qualname}.{stmt.target.id}", stmt.target.id, path, node, position
+            position += 1
+
+
+def _settings():
+    """Every option and field as (name, parameter, path, node, position,
+    call sites). A field's class is called by its name outside the class,
+    or as ``cls`` inside it."""
     calls = _calls()
-    options = list(_options())
+    for qualname, name, path, node, position in _options():
+        yield f"{qualname}({name})", name, path, node, position, \
+            _outside(calls.get(node.name, []), path, node)
+    for field, name, path, node, position in _fields():
+        inside = [site for site in calls.get("cls", [])
+                  if site[0] == path and node.lineno <= site[1] <= node.end_lineno]
+        yield field, name, path, node, position, \
+            _outside(calls.get(node.name, []), path, node) + inside
+
+
+def _unset() -> set[str]:
+    """The name of each option or field that no program call sets. A call
+    inside a public definition that passes on one of that definition's own
+    options, by its bare name, sets the callee's option or field only if
+    the caller's option is set."""
     own: dict[tuple, dict[str, str]] = {}      # (path, node) -> {parameter: option}
-    for qualname, name, path, node, _ in options:
+    for qualname, name, path, node, _ in _options():
         own.setdefault((path, node), {})[name] = f"{qualname}({name})"
 
     def passed_on(path, line, arg) -> str | None:
@@ -142,21 +190,29 @@ def _unset_options() -> set[str]:
                 return params.get(getattr(arg, "id", None))
         return None
 
+    settings = list(_settings())
     is_set, handed_on = set(), []
-    for qualname, name, path, node, position in options:
-        option = f"{qualname}({name})"
-        for p, line, call in _outside(calls.get(node.name, []), path, node):
+    for setting, name, _, _, position, sites in settings:
+        for p, line, call in sites:
             arg = _argument(call, name, position)
             if arg is not None:
                 source = passed_on(p, line, arg)
                 if source is None:
-                    is_set.add(option)
+                    is_set.add(setting)
                 else:
-                    handed_on.append((source, option))
-    while more := {option for source, option in handed_on if source in is_set} - is_set:
+                    handed_on.append((source, setting))
+    while more := {setting for source, setting in handed_on if source in is_set} - is_set:
         is_set |= more
-    return {f"{qualname}({name})" for qualname, name, _, _, _ in options
-            if qualname not in ALLOWED} - is_set
+    return {setting for setting, *_ in settings} - is_set
+
+
+def _unset_options() -> set[str]:
+    return {f"{qualname}({name})" for qualname, name, *_ in _options()
+            if qualname not in ALLOWED} & _unset()
+
+
+def _unset_fields() -> set[str]:
+    return {field for field, *_ in _fields()} & _unset()
 
 
 def test_every_public_name_has_a_caller():
@@ -177,3 +233,35 @@ def test_option_allowlist_holds_only_unset_options():
     defined = {f"{qualname}({name})" for qualname, name, _, _, _ in _options()}
     assert set(ALLOWED_OPTIONS) <= defined
     assert set(ALLOWED_OPTIONS) <= _unset_options()
+
+
+def test_every_field_is_set_by_a_caller():
+    assert _unset_fields() == set()
+
+
+def _unused_imports() -> set[str]:
+    """``module:name`` for each name that a module of ``src/oncokit``
+    imports and never reads, in its code or in a quoted annotation."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        annotations = [n.annotation for n in ast.walk(tree)
+                       if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation] \
+            + [n.returns for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.returns]
+        quoted = [ast.parse(a.value, mode="eval") for a in annotations
+                  if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        read = {n.id for root in [tree, *quoted] for n in ast.walk(root)
+                if isinstance(n, ast.Name)}
+        unused |= {f"{path.stem}:{name}" for name in imported - read}
+    return unused
+
+
+def test_no_unused_imports():
+    assert _unused_imports() == set()

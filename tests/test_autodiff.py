@@ -225,12 +225,12 @@ class TestSoftmax:
 
     def test_gradient(self):
         x = RNG.normal(size=(4, 5))
-        err = check_op(lambda a: (softmax(a, axis=-1) ** 2).sum(), [x])
+        err = check_op(lambda a: (softmax(a) ** 2).sum(), [x])
         assert err <= 1e-6
 
     def test_logsumexp_gradient(self):
         x = RNG.normal(size=(3, 7))
-        err = check_op(lambda a: logsumexp(a, axis=1).sum(), [x])
+        err = check_op(lambda a: logsumexp(a).sum(), [x.T.copy()])
         assert err <= 1e-6
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -481,8 +481,7 @@ class TestGradientCoverage:
 
         monkeypatch.setattr(optim, "backward", spy)
         cohort = gen_synthetic_cohort(20, seed=1, beta=[1.0, -0.5], censor_frac=0.3)
-        mtlr.mtlr_fit(cohort, m=3, config=mtlr.FitConfig(iterations=1),
-                      hidden_widths=hidden_widths)
+        mtlr.mtlr_fit(cohort, m=3, hidden_widths=hidden_widths, iterations=1)
         return seen
 
     def test_every_model_op_has_a_case(self, monkeypatch):

@@ -187,17 +187,16 @@ def test_predict_from_saved_nmtlr_reproduces_fold_risks(tmp_path, monkeypatch):
 def test_predict_rejects_ehr_with_other_features(tmp_path, capsys):
     from oncokit.cox import cox_fit, save_cox
     from oncokit.ehr import load_ehr
-    from oncokit.mtlr import FitConfig, mtlr_fit, save_mtlr
+    from oncokit.mtlr import mtlr_fit, save_mtlr
 
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n", "40", "--seed", "6", "--beta", "1.0,-0.5"])
     cohort = load_ehr(data / "ehr.csv")
-    cfg = FitConfig(iterations=20)
     models = {"cox": tmp_path / "cox.json", "mtlr": tmp_path / "mtlr.json",
               "nmtlr": tmp_path / "nmtlr.json"}
     save_cox(cox_fit(cohort), models["cox"])
-    save_mtlr(mtlr_fit(cohort, m=3, config=cfg), models["mtlr"])
-    save_mtlr(mtlr_fit(cohort, m=3, config=cfg, hidden_widths=(4,)), models["nmtlr"])
+    save_mtlr(mtlr_fit(cohort, m=3, iterations=20), models["mtlr"])
+    save_mtlr(mtlr_fit(cohort, m=3, hidden_widths=(4,), iterations=20), models["nmtlr"])
     assert json.loads(models["nmtlr"].read_text())["type"] == "nmtlr"
 
     wider = tmp_path / "wider"                        # three features, not two

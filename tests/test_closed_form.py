@@ -31,6 +31,7 @@ from oncokit.autodiff import (
     logsumexp,
     maxpool,
     narrow,
+    transpose,
     transposed_conv,
     tsum,
     zeros,
@@ -190,7 +191,7 @@ def mtlr_nll_composed(scores, boundaries, times, events):
     f = concat([tsum(narrow(scores, 1, k, m - k), axis=1, keepdims=True) for k in range(m)]
                + [zeros((n, 1))], axis=1)
     offs = Tensor(admissible_offsets_loop(boundaries, times, events))
-    return tsum(logsumexp(f, axis=1) - logsumexp(f + offs, axis=1))
+    return tsum(logsumexp(transpose(f, (1, 0))) - logsumexp(transpose(f + offs, (1, 0))))
 
 
 def survival_loop(scores_row):

@@ -114,6 +114,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("augment_seed", [-1, 1.5, True, "3"])
+    def test_augment_seed_must_be_a_non_negative_int(self, augment_seed):
+        cfg = ExperimentConfig(task="seg3d", data_dir=".", output_dir="o", seed=1,
+                               augment_seed=augment_seed)
+        with pytest.raises(ConfigError, match="augment_seed"):
+            cfg.validate()
+
 
 class TestRunExperiment:
     def test_surv_cox_recovers_signal(self, tmp_path):
@@ -171,15 +178,18 @@ class TestRunExperiment:
         write_synthetic_dataset(tmp_path / "d", n=10, seed=12, beta=[1.0],
                                 with_volumes=True, volume_shape=(16, 16, 8))
         out = tmp_path / "out"
-        blobs = []
-        for _ in range(2):
+        blobs, losses = [], []
+        for augment_seed in (1, 1, 2):
             cfg = ExperimentConfig(task="seg2d-si", data_dir=str(tmp_path / "d"),
                                    output_dir=str(out), seed=13, cv_folds=2,
-                                   epochs=1, batch_size=4, augment_seed=99)
+                                   epochs=1, batch_size=4, augment_seed=augment_seed)
             report = run_experiment(cfg)
             assert report.aggregate["failed_folds"] == 0
             blobs.append((out / "report.json").read_bytes())
+            losses.append([f["metrics"]["final_train_loss"] for f in report.folds])
         assert blobs[0] == blobs[1]
+        # the augmentation seed changes every fold's draws
+        assert all(a != b for a, b in zip(losses[0], losses[2]))
 
     def test_resume_skips_completed_folds(self, tmp_path):
         write_synthetic_dataset(tmp_path / "d", n=40, seed=9, beta=[1.0])

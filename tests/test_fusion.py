@@ -9,7 +9,6 @@ from oncokit.errors import ContractError
 from oncokit.fusion import deep_fusion_risk
 from oncokit.metrics import concordance_detail
 from oncokit.mtlr import (
-    FitConfig,
     mtlr_cohort_risks,
     mtlr_fit,
     risk_from_scores,
@@ -46,7 +45,7 @@ class TestDeepFusion:
         cohort = gen_synthetic_cohort(400, seed=21, beta=[1.2, -0.6], censor_frac=0.2)
         holdout = gen_synthetic_cohort(200, seed=22, beta=[1.2, -0.6], censor_frac=0.2)
         cox = cox_fit(cohort)
-        mtlr = mtlr_fit(cohort, config=FitConfig(iterations=600))
+        mtlr = mtlr_fit(cohort, iterations=600)
         rc = cox_cohort_risks(cox, holdout)
         rm = mtlr_cohort_risks(mtlr, holdout)
         fused = deep_fusion_risk(rc, rm)

@@ -11,7 +11,6 @@ from oncokit.autodiff import Tensor
 from oncokit.ehr import Cohort
 from oncokit.errors import ContractError
 from oncokit.mtlr import (
-    FitConfig,
     MtlrModel,
     censor_interval,
     event_interval,
@@ -210,24 +209,23 @@ class TestFit:
 
     def test_refit_identical(self):
         cohort = gen_synthetic_cohort(60, seed=13, beta=[0.8], censor_frac=0.2)
-        cfg = FitConfig(iterations=300)
-        a = mtlr_fit(cohort, m=4, smoothing=1.0, config=cfg)
-        b = mtlr_fit(cohort, m=4, smoothing=1.0, config=cfg)
+        a = mtlr_fit(cohort, m=4, smoothing=1.0, iterations=300)
+        b = mtlr_fit(cohort, m=4, smoothing=1.0, iterations=300)
         assert a.theta.tobytes() == b.theta.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
 
-    def test_iterations_count_updates_at_cap(self):
+    def test_iterations_count_updates_at_cap(self, monkeypatch):
+        monkeypatch.setattr("oncokit.mtlr.GRAD_TOL", 0.0)
         cohort = gen_synthetic_cohort(40, seed=16, beta=[1.0], censor_frac=0.2)
-        model = mtlr_fit(cohort, m=3, config=FitConfig(iterations=10, grad_tol=0.0))
+        model = mtlr_fit(cohort, m=3, iterations=10)
         assert model.iterations == 10
 
 
 class TestNeuralFit:
     def test_no_hidden_layers_matches_linear_fit(self):
         cohort = gen_synthetic_cohort(80, seed=14, beta=[1.0, -0.5], censor_frac=0.2)
-        cfg = FitConfig(iterations=200)
-        linear = mtlr_fit(cohort, m=4, smoothing=1.0, config=cfg)
-        neural = mtlr_fit(cohort, m=4, smoothing=1.0, config=cfg, hidden_widths=())
+        linear = mtlr_fit(cohort, m=4, smoothing=1.0, iterations=200)
+        neural = mtlr_fit(cohort, m=4, smoothing=1.0, hidden_widths=(), iterations=200)
         assert np.allclose(neural.theta, linear.theta, atol=1e-12)
         assert np.allclose(neural.bias, linear.bias, atol=1e-12)
 
@@ -244,9 +242,9 @@ class TestNeuralFit:
         idx = np.arange(n)
         train, test = cohort.subset(idx[:700]), cohort.subset(idx[700:])
 
-        cfg = FitConfig(iterations=800, seed=3)
-        linear = mtlr_fit(train, m=6, smoothing=1.0, config=cfg)
-        neural = mtlr_fit(train, m=6, smoothing=0.1, config=cfg, hidden_widths=(16,))
+        linear = mtlr_fit(train, m=6, smoothing=1.0, iterations=800, seed=3)
+        neural = mtlr_fit(train, m=6, smoothing=0.1, hidden_widths=(16,), iterations=800,
+                          seed=3)
 
         lin_risks = [mtlr_risk(linear, s.covariates) for s in test.subjects]
         net_risks = mtlr_cohort_risks(neural, test)
@@ -287,7 +285,7 @@ class TestNeuralFit:
 
 def test_persistence_roundtrip(tmp_path):
     cohort = gen_synthetic_cohort(60, seed=16, beta=[0.5], censor_frac=0.1)
-    model = mtlr_fit(cohort, m=3, config=FitConfig(iterations=100))
+    model = mtlr_fit(cohort, m=3, iterations=100)
     p = tmp_path / "mtlr.json"
     save_mtlr(model, p)
     back = mtlr_from_json(json.loads(p.read_text()), p)
@@ -299,8 +297,7 @@ def test_persistence_roundtrip(tmp_path):
 
 def test_persistence_roundtrip_hidden_layers(tmp_path):
     cohort = gen_synthetic_cohort(60, seed=17, beta=[0.5, -0.3], censor_frac=0.1)
-    cfg = FitConfig(iterations=50)
-    model = mtlr_fit(cohort, m=3, config=cfg, hidden_widths=(4, 3))
+    model = mtlr_fit(cohort, m=3, hidden_widths=(4, 3), iterations=50)
     p = tmp_path / "nmtlr.json"
     save_mtlr(model, p)
     saved = json.loads(p.read_text())
@@ -311,6 +308,6 @@ def test_persistence_roundtrip_hidden_layers(tmp_path):
     with pytest.raises(ContractError):              # the front end checks the width
         mtlr_risk(back, np.zeros(3))
     # a front end without layers is the linear model, saved as such
-    save_mtlr(mtlr_fit(cohort, m=3, config=cfg, hidden_widths=()), p)
+    save_mtlr(mtlr_fit(cohort, m=3, hidden_widths=(), iterations=50), p)
     assert "hidden_widths" not in json.loads(p.read_text())
     assert json.loads(p.read_text())["type"] == "mtlr"

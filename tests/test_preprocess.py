@@ -34,12 +34,13 @@ class TestCtWindow:
         with pytest.raises(ContractError):
             ct_window_normalize(_vol([[[0.0]]], modality="PET"))
 
-    def test_idempotent(self):
+    def test_windowed_volume_is_windowed_again(self):
+        # a volume does not record that it was windowed
         rng = np.random.default_rng(3)
         v = _vol(rng.uniform(-2000, 2000, size=(4, 4, 4)))
         once = ct_window_normalize(v)
         twice = ct_window_normalize(once)
-        assert np.abs(twice.data - once.data).max() <= 1e-7
+        assert np.allclose(twice.data, once.data / 1024.0, rtol=1e-6, atol=0)
 
 
 class TestPetZscore:
@@ -67,9 +68,7 @@ class TestResample:
     def test_identity_at_target_spacing(self):
         rng = np.random.default_rng(5)
         v = _vol(rng.normal(size=(6, 5, 4)))
-        out = resample_isotropic(v)
-        assert out.shape == v.shape
-        assert np.abs(out.data - v.data).max() <= 1e-6
+        assert resample_isotropic(v) is v
 
     def test_extent_formula(self):
         v = _vol(np.zeros((10, 10, 10)), spacing=(2.0, 2.0, 2.0))

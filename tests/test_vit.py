@@ -182,7 +182,7 @@ class TestEncode:
         wk = Tensor(RNG.normal(size=(16, 8)))
         from oncokit.autodiff import matmul, softmax, transpose
         att = softmax(matmul(matmul(z, wq), transpose(matmul(z, wk), (1, 0)))
-                      * (1.0 / math.sqrt(8)), axis=-1)
+                      * (1.0 / math.sqrt(8)))
         sums = att.data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() <= 1e-12
 
