@@ -25,7 +25,7 @@ from .errors import FormatError, write_atomic
 MAGIC = b"OKPT"
 
 
-def save_checkpoint(params: dict[str, Tensor], path, config: dict | None = None) -> None:
+def save_checkpoint(params: dict[str, Tensor], path, config: dict) -> None:
     chunks = [MAGIC, struct.pack("<I", len(params))]
     for name, tensor in params.items():
         raw_name = name.encode("utf-8")
@@ -36,9 +36,7 @@ def save_checkpoint(params: dict[str, Tensor], path, config: dict | None = None)
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
     write_atomic(path, b"".join(chunks))
-    manifest = {"format": "okpt-v1", "parameters": len(params)}
-    if config:
-        manifest["config"] = config
+    manifest = {"format": "okpt-v1", "parameters": len(params), "config": config}
     write_atomic(str(path) + ".json", json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 

@@ -123,13 +123,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import csv
-    import io
-
-    import numpy as np
-
     from .cox import cox_cohort_risks, cox_from_json
-    from .ehr import load_ehr
+    from .ehr import load_ehr, save_predictions
     from .mtlr import mtlr_cohort_risks, mtlr_from_json
 
     try:
@@ -149,12 +144,7 @@ def cmd_predict(args) -> int:
     if cohort.feature_names != model.feature_names:
         raise DataError(f"{args.ehr} has features {cohort.feature_names}, but "
                         f"{args.model} was fit on {model.feature_names}")
-    risks = np.asarray(cohort_risks(model, cohort), dtype=np.float64)
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["id", "risk"])
-    writer.writerows(zip(cohort.ids, map(repr, risks.tolist())))
-    write_atomic(args.out, text.getvalue().encode("utf-8"))
+    save_predictions(cohort.ids, cohort_risks(model, cohort), args.out)
     print(f"wrote {len(cohort)} risk predictions to {args.out}")
     return 0
 

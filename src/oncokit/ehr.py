@@ -1,25 +1,30 @@
-r"""Tabular cohort handling: CSV ingestion and one-hot expansion.
+r"""Tabular cohorts and the two CSV formats oncokit reads and writes.
 
-The expected layout is UTF-8 CSV (a leading byte-order mark is accepted)
-with header ``id,time,event,center`` and any number of feature columns
-after it, each name used once. Columns whose values all parse as numbers
-stay numeric and must be finite; anything else is treated as categorical
-and expanded one-hot (one column per level, level-sorted) in the original
-column order.
+Both formats are read and written here and nowhere else. A cohort file has
+the header ``id,time,event,center`` and any number of feature columns
+after it. Columns whose values all parse as numbers stay numeric and must
+be finite; anything else is treated as categorical and expanded one-hot
+(one column per level, level-sorted) in the original column order. An
+``id,risk`` file, as ``oncokit predict`` writes it and ``oncokit eval``
+reads it, holds one finite risk per id, in columns of any order. Both are
+UTF-8 CSV (a leading byte-order mark is accepted) with each column named
+once and every row as wide as the header; header names and ids are
+stripped of surrounding space, and an id appears once.
 
 A ``Cohort`` is stored as columns: ids, times, events, centers, the three
 volume paths and one (n, p) covariate matrix, all read-only.
 
-``read_rows`` decodes the file once and hands back its columns, and each
-column is converted in one pass. A plain file, the kind ``save_ehr`` and
-``oncokit predict`` write, is split on commas as text. It has no ``"``, no
-lone ``\r``, no NUL, one kind of line end (``\n`` or ``\r\n``) and no
-field longer than ``csv.field_size_limit()``; every row has the header's
-width and every row's first field is not blank, so no row is blank. Any
-other file is read by ``csv.reader``, which gives a plain file the same
-fields. A file that is not UTF-8, or that ``csv.reader`` refuses, is a
-``DataError``. Only a file that fails a check on its values is walked row
-by row, to name the offending ``path:line``.
+``read_rows`` decodes a file once and hands back its columns by name and
+the line of each row, and each column is converted in one pass. A plain
+file, the kind ``save_ehr`` and ``save_predictions`` write, is split on
+commas as text. It has no ``"``, no lone ``\r``, no NUL, one kind of line
+end (``\n`` or ``\r\n``) and no field longer than
+``csv.field_size_limit()``; every row has the header's width and every
+row's first field is not blank, so no row is blank. Any other file is read
+by ``csv.reader``, which gives a plain file the same fields. A file that
+is not UTF-8, or that ``csv.reader`` refuses, is a ``DataError``. Only
+columns that fail a check on their values are walked row by row, in
+memory, to name the offending ``path:line``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import codecs
 import csv
 import io
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,13 +135,11 @@ def _floats(values, n: int) -> np.ndarray | None:
         return None
 
 
-Columns = tuple[list[str] | None, int, list[Sequence[str]] | None]
-
-
-def _split_plain(text: str) -> Columns | None:
-    r"""``read_rows`` of a plain file, split as text; None for any other file.
-    Each line end becomes a ``"\n"`` token of its own, so the rows are
-    strides of one flat list and one count checks every row's width."""
+def _split_plain(text: str):
+    r"""The header, columns and row lines of a plain file, split as text;
+    None for any other file. Each line end becomes a ``"\n"`` token of its
+    own, so the rows are strides of one flat list and one count checks
+    every row's width."""
     eol = "\r\n" if "\r" in text else "\n"
     text = text.removesuffix(eol)
     n = text.count("\n")
@@ -153,14 +156,15 @@ def _split_plain(text: str) -> Columns | None:
     if len(flat) != (n + 1) * stride - 1 or flat[width::stride].count("\n") != n \
             or not all(map(str.strip, flat[::stride])):
         return None
-    return flat[:width], n, [flat[j::stride] for j in range(stride, stride + width)]
+    return flat[:width], [flat[j::stride] for j in range(stride, stride + width)], range(2, n + 2)
 
 
-def read_rows(path) -> Columns:
-    """The header, the number of rows that are not blank and the text of
-    each column of a UTF-8 CSV file (a leading byte-order mark is dropped).
-    The header is None for an empty file, and the columns are None when a
-    row's width differs from the header's. Nothing is stripped."""
+def read_rows(path, required) -> tuple[dict[str, Sequence[str]], Sequence[int]]:
+    """The text of each column of a UTF-8 CSV file (a leading byte-order
+    mark is dropped) by its header name, stripped, in header order, and the
+    physical line each row that is not blank ends on. The file must have a
+    header that names each ``required`` column and no column twice, and
+    every row must have the header's width. Nothing else is stripped."""
     path = Path(path)
     data = path.read_bytes()
     content = data.removeprefix(codecs.BOM_UTF8)
@@ -170,97 +174,110 @@ def read_rows(path) -> Columns:
         raise DataError(f"{path}: not UTF-8 text, byte {len(data) - len(content) + exc.start}: "
                         f"{exc.reason}") from None
     plain = _split_plain(text)
-    if plain is not None:
-        return plain
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
-        return None, 0, None
-    header, body = rows[0], [row for row in rows[1:] if any(map(str.strip, row))]
-    if not set(map(len, body)) <= {len(header)}:
-        return header, len(body), None
-    return header, len(body), list(zip(*body)) or [()] * len(header)
-
-
-def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """``(line, row)`` for every row of a ``csv.reader`` that is not blank.
-    ``line`` is the physical line the row ends on, so a quoted field that
-    holds a newline does not shift the lines of the rows after it."""
-    for row in reader:
-        if any(map(str.strip, row)):
-            yield reader.line_num, row
-
-
-def _first_bad_row(path: Path, header: list[str], numeric=()) -> None:
-    """Raise the ``path:line`` error of the first row that fails a check: its
-    width, its time, its event, a repeated id or, in the feature columns
-    named in ``numeric``, a value that is not finite."""
-    col = {name: header.index(name) for name in (*REQUIRED_COLUMNS, *numeric)}
-    seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in numbered_rows(reader):
+    if plain is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, None)
+            body = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    else:
+        header, columns, lines = plain
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [name.strip() for name in header]
+    for name in required:
+        if name not in header:
+            raise DataError(f"{path}: missing required column {name!r}")
+    for name in header:
+        if header.count(name) > 1:
+            raise DataError(f"{path}: duplicate column {name!r}")
+    if plain is None:
+        for line, row in body:
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            time_text = row[col["time"]].strip()
-            try:
-                time = float(time_text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric time {time_text!r}") from None
-            if not np.isfinite(time) or time <= 0:
-                raise DataError(f"{path}:{lineno}: time must be finite and positive, got {time}")
-            event_text = row[col["event"]].strip()
-            if event_text not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: event must be 0 or 1, got {event_text!r}")
-            sid = row[col["id"]].strip()
-            if sid in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {sid!r}")
-            seen.add(sid)
-            for name in numeric:
-                text = row[col[name]].strip()
-                if not np.isfinite(float(text)):
-                    raise DataError(f"{path}:{lineno}: feature {name!r} must be finite, "
-                                    f"got {text!r}")
+                raise DataError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        lines = [line for line, _ in body]
+        columns = list(zip(*(row for _, row in body))) or [()] * len(header)
+    return dict(zip(header, columns)), lines
+
+
+def _first_bad_row(path: Path, columns, lines, checks) -> None:
+    """Raise the ``path:line`` error of the first row that fails a check.
+    ``checks`` holds (column name, check) pairs, tried in order on each
+    row; a check returns what is wrong with one text of the column, or
+    None."""
+    for i, line in enumerate(lines):
+        for name, check in checks:
+            problem = check(name, columns[name][i])
+            if problem:
+                raise DataError(f"{path}:{line}: {problem}")
+
+
+def _time_problem(name: str, text: str) -> str | None:
+    try:
+        time = float(text)
+    except ValueError:
+        return f"non-numeric {name} {text.strip()!r}"
+    if not np.isfinite(time) or time <= 0:
+        return f"{name} must be finite and positive, got {time}"
+    return None
+
+
+def _event_problem(name: str, text: str) -> str | None:
+    text = text.strip()
+    return None if text in ("0", "1") else f"{name} must be 0 or 1, got {text!r}"
+
+
+def _feature_problem(name: str, text: str) -> str | None:
+    if np.isfinite(float(text)):          # every text of the column parses
+        return None
+    return f"feature {name!r} must be finite, got {text.strip()!r}"
+
+
+def _risk_problem(name: str, text: str) -> str | None:
+    try:
+        finite = np.isfinite(float(text))
+    except ValueError:
+        finite = False
+    return None if finite else f"{name} must be a finite number, got {text!r}"
+
+
+def _unique():
+    """A check that refuses a stripped text it has seen before."""
+    seen: set[str] = set()
+
+    def check(name: str, text: str) -> str | None:
+        text = text.strip()
+        if text in seen:
+            return f"duplicate {name} {text!r}"
+        seen.add(text)
+        return None
+    return check
 
 
 def load_ehr(path) -> Cohort:
     """Read a cohort CSV."""
     path = Path(path)
-    header, n, columns = read_rows(path)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in header]
-    for col in REQUIRED_COLUMNS:
-        if col not in header:
-            raise DataError(f"{path}: missing required column {col!r}")
-    for name in header:
-        if header.count(name) > 1:
-            raise DataError(f"{path}: duplicate column {name!r}")
-
-    if columns is None:
-        _first_bad_row(path, header)
-    raw = dict(zip(header, columns))
+    raw, lines = read_rows(path, REQUIRED_COLUMNS)
+    n = len(lines)
     ids, centers, event_text = (list(map(str.strip, raw[name]))
                                 for name in ("id", "center", "event"))
     times = _floats(raw["time"], n)     # float() ignores what strip() removes
     if times is None or not (np.isfinite(times) & (times > 0)).all() \
             or not set(event_text) <= {"0", "1"} or len(set(ids)) != n:
-        _first_bad_row(path, header)
+        _first_bad_row(path, raw, lines, [("time", _time_problem), ("event", _event_problem),
+                                          ("id", _unique())])
     events = np.fromiter(map(int, event_text), np.int64, n)
 
     feature_names: list[str] = []
     numeric: list[str] = []
     blocks = []
-    for name in header:
+    for name, column in raw.items():
         if name in REQUIRED_COLUMNS:
             continue
-        values = _floats(raw[name], n)
+        values = _floats(column, n)
         if values is None:         # categorical: one column per sorted level
-            text = list(map(str.strip, raw[name]))
+            text = list(map(str.strip, column))
             levels = sorted(set(text))
             code = {lv: k for k, lv in enumerate(levels)}
             codes = np.fromiter(map(code.__getitem__, text), np.intp, n)
@@ -272,16 +289,40 @@ def load_ehr(path) -> Cohort:
             numeric.append(name)
     x = np.hstack(blocks) if blocks else np.empty((n, 0))
     if not np.isfinite(x).all():
-        _first_bad_row(path, header, numeric)
+        _first_bad_row(path, raw, lines, [(name, _feature_problem) for name in numeric])
     return Cohort(ids, times, events, x, feature_names, centers)
+
+
+def load_predictions(path) -> tuple[list[str], np.ndarray]:
+    """Ids and risks of an ``id,risk`` CSV, each id stripped as
+    ``load_ehr`` strips cohort ids. A repeated id or a risk that is not a
+    finite number is refused, naming its ``path:line``."""
+    path = Path(path)
+    raw, lines = read_rows(path, ("id", "risk"))
+    ids = list(map(str.strip, raw["id"]))
+    risks = _floats(raw["risk"], len(lines))
+    if risks is None or not np.isfinite(risks).all() or len(set(ids)) != len(ids):
+        _first_bad_row(path, raw, lines, [("id", _unique()), ("risk", _risk_problem)])
+    return ids, risks
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def save_ehr(cohort: Cohort, path) -> None:
     """Write a cohort back out in the canonical CSV layout."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(list(REQUIRED_COLUMNS) + cohort.feature_names)
     features = (map(repr, col) for col in cohort.covariate_matrix().T.tolist())
-    writer.writerows(zip(cohort.ids, map(repr, cohort.times().tolist()),
-                         cohort.events().tolist(), cohort.centers, *features))
-    write_atomic(path, text.getvalue().encode("utf-8"))
+    _write_csv(path, [*REQUIRED_COLUMNS, *cohort.feature_names],
+               zip(cohort.ids, map(repr, cohort.times().tolist()),
+                   cohort.events().tolist(), cohort.centers, *features))
+
+
+def save_predictions(ids, risks, path) -> None:
+    """Write per-subject risks as an ``id,risk`` CSV."""
+    risks = np.asarray(risks, dtype=np.float64).tolist()
+    _write_csv(path, ["id", "risk"], zip(ids, map(repr, risks)))

@@ -18,9 +18,7 @@ unreadable marker is a ``DataError``.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 import time
 import traceback
 from dataclasses import asdict, dataclass
@@ -33,11 +31,11 @@ from .augment import augment
 from .autodiff import Tensor, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
-from .ehr import Cohort, load_ehr, numbered_rows, read_rows, save_ehr
+from .ehr import Cohort, load_ehr, load_predictions, save_ehr
 from .errors import ConfigError, DataError, OncokitError, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
-from .metrics import concordance_detail, confusion, dsc, precision_recall
+from .metrics import concordance_detail, confusion, dsc
 from .mtlr import mtlr_cohort_risks, mtlr_fit, risk_from_scores, save_mtlr, time_grid
 from .optim import OptimState, share_params, train
 from .preprocess import ct_window_normalize, pet_zscore, resample_isotropic
@@ -47,6 +45,26 @@ from .synthetic import gen_synthetic_cohort
 from .tmss import TmssModel, tmss_loss
 from .vit import ViTEncoder, encoder_preset
 from .volume import Volume, read_volume, write_volume
+
+
+def _real(value) -> bool:
+    """An int, or a float that is finite."""
+    return isinstance(value, int) or isinstance(value, float) and bool(np.isfinite(value))
+
+
+# (numeric config fields, what each must be, the test of a value that is not a bool)
+_FIELD_RULES = (
+    (("epochs", "batch_size", "schedule_period", "fit_iterations", "decoder_width"),
+     "an int >= 1", lambda v: isinstance(v, int) and v >= 1),
+    (("m_intervals", "patch"), "None or an int >= 1",
+     lambda v: v is None or isinstance(v, int) and v >= 1),
+    (("augment_seed",), "None or an int >= 0",
+     lambda v: v is None or isinstance(v, int) and v >= 0),
+    (("learning_rate", "fit_lr"), "a finite number > 0", lambda v: _real(v) and v > 0),
+    (("weight_decay", "smoothing", "survival_weight"), "a finite number >= 0",
+     lambda v: _real(v) and v >= 0),
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -85,9 +103,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown cv scheme {self.cv_scheme!r}")
         if self.model_preset not in ("toy", "paper"):
             raise ConfigError(f"unknown model preset {self.model_preset!r}")
-        aug = self.augment_seed
-        if aug is not None and (isinstance(aug, bool) or not isinstance(aug, int) or aug < 0):
-            raise ConfigError(f"augment_seed must be None or an int >= 0, got {aug!r}")
+        for names, what, ok in _FIELD_RULES:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not ok(value):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -245,9 +265,8 @@ def _segmentation_metrics(pairs) -> dict:
     per_case = []
     for case_id, pred, truth in pairs:
         counts = confusion(pred, truth)
-        pr = precision_recall(counts)
         per_case.append({"id": case_id, "dsc": counts.dice,
-                         "precision": pr.precision, "recall": pr.recall})
+                         "precision": counts.precision, "recall": counts.recall})
     agg = {}
     for key in ("dsc", "precision", "recall"):
         values = np.array([c[key] for c in per_case])
@@ -524,61 +543,10 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
     return report
 
 
-def _read_predictions(pred_csv) -> tuple[list[str], np.ndarray]:
-    """Ids and risks of an ``id,risk`` CSV, each header name and id stripped
-    of surrounding space as ``load_ehr`` strips cohort names and ids.
-    ``read_rows`` gives the columns and each is converted in one pass; a
-    file with a row of another width than the header's, a repeated id or a
-    risk that is not a finite number is read row by row."""
-    header, n, columns = read_rows(pred_csv)
-    if header is not None:
-        header = [name.strip() for name in header]
-    if header is None or "id" not in header or "risk" not in header:
-        raise DataError(f"{pred_csv}: header must contain id,risk")
-    if columns is not None:
-        col = dict(zip(header, columns))    # the last column of a name
-        ids = list(map(str.strip, col["id"]))
-        try:
-            risks = np.fromiter(map(float, col["risk"]), np.float64, n)
-        except ValueError:
-            risks = None
-        if risks is not None and np.isfinite(risks).all() and len(set(ids)) == n:
-            return ids, risks
-    return _read_predictions_by_row(pred_csv)
-
-
-def _read_predictions_by_row(pred_csv) -> tuple[list[str], np.ndarray]:
-    """The row-by-row reading of ``_read_predictions``, which names the
-    ``path:line`` of a row too short to reach the id or risk column, a
-    repeated id, or a risk that is not a finite number."""
-    ids, risks, seen = [], [], set()
-    with open(pred_csv, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        col = {name.strip(): j for j, name in enumerate(next(reader))}
-        i_id, i_risk = col["id"], col["risk"]
-        for line, row in numbered_rows(reader):
-            where = f"{pred_csv}:{line}"
-            if len(row) <= max(i_id, i_risk):
-                raise DataError(f"{where}: row too short to reach the id and risk columns")
-            sid, text = row[i_id].strip(), row[i_risk]
-            if sid in seen:
-                raise DataError(f"{where}: duplicate id {sid!r}")
-            seen.add(sid)
-            try:
-                risk = float(text)
-            except ValueError:
-                risk = math.nan
-            if not math.isfinite(risk):
-                raise DataError(f"{where}: risk must be a finite number, got {text!r}")
-            ids.append(sid)
-            risks.append(risk)
-    return ids, np.array(risks, dtype=np.float64)
-
-
 def evaluate_survival_files(pred_csv, truth_csv) -> dict:
     """C-index of a predictions CSV (id,risk) against cohort labels."""
     cohort = load_ehr(truth_csv)
-    ids, risks = _read_predictions(pred_csv)
+    ids, risks = load_predictions(pred_csv)
     row = dict(zip(cohort.ids, range(len(cohort))))
     rows = np.fromiter((row.get(sid, -1) for sid in ids), np.intp, len(ids))
     found = rows >= 0

@@ -38,11 +38,17 @@ class ConfusionCounts:
         sizes = 2 * self.tp + self.fn + self.fp
         return 1.0 if sizes == 0 else 2.0 * self.tp / sizes
 
+    @property
+    def precision(self) -> float:
+        """tp/(tp+fp); an empty prediction gives 1.0."""
+        predicted = self.tp + self.fp
+        return self.tp / predicted if predicted else 1.0
 
-@dataclass
-class PrecisionRecall:
-    precision: float
-    recall: float
+    @property
+    def recall(self) -> float:
+        """tp/(tp+fn); an empty truth gives 1.0."""
+        actual = self.tp + self.fn
+        return self.tp / actual if actual else 1.0
 
 
 def _check_mask(name: str, arr) -> np.ndarray:
@@ -66,13 +72,6 @@ def confusion(pred, truth) -> ConfusionCounts:
     tp = int(np.count_nonzero(a & b))
     n_pred, n_truth = int(np.count_nonzero(a)), int(np.count_nonzero(b))
     return ConfusionCounts(tp, n_truth - tp, n_pred - tp, a.size - n_pred - n_truth + tp)
-
-
-def precision_recall(counts: ConfusionCounts) -> PrecisionRecall:
-    """tp/(tp+fp) and tp/(tp+fn); an empty denominator gives 1.0."""
-    predicted, actual = counts.tp + counts.fp, counts.tp + counts.fn
-    return PrecisionRecall(counts.tp / predicted if predicted else 1.0,
-                           counts.tp / actual if actual else 1.0)
 
 
 @dataclass

@@ -72,15 +72,13 @@ def cosine_lr(epoch: float, state: OptimState) -> float:
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor | np.ndarray],
-               state: OptimState, lr: float | None = None) -> dict[str, Tensor]:
+               state: OptimState, lr: float) -> dict[str, Tensor]:
     """One AdamW update over every parameter; returns the new parameter dict.
 
     Weight decay is decoupled: it scales the weights directly and never
     enters the moment estimates. Moments are bias-corrected with the shared
     step counter, which this call increments.
     """
-    if lr is None:
-        lr = state.base_lr
     state.step += 1
     t = state.step
     b1, b2 = BETAS

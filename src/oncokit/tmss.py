@@ -33,9 +33,6 @@ from .optim import share_params
 from .segnets import UnetrDecoder
 from .vit import EncoderConfig, ViTEncoder
 
-DEFAULT_SURVIVAL_WEIGHT = 0.3
-
-
 @dataclass
 class TmssOutput:
     logits: Tensor            # (1, spatial...)
@@ -90,7 +87,7 @@ class TmssModel:
 
 
 def tmss_loss(logits: Tensor, mask: Tensor, scores: Tensor, time: float,
-              event: int, boundaries, beta: float = DEFAULT_SURVIVAL_WEIGHT) -> Tensor:
+              event: int, boundaries, beta: float) -> Tensor:
     """Joint objective for one subject: segmentation plus weighted survival."""
     seg = combined_loss(sigmoid(logits), mask)
     if beta == 0.0:

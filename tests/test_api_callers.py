@@ -17,7 +17,8 @@ NamedTuple is held to the same rule, with its class's constructor calls:
 the class's name outside the class, and ``cls(...)`` inside it.
 
 No module imports a name it never reads, which a deletion can leave
-behind.
+behind. Only ``ehr.py`` imports ``csv``: it alone reads and writes the
+cohort and ``id,risk`` CSV formats.
 """
 
 import ast
@@ -265,3 +266,13 @@ def _unused_imports() -> set[str]:
 
 def test_no_unused_imports():
     assert _unused_imports() == set()
+
+
+def test_only_ehr_imports_csv():
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.add(path.name)
+    assert importers == {"ehr.py"}

@@ -504,7 +504,8 @@ class TestGradientCoverage:
 
         def joint_loss():
             out = tmss.forward(volume, covariates)
-            return tmss_loss(out.logits, mask, out.scores, 1.5, 1, tmss.boundaries)
+            return tmss_loss(out.logits, mask, out.scores, 1.5, 1, tmss.boundaries,
+                             beta=0.3)
 
         ops |= self._taped_ops(joint_loss)
         for hidden_widths in ((), (3,)):

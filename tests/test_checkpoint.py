@@ -40,7 +40,7 @@ def test_bad_magic(tmp_path):
 def test_truncated_blob(tmp_path):
     params = {"w": Tensor(np.ones((3, 3)), requires_grad=True)}
     p = tmp_path / "w.ckpt"
-    save_checkpoint(params, p)
+    save_checkpoint(params, p, config={})
     raw = p.read_bytes()
     p.write_bytes(raw[:-5])
     with pytest.raises(FormatError):
@@ -51,6 +51,6 @@ def test_loaded_params_train(tmp_path):
     # loaded tensors must be usable as trainable parameters directly
     params = {"w": Tensor(np.ones(2), requires_grad=True)}
     p = tmp_path / "w.ckpt"
-    save_checkpoint(params, p)
+    save_checkpoint(params, p, config={})
     back = load_checkpoint(p)
     assert back["w"].requires_grad

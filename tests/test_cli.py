@@ -50,6 +50,21 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("setting", [
+    "batch_size=0", "schedule_period=0", "fit_iterations=0", "fit_lr=-1", "epochs=true",
+    "decoder_width=1.5", "learning_rate=NaN", "weight_decay=-1e-5", "smoothing=Infinity",
+    "survival_weight=heavy", "m_intervals=0", "patch=true"])
+def test_train_refuses_bad_numeric_setting(tmp_path, capsys, setting):
+    data, out = tmp_path / "data", tmp_path / "out"
+    main(["synth", "--out", str(data), "--n", "12", "--seed", "3"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "surv-mtlr", "data_dir": str(data),
+                               "output_dir": str(out), "seed": 1, "cv_folds": 2}))
+    assert main(["train", "--config", str(cfg), "--set", setting]) == 2
+    assert f"{setting.split('=')[0]} must be" in capsys.readouterr().err
+    assert not list(out.glob("fold_*.json")) and not (out / "report.json").exists()
+
+
 def test_prep_and_convert_roundtrip(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()
@@ -369,13 +384,13 @@ def test_eval_survival_bad_prediction_is_data_error(tmp_path, capsys, bad, named
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", ["", ",x"], ids=["columns", "rows"])
-def test_eval_survival_strips_prediction_ids(tmp_path, extra):
-    # a row wider than the header sends the file to the row-by-row reader
+@pytest.mark.parametrize("last", ["s00003,0.1", 's00003,"0.1"'], ids=["columns", "rows"])
+def test_eval_survival_strips_prediction_ids(tmp_path, last):
+    # a quoted field sends the file to csv.reader, which reads it row by row
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n", "6", "--seed", "1"])
     pred = tmp_path / "risks.csv"
-    pred.write_text("id,risk\n s00001,0.3\ns00002 ,0.5\ns00003,0.1" + extra + "\n")
+    pred.write_text("id,risk\n s00001,0.3\ns00002 ,0.5\n" + last + "\n")
     out = tmp_path / "eval.json"
     assert main(["eval", "--task", "surv", "--pred", str(pred),
                  "--truth", str(data / "ehr.csv"), "--out", str(out)]) == 0
@@ -384,12 +399,12 @@ def test_eval_survival_strips_prediction_ids(tmp_path, extra):
     assert report["n"] == 3
 
 
-@pytest.mark.parametrize("extra", ["", ",x"], ids=["columns", "rows"])
-def test_eval_survival_strips_prediction_header(tmp_path, extra):
+@pytest.mark.parametrize("last", ["s00003,0.1", 's00003,"0.1"'], ids=["columns", "rows"])
+def test_eval_survival_strips_prediction_header(tmp_path, last):
     data = tmp_path / "data"
     main(["synth", "--out", str(data), "--n", "6", "--seed", "1"])
     pred = tmp_path / "risks.csv"
-    pred.write_text("id, risk \ns00001,0.3\ns00002,0.5\ns00003,0.1" + extra + "\n")
+    pred.write_text("id, risk \ns00001,0.3\ns00002,0.5\n" + last + "\n")
     out = tmp_path / "eval.json"
     assert main(["eval", "--task", "surv", "--pred", str(pred),
                  "--truth", str(data / "ehr.csv"), "--out", str(out)]) == 0
@@ -406,7 +421,7 @@ def test_eval_survival_short_row_is_data_error(tmp_path, capsys):
     assert main(["eval", "--task", "surv", "--pred", str(pred),
                  "--truth", str(data / "ehr.csv")]) == 3
     # the whitespace-only line is skipped but still counted
-    assert f"{pred}:5: row too short" in capsys.readouterr().err
+    assert f"{pred}:5: expected 2 fields, got 1" in capsys.readouterr().err
 
 
 def test_eval_survival_reads_bom_prediction_and_lists_missing(tmp_path, capsys):

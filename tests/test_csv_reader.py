@@ -1,16 +1,19 @@
 """``ehr.read_rows``: plain files are split as text, and every file gives
 the same cohort or predictions, or the same error, as ``csv.reader``."""
 
+import builtins
 import csv
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from oncokit import ehr
 from oncokit.cli import main
-from oncokit.ehr import load_ehr
+from oncokit.ehr import load_ehr, load_predictions
 from oncokit.errors import DataError
-from oncokit.experiment import _read_predictions, evaluate_survival_files
+from oncokit.experiment import evaluate_survival_files
 
 HEADER = "id,time,event,center,age"
 LIMIT = csv.field_size_limit()
@@ -114,7 +117,7 @@ def _cohort_outcome(path):
 
 def _pred_outcome(path):
     try:
-        ids, risks = _read_predictions(path)
+        ids, risks = load_predictions(path)
     except DataError as exc:
         return "error", str(exc)
     return "predictions", ids, risks.dtype, risks.tobytes()
@@ -172,6 +175,36 @@ def test_grid_errors_name_the_line(tmp_path):
             assert outcome[:2] == ("cohort", ["a", "b"])
         else:
             assert outcome[0] == "error" and outcome[1].startswith(f"{path}{message}"), name
+
+
+@pytest.mark.parametrize("read, data, named", [
+    (load_ehr, _rows(HEADER, "a,1,1,c,5", "b,soon,0,c,6"), ":3: non-numeric time 'soon'"),
+    (load_ehr, _rows(HEADER, 'a,1,1,"c,d",5', "", "b,2,0,c,nan"),
+     ":4: feature 'age' must be finite"),
+    (load_predictions, _rows("id,risk", "a,0.1", "b,high"), ":3: risk must be a finite number"),
+    (load_predictions, _rows("id,risk", '"a",0.1', "", "a,0.2"), ":4: duplicate id 'a'"),
+], ids=["cohort-plain", "cohort-quoted", "risks-plain", "risks-quoted"])
+def test_bad_row_is_named_from_the_one_read(tmp_path, monkeypatch, read, data, named):
+    # the row's line comes from the columns already read: a second open fails
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    opens = []
+
+    def once(real):
+        def guarded(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+                opens.append(file)
+                if len(opens) > 1:
+                    raise PermissionError(f"{path} opened again")
+            return real(file, *args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(builtins, "open", once(builtins.open))
+    monkeypatch.setattr(Path, "open", once(Path.open))
+    with pytest.raises(DataError) as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}{named}")
+    assert len(opens) == 1
 
 
 def test_decode_error_offset_counts_the_byte_order_mark(tmp_path):

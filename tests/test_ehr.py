@@ -120,3 +120,10 @@ def test_cohort_columns_are_read_only(tmp_path):
                    cohort.subjects[0].covariates):
         with pytest.raises(ValueError):
             column[0] = 0
+
+
+def test_ragged_row_named_before_an_earlier_bad_value(tmp_path):
+    # every row's width is checked before any value is
+    p = _write(tmp_path, "id,time,event,center,age\na,soon,1,c,5\nb,2,0,c\n")
+    with pytest.raises(DataError, match=r"\.csv:3: expected 5 fields, got 4"):
+        load_ehr(p)

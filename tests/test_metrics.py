@@ -9,7 +9,6 @@ from oncokit.metrics import (
     concordance_detail,
     confusion,
     dsc,
-    precision_recall,
 )
 
 RNG = np.random.default_rng(555)
@@ -62,21 +61,21 @@ class TestConfusion:
 
     def test_perfect_prediction(self):
         y = np.array([1.0, 0.0, 1.0])
-        pr = precision_recall(confusion(y, y))
-        assert (pr.precision, pr.recall) == (1.0, 1.0)
+        counts = confusion(y, y)
+        assert (counts.precision, counts.recall) == (1.0, 1.0)
 
     def test_all_negative_prediction_flagged(self):
         truth = np.array([1.0, 0.0, 1.0])
-        pr = precision_recall(confusion(np.zeros(3), truth))
-        assert (pr.precision, pr.recall) == (1.0, 0.0)
+        counts = confusion(np.zeros(3), truth)
+        assert (counts.precision, counts.recall) == (1.0, 0.0)
 
     def test_hand_counts(self):
         # tp=3, fp=1, fn=2
         pred = np.array([1, 1, 1, 1, 0, 0, 0.0])
         truth = np.array([1, 1, 1, 0, 1, 1, 0.0])
-        pr = precision_recall(confusion(pred, truth))
-        assert pr.precision == pytest.approx(0.75)
-        assert pr.recall == pytest.approx(0.6)
+        counts = confusion(pred, truth)
+        assert counts.precision == pytest.approx(0.75)
+        assert counts.recall == pytest.approx(0.6)
 
 
 class TestCIndex:

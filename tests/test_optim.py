@@ -14,14 +14,14 @@ from oncokit.vit import EncoderConfig, ViTEncoder
 def test_zero_grad_zero_decay_leaves_params():
     params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
     state = OptimState(weight_decay=0.0)
-    out = adamw_step(params, {"w": np.zeros(2)}, state)
+    out = adamw_step(params, {"w": np.zeros(2)}, state, lr=state.base_lr)
     assert np.array_equal(out["w"].data, params["w"].data)
 
 
 def test_single_step_descends_quadratic():
     w = Tensor(np.array([1.0]), requires_grad=True)
     state = OptimState(weight_decay=0.0)
-    out = adamw_step({"w": w}, {"w": np.array([2.0])}, state)  # grad of w^2 at 1
+    out = adamw_step({"w": w}, {"w": np.array([2.0])}, state, lr=state.base_lr)  # grad of w^2 at 1
     assert abs(out["w"].data[0]) < 1.0
 
 
@@ -31,14 +31,14 @@ def test_converges_to_quadratic_minimizer():
     state = OptimState(base_lr=0.05, weight_decay=0.0)
     for _ in range(200):
         g = 2.0 * (params["w"].data - target)
-        params = adamw_step(params, {"w": g}, state)
+        params = adamw_step(params, {"w": g}, state, lr=state.base_lr)
     assert abs(params["w"].data[0] - target) <= 1e-3
 
 
 def test_nan_grad_names_parameter():
     params = {"theta": Tensor(np.zeros(2), requires_grad=True)}
     with pytest.raises(NumericError) as e:
-        adamw_step(params, {"theta": np.array([np.nan, 0.0])}, OptimState())
+        adamw_step(params, {"theta": np.array([np.nan, 0.0])}, OptimState(), lr=1e-3)
     assert "theta" in str(e.value)
 
 
@@ -61,7 +61,7 @@ def test_deterministic_given_state():
 def test_decoupled_weight_decay_shrinks_weights():
     params = {"w": Tensor(np.array([10.0]), requires_grad=True)}
     state = OptimState(weight_decay=0.1)
-    out = adamw_step(params, {"w": np.zeros(1)}, state)
+    out = adamw_step(params, {"w": np.zeros(1)}, state, lr=state.base_lr)
     # moments stay zero so the only effect is the decay term
     assert out["w"].data[0] == pytest.approx(10.0 * (1 - state.base_lr * 0.1))
 
@@ -156,7 +156,7 @@ class TestSharedParams:
 
         def loss(index, epoch):
             out = model.forward(vol, cov)
-            return tmss_loss(out.logits, mask, out.scores, 1.5, 1, model.boundaries)
+            return tmss_loss(out.logits, mask, out.scores, 1.5, 1, model.boundaries, beta=0.3)
 
         train(model.params, loss, 1, 1, 1, OptimState(), seed=0)
         assert model.encoder.params is model.params

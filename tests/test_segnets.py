@@ -228,7 +228,7 @@ class TestOverfitSanity:
                 loss = combined_loss(sigmoid(logits), yt)
             grads = backward(tape, loss)
             gmap = {k: grads[p] for k, p in net.params.items()}
-            net.params = adamw_step(net.params, gmap, state)
+            net.params = adamw_step(net.params, gmap, state, lr=state.base_lr)
             if step % 10 == 0 or step == 199:
                 score = dsc(predict_mask(net.forward(xt)), truth)
                 if score >= 0.99:
