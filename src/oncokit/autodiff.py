@@ -750,30 +750,29 @@ def _fold(a: np.ndarray, k: int, length: int) -> np.ndarray:
     return out.reshape(-1, length)
 
 
-def conv(x, weight, bias=None, padding: int = 0) -> Tensor:
-    """Cross-correlation of a (C_in, spatial...) input with a
-    (C_out, C_in, k...) kernel, plus an optional per-channel bias.
+def conv(x, weight, bias=None) -> Tensor:
+    """Same-size cross-correlation of a (C_in, spatial...) input with a
+    (C_out, C_in, k...) kernel of one odd side k, plus an optional
+    per-channel bias: the input is zero-padded by p = (k - 1) // 2, so the
+    output keeps its extents.
 
     The input is laid out flat, as ``xf`` of shape (C_in, P), on a grid
     whose rows share their padding. Every axis after the first has extent
-    s + gap: the input's s positions, then ``gap`` zeros. A kernel reaches
-    at most ``padding`` positions past either end of a row, so a gap of
-    ``padding`` serves as this row's right pad and the next row's left pad.
-    (When the kernel is no longer than the padding, a row has more outputs
-    than input positions and gap; the gap then grows to hold them.) The
-    first axis has ``padding`` zero rows at both ends, and ``xf`` starts
-    with the zeros that the first row's left reach needs: the input sits at
-    the flat index of grid position (padding, ..., padding).
+    s + p: the input's s positions, then p zeros. A kernel reaches p
+    positions past either end of a row, so these zeros serve as this row's
+    right pad and the next row's left pad. The first axis has p zero rows at
+    both ends, and ``xf`` starts with the zeros that the first row's left
+    reach needs: the input sits at the flat index of grid position (p, ..., p).
 
     Output position o reads kernel offset ``off`` at flat index
     shift(off) + j(o), where shift(off) and j(o) are the flat indices of
     ``off`` and o on the grid, so each offset reads one contiguous slice of
-    ``xf``. The last kernel axis (extent k) is folded into the GEMM: ``xs``
-    stacks the k copies of ``xf`` shifted by 0..k-1 along the flat axis,
-    and each offset of the other kernel axes is one
-    (C_out, k * C_in) @ (k * C_in, L) product on a slice of ``xs``, L the
-    largest j + 1. The products accumulate on a buffer indexed by j; a
-    reshape and a crop of each row to the output extent give the result.
+    ``xf``. The last kernel axis is folded into the GEMM: ``xs`` stacks the
+    k copies of ``xf`` shifted by 0..k-1 along the flat axis, and each
+    offset of the other kernel axes is one (C_out, k * C_in) @ (k * C_in, L)
+    product on a slice of ``xs``, L the largest j + 1. The products
+    accumulate on a buffer indexed by j; a reshape and a crop of each row to
+    its input positions give the result.
 
     The backward pass places the gradient at each output's flat index j(o),
     behind as many leading zeros as the largest shift (``gd``). The weight
@@ -781,11 +780,10 @@ def conv(x, weight, bias=None, padding: int = 0) -> Tensor:
     ``xs``. The input gradient is the correlation of ``gd`` with the kernel
     flipped along every axis and transposed in its channels, computed like
     the forward pass on the folded ``gd``: one
-    (C_in, k * C_out) @ (k * C_out, M) GEMM per offset over the M flat
-    positions from the first input position to the last, then cropped to
-    the input's rows. No im2col matrix is built: the tape keeps ``xf`` (the
-    input itself when ``padding`` is 0) and the weight, and the backward
-    pass rebuilds ``xs``.
+    (C_in, k * C_out) @ (k * C_out, L) GEMM per offset over the L flat
+    positions from the first input position to the last, then cropped like
+    the output. No im2col matrix is built: the tape keeps ``xf`` (the input
+    itself when k is 1) and the weight, and the backward pass rebuilds ``xs``.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     sp_rank = weight.ndim - 2
@@ -796,44 +794,37 @@ def conv(x, weight, bias=None, padding: int = 0) -> Tensor:
     c_out, c_in = weight.shape[0], weight.shape[1]
     if x.shape[0] != c_in:
         raise ShapeError(f"conv input channels {x.shape[0]} != weight C_in {c_in}")
-    if padding < 0:
-        raise ContractError(f"conv needs padding >= 0, got {padding}")
     kernel = weight.shape[2:]
+    k = kernel[0]
+    if k % 2 == 0 or any(e != k for e in kernel):
+        raise ShapeError(f"conv needs one odd kernel side on every axis, got {kernel}")
+    pad = (k - 1) // 2
     sp = x.shape[1:]
-    out_sp = tuple(s + 2 * padding - k + 1 for s, k in zip(sp, kernel))
-    if any(e < 1 for e in out_sp):
-        raise ShapeError(
-            f"conv output extent would be non-positive: input {sp}, kernel {kernel}, "
-            f"padding {padding}")
 
-    # extents of the grid's axes after the first: each row holds its input
-    # and the gap, and every output
-    rows = tuple(max(s + padding, e) for s, e in zip(sp[1:], out_sp[1:]))
+    rows = tuple(s + pad for s in sp[1:])   # a row after the first axis: input, then gap
     steps = [math.prod(rows[d:]) for d in range(sp_rank)]   # flat stride of each axis
-    start = padding * sum(steps)
-    n = start + (sp[0] + padding) * steps[0]
-    in_crop = (slice(None), slice(None), *(slice(0, s) for s in sp[1:]))
-    if padding:
+    start = pad * sum(steps)
+    n = start + (sp[0] + pad) * steps[0]
+    width = sp[0] * steps[0]
+    span = 1 + sum((s - 1) * t for s, t in zip(sp, steps))   # L: last j + 1
+    crop = (slice(None), slice(None), *(slice(0, s) for s in sp[1:]))   # a row's positions
+    if pad:
         xf = np.zeros((c_in, n))
-        xf[:, start:start + sp[0] * steps[0]].reshape(c_in, sp[0], *rows)[in_crop] = x.data
+        xf[:, start:start + width].reshape(c_in, sp[0], *rows)[crop] = x.data
     else:
         xf = x.data.reshape(c_in, -1)
-    k_last = kernel[-1]
-    fold_len = n - k_last + 1
+    fold_len = n - k + 1
     # flat index of every offset whose last coordinate is 0, in weight order
     shifts = [sum(o * s for o, s in zip(off, steps))
-              for off in itertools.product(*map(range, kernel[:-1]))]
-    span = 1 + sum((e - 1) * s for e, s in zip(out_sp, steps))   # L: last j + 1
-    width = out_sp[0] * steps[0]
-    # (offsets, C_out, k_last * C_in), columns in the row order of ``xs``
-    wf = weight.data.reshape(c_out, c_in, -1, k_last).transpose(2, 0, 3, 1) \
-        .reshape(-1, c_out, k_last * c_in)
+              for off in itertools.product(range(k), repeat=sp_rank - 1)]
+    # (offsets, C_out, k * C_in), columns in the row order of ``xs``
+    wf = weight.data.reshape(c_out, c_in, -1, k).transpose(2, 0, 3, 1) \
+        .reshape(-1, c_out, k * c_in)
 
     # j past span only reaches positions the crop drops, so it is never set
     acc = np.empty((c_out, width))
-    _gemm_sum(wf, _fold(xf, k_last, fold_len), shifts, acc, span)
-    crop = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
-    out_data = acc.reshape(c_out, out_sp[0], *rows)[crop]
+    _gemm_sum(wf, _fold(xf, k, fold_len), shifts, acc, span)
+    out_data = acc.reshape(c_out, sp[0], *rows)[crop]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (c_out,):
@@ -848,34 +839,32 @@ def conv(x, weight, bias=None, padding: int = 0) -> Tensor:
     def bw(g):
         # gs[o] is gd shifted left by o, so gs.reshape(-1, lead + n) is gd
         # folded like ``xs``; g is written at its outputs in each copy
-        lead = shifts[-1] + k_last - 1          # the largest shift
-        gs = np.zeros((k_last, c_out, lead + n))
-        at_outputs = (slice(None), slice(None), *(slice(0, e) for e in out_sp[1:]))
-        for o in range(k_last):
+        lead = shifts[-1] + k - 1          # the largest shift
+        gs = np.zeros((k, c_out, lead + n))
+        for o in range(k):
             # a view: only the contiguous flat axis is split
             flat = gs[o, :, lead - o:lead - o + width]
-            flat.reshape(c_out, out_sp[0], *rows)[at_outputs] = g
+            flat.reshape(c_out, sp[0], *rows)[crop] = g
         gw = None
         if needs[1]:
-            xs = _fold(xf, k_last, fold_len)
+            xs = _fold(xf, k, fold_len)
             g_placed = gs[0, :, lead:lead + span]
-            gwf = np.empty((len(shifts), c_out, k_last * c_in))
+            gwf = np.empty((len(shifts), c_out, k * c_in))
             for i, s in enumerate(shifts):
                 np.matmul(g_placed, xs[:, s:s + span].T, out=gwf[i])
-            gw = gwf.reshape(-1, c_out, k_last, c_in).transpose(1, 3, 0, 2).reshape(wd.shape)
+            gw = gwf.reshape(-1, c_out, k, c_in).transpose(1, 3, 0, 2).reshape(wd.shape)
         gx = None
         if needs[0]:
             # block o of the folded gd pairs with the kernel's last-axis
-            # offset k_last - 1 - o, hence the flip
+            # offset k - 1 - o, hence the flip
             gs = gs.reshape(-1, lead + n)
-            wg = wd[..., ::-1].reshape(c_out, c_in, -1, k_last).transpose(2, 1, 3, 0) \
-                .reshape(-1, c_in, k_last * c_out)
-            # the input occupies flat indices start .. start + m - 1
-            m = 1 + sum((s - 1) * t for s, t in zip(sp, steps))
+            wg = wd[..., ::-1].reshape(c_out, c_in, -1, k).transpose(2, 1, 3, 0) \
+                .reshape(-1, c_in, k * c_out)
+            # the input occupies flat indices start .. start + span - 1
             base = shifts[-1] + start
-            gxf = np.empty((c_in, sp[0] * steps[0]))
-            _gemm_sum(wg, gs, [base - s for s in shifts], gxf, m)
-            gx = gxf.reshape(c_in, sp[0], *rows)[in_crop]
+            gxf = np.empty((c_in, width))
+            _gemm_sum(wg, gs, [base - s for s in shifts], gxf, span)
+            gx = gxf.reshape(c_in, sp[0], *rows)[crop]
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.reshape(c_out, -1).sum(axis=1))

@@ -24,11 +24,13 @@ from pathlib import Path
 
 from .errors import (
     ConfigError,
+    ContractError,
     DataError,
     DivergenceError,
     FormatError,
     NumericError,
     OncokitError,
+    ShapeError,
     write_atomic,
 )
 
@@ -167,14 +169,21 @@ def cmd_stats_model(args) -> int:
     from .segnets import UNet, model_stats, unetr_layer_specs
     from .vit import EncoderConfig
 
+    for flag, least in (("width", 1), ("patch", 1), ("embed", 1), ("layers", 1),
+                        ("heads", 1), ("depth", 0)):
+        if getattr(args, flag) < least:
+            raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
     rank = 2 if args.arch == "unet2d" else 3
     extents = _extents(args.input, "--input", rank)
-    if args.arch in ("unet2d", "unet3d"):
-        stats = model_stats(UNet(rank, depth=args.depth, base_width=args.width), extents)
-    else:
-        cfg = EncoderConfig(extents, 2, args.patch, args.embed, args.layers,
-                            args.heads)
-        stats = model_stats(unetr_layer_specs(cfg, width=args.width), extents)
+    try:
+        if args.arch in ("unet2d", "unet3d"):
+            stats = model_stats(UNet(rank, depth=args.depth, base_width=args.width), extents)
+        else:
+            cfg = EncoderConfig(extents, 2, args.patch, args.embed, args.layers,
+                                args.heads)
+            stats = model_stats(unetr_layer_specs(cfg, width=args.width), extents)
+    except (ShapeError, ContractError) as exc:    # the model does not fit these settings
+        raise ConfigError(str(exc)) from exc
     print(json.dumps(stats, sort_keys=True))
     return 0
 

@@ -47,22 +47,33 @@ from .vit import ViTEncoder, encoder_preset
 from .volume import Volume, read_volume, write_volume
 
 
+def _int(value, least: int) -> bool:
+    """An int of ``least`` or more; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _real(value) -> bool:
-    """An int, or a float that is finite."""
-    return isinstance(value, int) or isinstance(value, float) and bool(np.isfinite(value))
+    """An int, or a float that is finite; a bool is neither."""
+    return _int(value, -np.inf) or isinstance(value, float) and bool(np.isfinite(value))
 
 
-# (numeric config fields, what each must be, the test of a value that is not a bool)
+# (config fields, what each must be, the test of a value)
 _FIELD_RULES = (
+    (("seed",), "an int >= 0", lambda v: _int(v, 0)),
+    (("cv_folds",), "an int >= 2", lambda v: _int(v, 2)),
     (("epochs", "batch_size", "schedule_period", "fit_iterations", "decoder_width"),
-     "an int >= 1", lambda v: isinstance(v, int) and v >= 1),
-    (("m_intervals", "patch"), "None or an int >= 1",
-     lambda v: v is None or isinstance(v, int) and v >= 1),
-    (("augment_seed",), "None or an int >= 0",
-     lambda v: v is None or isinstance(v, int) and v >= 0),
+     "an int >= 1", lambda v: _int(v, 1)),
+    (("m_intervals", "patch"), "None or an int >= 1", lambda v: v is None or _int(v, 1)),
+    (("augment_seed",), "None or an int >= 0", lambda v: v is None or _int(v, 0)),
     (("learning_rate", "fit_lr"), "a finite number > 0", lambda v: _real(v) and v > 0),
     (("weight_decay", "smoothing", "survival_weight"), "a finite number >= 0",
      lambda v: _real(v) and v >= 0),
+    (("resume",), "a bool", lambda v: isinstance(v, bool)),
+    (("hidden_widths",), "a list of ints >= 1",
+     lambda v: isinstance(v, (list, tuple)) and all(_int(w, 1) for w in v)),
+    (("ehr_features",), "None or a non-empty list of distinct ints >= 0",
+     lambda v: v is None or isinstance(v, (list, tuple))
+     and all(_int(i, 0) for i in v) and 0 < len(v) == len(set(v))),
 )
 
 
@@ -106,7 +117,7 @@ class ExperimentConfig:
         for names, what, ok in _FIELD_RULES:
             for name in names:
                 value = getattr(self, name)
-                if isinstance(value, bool) or not ok(value):
+                if not ok(value):
                     raise ConfigError(f"{name} must be {what}, got {value!r}")
 
     @classmethod
@@ -117,9 +128,6 @@ class ExperimentConfig:
         unknown = set(obj) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("hidden_widths", "ehr_features"):
-            if obj.get(key) is not None:
-                obj[key] = tuple(obj[key])
         try:
             cfg = cls(**obj)
         except TypeError as exc:
@@ -294,9 +302,7 @@ class _UnetrSeg:
         self.params = share_params(enc, dec)
 
     def forward(self, x: Tensor) -> Tensor:
-        axes = tuple(range(1, x.ndim)) + (0,)
-        channels_last = x.transpose(axes)
-        return self.dec.forward(self.enc.forward(channels_last), x)
+        return self.dec.forward(self.enc.forward(x), x)
 
 
 def _seg_pair(ct: Volume, pet: Volume, mask: Volume, super_image: bool):
@@ -446,6 +452,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = load_dataset(cfg.data_dir)
+    n_features = len(cohort.feature_names)
+    if cfg.ehr_features and max(cfg.ehr_features) >= n_features:
+        raise ConfigError(f"ehr_features must be below the cohort's {n_features} "
+                          f"features, got {list(cfg.ehr_features)}")
     folds = cv_split(cohort, cfg.cv_scheme, cfg.seed, cfg.cv_folds)
 
     fold_reports: list[dict] = []

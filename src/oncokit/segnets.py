@@ -1,5 +1,9 @@
 """Segmentation networks and their parameter/MAC accounting.
 
+Every network reads channels-first (C, spatial...) input, the layout of
+every image layer, and its same-size convolutions keep their input's
+extents: only pooling and transposed convolutions change the resolution.
+
 ``UNet`` is the plain encoder-decoder with skip concatenation, available in
 2D and 3D with shared per-stage widths (so the 3D/2D parameter ratio is
 driven purely by the kernel volume, about 3x for 3-sided kernels).
@@ -43,7 +47,6 @@ from .autodiff import (
     concat,
     conv,
     maxpool,
-    narrow,
     relu,
     transposed_conv,
 )
@@ -196,7 +199,7 @@ class _ParamBuilder(_SpecBuilder):
 
 def _block(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
     """The 3-sided conv + instance norm + relu laid out by ``conv_block``."""
-    x = conv(x, params[name + ".w"], bias=params[name + ".b"], padding=1)
+    x = conv(x, params[name + ".w"], bias=params[name + ".b"])
     x = channel_norm(x, params[name + ".norm.gain"], params[name + ".norm.bias"])
     return relu(x)
 
@@ -312,25 +315,18 @@ class UnetrDecoder:
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
 
-    def _image_taps(self, enc_out: EncoderOutput) -> list[Tensor]:
-        taps = enc_out.taps
-        if len(taps) != 4:
-            raise ContractError(f"expected 4 encoder taps, got {len(taps)}")
-        if enc_out.has_ehr_token:
-            taps = [narrow(t, 0, 1, t.shape[0] - 1) for t in taps]
-        return taps
-
     def forward(self, enc_out: EncoderOutput, x: Tensor) -> Tensor:
         """Decode taps to one logit channel at the input's resolution.
 
-        ``x`` is the raw channels-first input volume/image feeding the stem.
+        ``x`` is the encoder's (C, spatial...) input, which also feeds the
+        stem; ``enc_out.taps`` hold image tokens only.
         """
         cfg = self.cfg
         if x.shape != (cfg.channels, *cfg.input_shape):
             raise ShapeError(
                 f"input {x.shape} does not match ({cfg.channels}, {cfg.input_shape})")
         p = self.params
-        taps = self._image_taps(enc_out)
+        taps = enc_out.taps
         steps = self.steps
 
         stem = _block(p, x, "stem.c1")

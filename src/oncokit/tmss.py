@@ -1,11 +1,11 @@
 """Joint segmentation + survival model over one multimodal encoder.
 
 The sequence [EHR token | image tokens] runs through the shared
-transformer. The decoder consumes the image-token taps (plus the raw
-volume) for the mask; the survival head reads the final layer, taking the
-EHR token's output concatenated with the mean of the image-token outputs,
-and maps it linearly to per-boundary scores for the discretized survival
-likelihood. One backward pass reaches both heads:
+transformer. The decoder consumes the taps, which hold the image tokens
+only, plus the raw volume for the mask; the survival head reads the final
+layer, taking the EHR token's output concatenated with the mean of the
+image-token outputs, and maps it linearly to per-boundary scores for the
+discretized survival likelihood. One backward pass reaches both heads:
 
     loss = dice + focal (mask)  +  beta * survival NLL
 """
@@ -73,11 +73,11 @@ class TmssModel:
         self.params.update(values)
 
     def forward(self, volume_hwdc: Tensor, covariates: Tensor) -> TmssOutput:
-        """volume_hwdc is channels-last (spatial..., C) as the embedder expects."""
-        enc_out = self.encoder.forward(volume_hwdc, covariates)
+        """``volume_hwdc`` is channels-last (spatial..., C), transposed once for both parts."""
         axes = tuple(range(volume_hwdc.ndim))
-        channels_first = volume_hwdc.transpose((axes[-1],) + axes[:-1])
-        logits = self.decoder.forward(enc_out, channels_first)
+        x = volume_hwdc.transpose((axes[-1],) + axes[:-1])
+        enc_out = self.encoder.forward(x, covariates)
+        logits = self.decoder.forward(enc_out, x)
         final = enc_out.final
         ehr_out = narrow(final, 0, 0, 1)                          # (1, K)
         img_mean = tmean(narrow(final, 0, 1, final.shape[0] - 1), axis=0, keepdims=True)

@@ -1,9 +1,9 @@
 """Transformer encoder over flattened volume patches.
 
-A (H, W, D, C) input (or (H, W, C) in 2D mode) is cut into non-overlapping
-P-sided patches, each flattened and linearly projected to a K-dimensional
-token; a learnable 1D positional row is added per token. Blocks are
-pre-norm residual:
+A channels-first (C, H, W, D) input (or (C, H, W) in 2D mode), the layout
+of every image layer, is cut into non-overlapping P-sided patches, each
+flattened and linearly projected to a K-dimensional token; a learnable 1D
+positional row is added per token. Blocks are pre-norm residual:
 
     z' = MSA(Norm(z)) + z
     z  = MLP(Norm(z')) + z'
@@ -14,13 +14,14 @@ at the quarter points of the stack (blocks 3/6/9/12 for the 12-layer
 configuration) for decoders that want multi-scale features.
 
 Tabular covariates can join the sequence as one linearly projected token
-prepended at position 0, whose positional row is reserved in the table.
+prepended at position 0, whose positional row is reserved in the table. The
+taps hold the image tokens only; the final layer keeps the whole sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,34 +103,22 @@ def encoder_preset(preset: str, input_shape, patch: int | None = None,
 
 @dataclass
 class EncoderOutput:
-    final: Tensor                     # (N [+1], K)
-    taps: list[Tensor] = field(default_factory=list)
-    has_ehr_token: bool = False
+    final: Tensor                     # (N [+1], K): the EHR token, if any, first
+    taps: list[Tensor]                # (N, K) each: image tokens only
 
 
-def extract_patches(x: Tensor, patch: int, rank: int) -> Tensor:
-    """Flatten non-overlapping patches, raster order over the patch grid.
+def extract_patches(x: Tensor, patch: int) -> Tensor:
+    """Flatten the non-overlapping patches of a (C, spatial...) input whose
+    extents ``patch`` divides, in raster order over the patch grid.
 
-    Within a patch values are laid out position-major then channel, matching
-    a plain reshape of the (P, ..., C) block.
+    Within a patch values are laid out position-major then channel.
     """
-    if x.ndim != rank + 1:
-        raise ShapeError(f"expected rank {rank + 1} input (spatial + channels), got {x.shape}")
-    spatial = x.shape[:-1]
-    c = x.shape[-1]
-    for axis, extent in enumerate(spatial):
-        if extent % patch:
-            raise ShapeError(f"axis {axis} extent {extent} is not divisible by patch {patch}")
-    grid = tuple(e // patch for e in spatial)
-    if rank == 3:
-        h, w, d = grid
-        t = reshape(x, (h, patch, w, patch, d, patch, c))
-        t = transpose(t, (0, 2, 4, 1, 3, 5, 6))
-        return reshape(t, (h * w * d, patch ** 3 * c))
-    h, w = grid
-    t = reshape(x, (h, patch, w, patch, c))
-    t = transpose(t, (0, 2, 1, 3, 4))
-    return reshape(t, (h * w, patch ** 2 * c))
+    c, grid = x.shape[0], tuple(e // patch for e in x.shape[1:])
+    r = len(grid)
+    t = reshape(x, (c, *(v for g in grid for v in (g, patch))))
+    # (C, g_1, P, ..., g_r, P) -> (g_1, ..., g_r, P, ..., P, C)
+    t = transpose(t, (*range(1, 2 * r, 2), *range(2, 2 * r + 1, 2), 0))
+    return reshape(t, (math.prod(grid), patch ** r * c))
 
 
 class ViTEncoder:
@@ -170,14 +159,15 @@ class ViTEncoder:
 
     # ----------------------------------------------------------------- embed
     def patch_embed(self, x: Tensor) -> Tensor:
-        """Project patches and add their positional rows: tokens z_0."""
+        """Project the patches of a (C, spatial...) input and add their
+        positional rows: tokens z_0."""
         cfg = self.cfg
-        if x.shape[-1] != cfg.channels:
-            raise ShapeError(f"expected {cfg.channels} channels, got {x.shape[-1]}")
-        if tuple(x.shape[:-1]) != tuple(cfg.input_shape):
+        if x.shape[0] != cfg.channels:
+            raise ShapeError(f"expected {cfg.channels} channels, got {x.shape[0]}")
+        if tuple(x.shape[1:]) != tuple(cfg.input_shape):
             raise ShapeError(
-                f"input spatial extents {x.shape[:-1]} do not match config {cfg.input_shape}")
-        patches = extract_patches(x, cfg.patch, cfg.rank)
+                f"input spatial extents {x.shape[1:]} do not match config {cfg.input_shape}")
+        patches = extract_patches(x, cfg.patch)
         projected = matmul(patches, self.params["embed.proj"])
         offset = 1 if cfg.ehr_dim is not None else 0
         pos = narrow(self.params["embed.pos"], 0, offset, cfg.tokens)
@@ -224,7 +214,8 @@ class ViTEncoder:
         return matmul(hidden, p[prefix + "mlp.w2"]) + p[prefix + "mlp.b2"] + z
 
     def encode(self, z0: Tensor) -> EncoderOutput:
-        """Run all blocks, recording taps at the quarter-point layers."""
+        """Run all blocks, recording taps at the quarter-point layers; with an
+        EHR slot, the taps drop the EHR token after the last block."""
         taps = []
         tap_at = set(self.cfg.tap_layers)
         z = z0
@@ -234,8 +225,9 @@ class ViTEncoder:
                 # a layer can serve several tap slots in very short stacks
                 for _ in range(self.cfg.tap_layers.count(i + 1)):
                     taps.append(z)
-        return EncoderOutput(final=z, taps=taps,
-                             has_ehr_token=self.cfg.ehr_dim is not None)
+        if self.cfg.ehr_dim is not None:
+            taps = [narrow(t, 0, 1, t.shape[0] - 1) for t in taps]
+        return EncoderOutput(final=z, taps=taps)
 
     def forward(self, x: Tensor, covariates: Tensor | None = None) -> EncoderOutput:
         tokens = self.patch_embed(x)

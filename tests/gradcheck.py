@@ -119,7 +119,7 @@ def _cases():
                        [normal(3, 4), normal(4), normal(4)]),
         "channel_norm": (lambda a, g, b: readout(ad.channel_norm(a, g, b)),
                          [normal(2, 3, 4), normal(2), normal(2)]),
-        "conv": (lambda x, w, b: readout(ad.conv(x, w, bias=b, padding=1)),
+        "conv": (lambda x, w, b: readout(ad.conv(x, w, bias=b)),
                  [normal(2, 5, 4), normal(3, 2, 3, 3), normal(3)]),
         "transposed_conv": (lambda x, w: readout(ad.transposed_conv(x, w)),
                             [normal(2, 3, 2), normal(2, 3, 2, 2)]),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import GRADIENT_CASES, check_op
+from test_closed_form import conv_im2col
 
 from oncokit.autodiff import (
     GradMap,
@@ -88,28 +89,32 @@ class TestConv:
         assert np.allclose(out.data, x.data)
 
     def test_all_ones_sum(self):
+        # each output sums the input positions its 3x3 window covers
         x = Tensor(np.ones((1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         out = conv(x, w)
-        assert out.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == pytest.approx(9.0)
+        assert out.shape == (1, 3, 3)
+        assert out.data[0].tolist() == [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]
 
-    def test_nonpositive_extent(self):
-        with pytest.raises(ShapeError):
-            conv(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+    def test_small_extents_kept(self):
+        # extents the 3-sided kernel outgrows: every window covers the whole input
+        for sp in ((1, 1), (2, 1), (1, 2, 2), (2, 2, 1)):
+            out = conv(Tensor(np.ones((1, *sp))), Tensor(np.ones((1, 1, *(3,) * len(sp)))))
+            assert out.shape == (1, *sp)
+            assert np.all(out.data == math.prod(sp))
 
     def test_gradient_2d(self):
         x = RNG.normal(size=(2, 4, 4))
         w = RNG.normal(size=(3, 2, 3, 3))
         b = RNG.normal(size=(3,))
-        err = check_op(lambda a, c, d: (conv(a, c, bias=d, padding=1) ** 2).sum(), [x, w, b])
+        err = check_op(lambda a, c, d: (conv(a, c, bias=d) ** 2).sum(), [x, w, b])
         assert err <= 1e-6
 
     def test_gradient_3d_strided(self):
         # the loss reads every second output, the outputs of a stride-2 conv
         x = RNG.normal(size=(1, 4, 4, 4))
-        w = RNG.normal(size=(2, 1, 2, 2, 2))
-        every = Tensor(_every_second((2, 3, 3, 3)))
+        w = RNG.normal(size=(2, 1, 3, 3, 3))
+        every = Tensor(_every_second((2, 4, 4, 4)))
         err = check_op(lambda a, c: (conv(a, c) ** 2 * every).sum(), [x, w])
         assert err <= 1e-6
 
@@ -117,7 +122,7 @@ class TestConv:
         x = RNG.normal(size=(2, 3, 4, 3))
         w = RNG.normal(size=(2, 2, 3, 3, 3))
         b = RNG.normal(size=(2,))
-        err = check_op(lambda a, c, d: (conv(a, c, bias=d, padding=1) ** 2).sum(), [x, w, b])
+        err = check_op(lambda a, c, d: (conv(a, c, bias=d) ** 2).sum(), [x, w, b])
         assert err <= 1e-6
 
     def test_gradient_strided_padded(self):
@@ -125,18 +130,24 @@ class TestConv:
         w = RNG.normal(size=(3, 2, 3, 3))
         b = RNG.normal(size=(3,))
         every = Tensor(_every_second((3, 5, 6)))
-        err = check_op(lambda a, c, d: (conv(a, c, bias=d, padding=1) ** 2 * every).sum(),
-                       [x, w, b])
+        err = check_op(lambda a, c, d: (conv(a, c, bias=d) ** 2 * every).sum(), [x, w, b])
         assert err <= 1e-6
 
     @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1)])
     def test_bad_stride_or_padding(self, stride, padding):
+        # stride 1 and the kernel's own padding are the only geometry
         x, w = Tensor(np.zeros((1, 6, 6))), Tensor(np.zeros((1, 1, 3, 3)))
-        with pytest.raises(TypeError):          # conv takes no stride
-            conv(x, w, stride=stride, padding=padding)
-        if padding < 0:
-            with pytest.raises(ContractError):
-                conv(x, w, padding=padding)
+        with pytest.raises(TypeError):
+            conv(x, w, stride=stride)
+        with pytest.raises(TypeError):
+            conv(x, w, padding=padding)
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (4, 4), (3, 1), (1, 3), (3, 3, 1), (2, 2, 2)])
+    def test_bad_kernel(self, kernel):
+        # the padding (k - 1) // 2 keeps the extents only for one odd side k
+        x = Tensor(np.zeros((1, *(6,) * len(kernel))))
+        with pytest.raises(ShapeError, match="odd kernel side"):
+            conv(x, Tensor(np.zeros((1, 1, *kernel))))
 
 
 class TestTransposedConv:
@@ -153,9 +164,8 @@ class TestTransposedConv:
         x = RNG.normal(size=(2, *sp))
         w = RNG.normal(size=(3, 2, *((2,) * rank)))
         y = RNG.normal(size=(3, *out_sp))
-        # the stride-2 conv: the stride-1 conv read at every second output
-        out = conv(Tensor(x), Tensor(w)).data
-        strided = out[(slice(None), *(slice(None, None, 2),) * rank)]
+        # the kernel-2, stride-2 convolution
+        strided = conv_im2col(x, w, np.zeros(3), 2, 0, y)[0]
         lhs = float(np.sum(strided * y))
         rhs = float(np.sum(x * transposed_conv(Tensor(y), Tensor(w)).data))
         assert abs(lhs - rhs) <= 1e-9

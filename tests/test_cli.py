@@ -53,7 +53,10 @@ def test_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("setting", [
     "batch_size=0", "schedule_period=0", "fit_iterations=0", "fit_lr=-1", "epochs=true",
     "decoder_width=1.5", "learning_rate=NaN", "weight_decay=-1e-5", "smoothing=Infinity",
-    "survival_weight=heavy", "m_intervals=0", "patch=true"])
+    "survival_weight=heavy", "m_intervals=0", "patch=true",
+    "seed=1.5", "seed=true", "seed=-1", "cv_folds=2.5", "cv_folds=1", "resume=no",
+    "hidden_widths=5", "hidden_widths=[0]", "hidden_widths=[1.5]",
+    "ehr_features=[99]", "ehr_features=[-1]", "ehr_features=[0,0]", "ehr_features=[]"])
 def test_train_refuses_bad_numeric_setting(tmp_path, capsys, setting):
     data, out = tmp_path / "data", tmp_path / "out"
     main(["synth", "--out", str(data), "--n", "12", "--seed", "3"])
@@ -333,6 +336,25 @@ class TestStatsModel:
     def test_bad_extents_exit_code(self):
         assert main(["stats", "model", "--arch", "unet2d",
                      "--input", "64x64x64"]) == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["unet2d", "16x16", "--width", "0"], "--width must be at least 1"),
+        (["unet3d", "16x16x16", "--depth", "-1"], "--depth must be at least 0"),
+        (["unetr", "16x16x8", "--patch", "0"], "--patch must be at least 1"),
+        (["unetr", "16x16x8", "--embed", "0"], "--embed must be at least 1"),
+        (["unetr", "16x16x8", "--layers", "0"], "--layers must be at least 1"),
+        (["unetr", "16x16x8", "--heads", "0"], "--heads must be at least 1"),
+        (["unetr", "16x16x8", "--patch", "4", "--embed", "8", "--heads", "3"],
+         "heads (3) must divide embed_dim (8)"),
+        (["unetr", "16x16x8", "--patch", "3"], "not divisible by patch 3"),
+        (["unetr", "24x24x24", "--patch", "3"], "must be a power of two"),
+        (["unet2d", "20x20"], "odd extents"),
+    ], ids=["width", "depth", "patch", "embed", "layers", "heads", "heads-embed",
+            "patch-extent", "patch-power", "pool-extent"])
+    def test_refused_settings_exit_code(self, capsys, args, message):
+        arch, extents, *rest = args
+        assert main(["stats", "model", "--arch", arch, "--input", extents, *rest]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("extents, patch, embed, layers, heads, width", [
         ((32, 32, 32), 8, 32, 4, 4, 4),

@@ -698,8 +698,16 @@ CONV_CASES = [(sp, c_in, k, stride, padding)
 
 @pytest.mark.parametrize("sp, c_in, k, stride, padding", CONV_CASES)
 def test_conv_matches_im2col(sp, c_in, k, stride, padding):
-    """``conv`` read at every stride-th output is the strided im2col
-    convolution, gradients included."""
+    """The same-size ``conv`` gives the im2col convolution of any kernel
+    side, stride and padding, gradients included.
+
+    ``conv`` pads by q = k // 2 with the kernel grown to the odd side k | 1
+    (an even kernel gains trailing zeros). The test adds the zeros that
+    ``padding`` needs beyond q to the input, reads every stride-th output
+    from the first that lines up, and crops the gradients back. At stride 1
+    with ``padding`` equal to (k - 1) / 2, that is ``conv`` as the networks
+    call it: nothing is added, read past or cropped.
+    """
     rng = np.random.default_rng([len(sp), c_in, k, stride, padding])
     c_out = 8 if sp == (32, 64) else 3          # the super image: the U-Net's first layer
     x = rng.normal(size=(c_in, *sp))
@@ -707,15 +715,26 @@ def test_conv_matches_im2col(sp, c_in, k, stride, padding):
     b = rng.normal(size=c_out)
     g = rng.normal(size=(c_out, *((s + 2 * padding - k) // stride + 1 for s in sp)))
     expected = conv_im2col(x, w, b, stride, padding, g)
-    strided = (slice(None), *(slice(None, None, stride),) * len(sp))
-    g_all = np.zeros((c_out, *(s + 2 * padding - k + 1 for s in sp)))
-    g_all[strided] = g
-    tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+
+    q = k // 2
+    lo, hi = max(0, padding - q), max(0, padding + q + 1 - k)
+    first = max(0, q - padding)
+    xp = np.pad(x, [(0, 0)] + [(lo, hi)] * len(sp))
+    w_odd = np.zeros((c_out, c_in, *(k | 1,) * len(sp)))
+    taps = (slice(None), slice(None), *(slice(0, k),) * len(sp))
+    w_odd[taps] = w
+    read = (slice(None), *(slice(first, first + stride * (e - 1) + 1, stride)
+                           for e in g.shape[1:]))
+    g_all = np.zeros((c_out, *xp.shape[1:]))
+    g_all[read] = g
+    tensors = [Tensor(a, requires_grad=True) for a in (xp, w_odd, b)]
     with Tape() as tape:
-        out = conv(*tensors, padding=padding)
+        out = conv(*tensors)
         loss = tsum(out * Tensor(g_all))
     grads = backward(tape, loss)
-    got = [out.data[strided]] + [grads[t].data for t in tensors]
+    inner = (slice(None), *(slice(lo, lo + s) for s in sp))
+    gx, gw, gb = (grads[t].data for t in tensors)
+    got = [out.data[read], gx[inner], gw[taps], gb]
     for a, e in zip(got, expected):
         assert a.shape == e.shape
         assert _rel(a, e) <= 1e-12

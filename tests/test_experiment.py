@@ -134,10 +134,11 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "timing.json").exists()
 
-    @pytest.mark.parametrize("task", ["surv-mtlr", "unetr", "fusion"])
+    @pytest.mark.parametrize("task", ["surv-mtlr", "unetr", "fusion", "tmss"])
     def test_report_bytes_reproducible(self, tmp_path, task):
         # identical config (same output dir) rerun from scratch: the report
-        # file must be byte-identical
+        # file, and for the transformer tasks the fold-0 checkpoint, must be
+        # byte-identical
         if task == "surv-mtlr":
             write_synthetic_dataset(tmp_path / "d", n=60, seed=6, beta=[1.0])
             extra = {}
@@ -153,7 +154,8 @@ class TestRunExperiment:
                                    fit_iterations=150, **extra)
             report = run_experiment(cfg)
             assert report.aggregate["failed_folds"] == 0
-            blobs.append((out / "report.json").read_bytes())
+            files = ["report.json"] + (["fold_0.ckpt"] if task in ("unetr", "tmss") else [])
+            blobs.append([(out / name).read_bytes() for name in files])
         assert blobs[0] == blobs[1]
 
     def test_fold_error_recorded_run_continues(self, tmp_path):

@@ -128,8 +128,8 @@ class TestUnetrDecoder:
 
     def test_output_matches_input_extents(self):
         enc, dec = self._encoder_and_decoder()
-        x = Tensor(RNG.normal(size=(16, 16, 8, 2)))
-        out = dec.forward(enc.forward(x), Tensor(x.data.transpose(3, 0, 1, 2)))
+        x = Tensor(RNG.normal(size=(2, 16, 16, 8)))
+        out = dec.forward(enc.forward(x), x)
         assert out.shape == (1, 16, 16, 8)
 
     def test_resolution_ladder_p8(self):
@@ -137,15 +137,15 @@ class TestUnetrDecoder:
         enc, dec = self._encoder_and_decoder(input_shape=(32, 32, 32), patch=8,
                                              channels=1, width=2)
         assert dec.steps == 3
-        x = Tensor(RNG.normal(size=(32, 32, 32, 1)))
-        out = dec.forward(enc.forward(x), Tensor(x.data.transpose(3, 0, 1, 2)))
+        x = Tensor(RNG.normal(size=(1, 32, 32, 32)))
+        out = dec.forward(enc.forward(x), x)
         assert out.shape == (1, 32, 32, 32)
 
     def test_gradient_reaches_positional_table(self):
         enc, dec = self._encoder_and_decoder()
-        x = Tensor(RNG.normal(size=(16, 16, 8, 2)))
+        x = Tensor(RNG.normal(size=(2, 16, 16, 8)))
         with Tape() as tape:
-            out = dec.forward(enc.forward(x), Tensor(x.data.transpose(3, 0, 1, 2)))
+            out = dec.forward(enc.forward(x), x)
             loss = (out * out).sum()
         grads = backward(tape, loss)
         g = grads[enc.params["embed.pos"]].data
@@ -200,8 +200,8 @@ class TestUnetrDecoder:
         cfg = EncoderConfig((16, 16), 1, 4, 16, 4, 2, 2)
         enc = ViTEncoder(cfg, seed=0)
         dec = UnetrDecoder(cfg, width=4, seed=1)
-        x = Tensor(RNG.normal(size=(16, 16, 1)))
-        out = dec.forward(enc.forward(x), Tensor(x.data.transpose(2, 0, 1)))
+        x = Tensor(RNG.normal(size=(1, 16, 16)))
+        out = dec.forward(enc.forward(x), x)
         assert out.shape == (1, 16, 16)
 
 

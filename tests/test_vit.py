@@ -43,7 +43,7 @@ class TestPatchEmbed:
     def test_zero_input_zero_pos_gives_zero_tokens(self):
         enc = _toy()
         enc.params["embed.pos"] = zeros(enc.params["embed.pos"].shape, requires_grad=True)
-        z0 = enc.patch_embed(Tensor(np.zeros((16, 16, 8, 1))))
+        z0 = enc.patch_embed(Tensor(np.zeros((1, 16, 16, 8))))
         assert np.allclose(z0.data, 0.0)
         assert z0.shape == (enc.cfg.tokens, 16)
 
@@ -56,8 +56,8 @@ class TestPatchEmbed:
         # permuting patches then subtracting matching positional rows must
         # reproduce the permuted projections
         enc = _toy()
-        x = Tensor(RNG.normal(size=(16, 16, 8, 1)))
-        patches = extract_patches(x, 8, 3)
+        x = Tensor(RNG.normal(size=(1, 16, 16, 8)))
+        patches = extract_patches(x, 8)
         n = patches.shape[0]
         perm = RNG.permutation(n)
         z0 = enc.patch_embed(x).data - enc.params["embed.pos"].data
@@ -66,11 +66,24 @@ class TestPatchEmbed:
 
     def test_patch_order_is_raster(self):
         # mark one voxel; its patch index follows h-major raster order
-        x = np.zeros((16, 16, 8, 1))
-        x[9, 2, 5, 0] = 1.0   # grid cell (1, 0, 0) for P=8
-        patches = extract_patches(Tensor(x), 8, 3).data
+        x = np.zeros((1, 16, 16, 8))
+        x[0, 9, 2, 5] = 1.0   # grid cell (1, 0, 0) for P=8
+        patches = extract_patches(Tensor(x), 8).data
         nonzero_rows = np.nonzero(patches.sum(axis=1))[0]
         assert list(nonzero_rows) == [1 * (2 * 1) + 0 * 1 + 0]
+
+    @pytest.mark.parametrize("shape", [(2, 8, 4, 4), (3, 4, 8)])
+    def test_patch_layout_is_position_major_then_channel(self, shape):
+        # the layout embed.proj was trained on: a patch's positions in C
+        # order, each position's channels together
+        x = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        patches = extract_patches(Tensor(x), 4).data
+        first = x[(slice(None), *(slice(0, 4),) * (len(shape) - 1))]
+        assert patches.shape == (np.prod(shape[1:]) // 4 ** (len(shape) - 1),
+                                 4 ** (len(shape) - 1) * shape[0])
+        assert np.array_equal(patches[0], np.moveaxis(first, 0, -1).reshape(-1))
+        last = x[(slice(None), *(slice(e - 4, e) for e in shape[1:]))]
+        assert np.array_equal(patches[-1], np.moveaxis(last, 0, -1).reshape(-1))
 
 
 def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
@@ -196,10 +209,12 @@ class TestEhrToken:
 
     def test_prepend_increases_count(self):
         enc = _toy(ehr_dim=3)
-        out = enc.forward(Tensor(RNG.normal(size=(16, 16, 8, 1))),
+        out = enc.forward(Tensor(RNG.normal(size=(1, 16, 16, 8))),
                           Tensor(RNG.normal(size=3)))
         assert out.final.shape == (enc.cfg.tokens + 1, 16)
-        assert out.has_ehr_token
+        # the taps hold the image tokens only, the final one the last layer's
+        assert [t.shape for t in out.taps] == [(enc.cfg.tokens, 16)] * 4
+        assert np.array_equal(out.taps[3].data, out.final.data[1:])
 
     def test_width_mismatch(self):
         enc = _toy(ehr_dim=3)
@@ -209,7 +224,7 @@ class TestEhrToken:
     def test_gradient_reaches_both_projections(self):
         enc = _toy(ehr_dim=3, layers=1)
         with Tape() as tape:
-            out = enc.forward(Tensor(RNG.normal(size=(16, 16, 8, 1))),
+            out = enc.forward(Tensor(RNG.normal(size=(1, 16, 16, 8))),
                               Tensor(RNG.normal(size=3)))
             loss = (out.final ** 2).sum()
         grads = backward(tape, loss)
@@ -223,7 +238,7 @@ class TestEndToEndGradient:
         cfg = EncoderConfig((8, 16), 1, 4, 8, 2, 2, 2)
         enc = ViTEncoder(cfg, seed=3)
         assert cfg.tokens == 8
-        x = RNG.normal(size=(8, 16, 1))
+        x = RNG.normal(size=(1, 8, 16))
         names = sorted(enc.params)
 
         def run(*arrays):
