@@ -11,6 +11,11 @@ on a scalar result:
     grads = backward(tape, loss)
     dw = grads[w]
 
+``backward`` consumes its tape: it frees each intermediate gradient and each
+node's saved arrays as soon as the reverse pass has used them, so the
+returned map holds the gradients of leaves only (tensors no recorded op
+produced, such as ``w`` above), and a tape runs backward once.
+
 Everything is computed in 64-bit floats so that analytic gradients can be
 compared against central finite differences at tight tolerances.
 """
@@ -153,14 +158,16 @@ class Tape:
     """Ordered record of operations for one differentiation pass.
 
     Nodes are appended in execution order, so inputs always precede their
-    consumers; ``backward`` walks the list once in reverse. A tape is meant
-    to be confined to a single thread.
+    consumers; ``backward`` walks the list once in reverse, freeing each
+    node's saved arrays as it goes, so a tape runs backward once. A tape is
+    meant to be confined to a single thread.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._ids: dict[int, int] = {}
         self._tensors: list[Tensor] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -187,41 +194,60 @@ class Tape:
 
 
 class GradMap:
-    """Gradients keyed by tensor. Unrecorded tensors read as zeros."""
+    """Leaf gradients keyed by tensor, as ``backward`` left them.
 
-    def __init__(self, tape: Tape, table: dict[int, np.ndarray]):
+    A leaf is a tensor that no recorded op produced. Asking for a recorded
+    intermediate is a ``ContractError``, as ``backward`` freed its gradient;
+    a leaf the loss does not reach, and a tensor the tape never recorded,
+    read as zeros.
+    """
+
+    def __init__(self, tape: Tape, table: dict[int, np.ndarray | None]):
         self._tape = tape
         self._table = table
 
     def __getitem__(self, t: Tensor) -> Tensor:
         nid = self._tape._lookup(t)
-        if nid is None or nid not in self._table:
+        g = None if nid is None else self._table.get(nid)
+        if g is None:
+            if nid in self._table:
+                raise ContractError(f"{t!r} is not a leaf: backward keeps leaf "
+                                    f"gradients only")
             return Tensor._wrap(np.zeros(t.shape))
-        return Tensor._wrap(self._table[nid])
+        return Tensor._wrap(g)
 
 
 def backward(tape: Tape, loss: Tensor) -> GradMap:
     """Reverse accumulation over the tape, seeding d(loss)/d(loss) = 1.
 
-    ``loss`` must be a scalar produced under ``tape``. Leaves that do not
-    influence the loss read back as zero gradients of matching shape.
+    ``loss`` must be a scalar produced under ``tape``. The pass consumes the
+    tape: once a node has run, its output gradient and its saved arrays are
+    dropped, so the returned ``GradMap`` holds leaf gradients only, and a
+    second ``backward`` on the same tape is a ``ContractError``. Leaves that
+    do not influence the loss read back as zero gradients of matching shape.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss_id = tape._lookup(loss)
     if loss_id is None:
         raise ContractError("loss tensor was not recorded on this tape")
-    table: dict[int, np.ndarray] = {loss_id: np.ones(loss.shape)}
+    if tape._spent:
+        raise ContractError("backward already consumed this tape")
+    tape._spent = True
+    table: dict[int, np.ndarray | None] = {loss_id: np.ones(loss.shape)}
     # entries whose array this loop allocated: a backward_fn may return its
     # g itself, a view of it, or one array for two inputs, so only a sum
     # made here is added into in place
     owned: set[int] = set()
     for node in reversed(tape._nodes):
+        # every consumer of the output came later on the tape, so its
+        # gradient is complete; None marks it as freed, not a leaf
         out_grad = table.get(node.out_id)
+        table[node.out_id] = None
+        backward_fn, node.backward_fn = node.backward_fn, None
         if out_grad is None:
             continue
-        input_grads = node.backward_fn(out_grad)
-        for in_id, g in zip(node.input_ids, input_grads):
+        for in_id, g in zip(node.input_ids, backward_fn(out_grad)):
             if g is None:
                 continue
             existing = table.get(in_id)

@@ -91,6 +91,9 @@ def cmd_prep(args) -> int:
     for path in sorted(in_dir.glob("*.mvol")):
         volume = read_volume(path)
         if volume.modality == "CT":
+            if volume.data.min() >= -1.0 and volume.data.max() <= 1.0:
+                raise DataError(f"{path}: every CT value lies in [-1, 1], as windowing "
+                                f"leaves them; prep reads raw volumes, not its own output")
             volume = ct_window_normalize(volume)
         elif volume.modality == "PET":
             volume = pet_zscore(volume)
@@ -166,7 +169,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats_model(args) -> int:
-    from .segnets import UNet, model_stats, unetr_layer_specs
+    from .segnets import model_stats, unet_layer_specs, unetr_layer_specs
     from .vit import EncoderConfig
 
     for flag, least in (("width", 1), ("patch", 1), ("embed", 1), ("layers", 1),
@@ -177,7 +180,7 @@ def cmd_stats_model(args) -> int:
     extents = _extents(args.input, "--input", rank)
     try:
         if args.arch in ("unet2d", "unet3d"):
-            stats = model_stats(UNet(rank, depth=args.depth, base_width=args.width), extents)
+            stats = model_stats(unet_layer_specs(rank, 2, args.depth, args.width), extents)
         else:
             cfg = EncoderConfig(extents, 2, args.patch, args.embed, args.layers,
                                 args.heads)

@@ -108,6 +108,16 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor | np.ndarray],
     return out
 
 
+def _sample_grads(params: dict[str, Tensor], loss, index: int,
+                  epoch: int) -> tuple[float, dict[str, np.ndarray]]:
+    """One sample's loss and its gradient for every parameter. The tape and
+    everything it holds die on return, before the next sample's forward."""
+    with Tape() as tape:
+        value = loss(index, epoch)
+    grads = backward(tape, value)
+    return float(value.data), {name: grads[p].data for name, p in params.items()}
+
+
 def train(params: dict[str, Tensor], loss, n: int, epochs: int, batch_size: int,
           state: OptimState, seed: int, grad_tol: float = -math.inf):
     """AdamW over seeded minibatches of samples 0..n-1, written into ``params``.
@@ -115,10 +125,12 @@ def train(params: dict[str, Tensor], loss, n: int, epochs: int, batch_size: int,
     Each epoch draws a permutation from the seeded generator and takes its
     learning rate from the warm-restart cosine schedule. ``loss(index,
     epoch)`` builds one sample's scalar loss on its own tape from the tensors
-    now in ``params``; gradients are summed over the batch and divided by its
-    size. When their norm is at most ``grad_tol`` the loop stops before that
-    update (the default never stops). Returns the mean loss of each finished
-    epoch, the number of updates and the last batch-gradient norm.
+    now in ``params``; that tape is freed before the next sample's forward
+    pass, so one sample's tape is alive at a time. Gradients are summed over
+    the batch, in batch order, and divided by its size. When their norm is
+    at most ``grad_tol`` the loop stops before that update (the default
+    never stops). Returns the mean loss of each finished epoch, the number
+    of updates and the last batch-gradient norm.
     """
     rng = np.random.default_rng(seed)
     history: list[float] = []
@@ -132,13 +144,11 @@ def train(params: dict[str, Tensor], loss, n: int, epochs: int, batch_size: int,
             batch = order[start:start + batch_size]
             totals: dict[str, np.ndarray] = {}
             for idx in batch:
-                with Tape() as tape:
-                    value = loss(int(idx), epoch)
-                grads = backward(tape, value)
-                for name, p in params.items():
-                    g = grads[p].data
-                    totals[name] = totals[name] + g if name in totals else g
-                epoch_loss += float(value.data)
+                value, grads = _sample_grads(params, loss, int(idx), epoch)
+                if totals:     # rebinding drops this sample's dict: only the sum lives on
+                    grads = {name: totals[name] + g for name, g in grads.items()}
+                totals = grads
+                epoch_loss += value
             gmap = {k: v / len(batch) for k, v in totals.items()}
             grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in gmap.values())))
             if grad_norm <= grad_tol:

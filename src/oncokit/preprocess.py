@@ -3,8 +3,9 @@
 CT intensities are clamped to (-1024, 1024) and scaled into (-1, 1); PET
 intensities are z-scored over the whole volume. Resampling is trilinear for
 images and nearest-neighbor for masks so binarity survives. No step marks
-the volume it returns, so none can tell whether it already ran: ``oncokit
-prep`` run on its own output windows the CT a second time.
+the volume it returns, so none can tell whether it already ran; ``oncokit
+prep`` refuses a CT whose values all lie in [-1, 1], as windowing leaves
+them, rather than window it a second time.
 """
 
 from __future__ import annotations

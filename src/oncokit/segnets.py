@@ -29,9 +29,10 @@ and summing learnable parameters and multiply-accumulates:
 
 A ``branch`` is how the decoder's parallel paths fit one walk: each tap
 chain and the ladder start from the token grid, so each is preceded by
-``branch(patch)``. One layout function lays the decoder out, either on a
-builder that also draws its weights (``UnetrDecoder``) or on one that only
-records specs (``unetr_layer_specs``), so counting a model draws nothing.
+``branch(patch)``. One layout function lays each network out, either on a
+builder that also draws its weights (``UNet``, ``UnetrDecoder``) or on one
+that only records specs (``unet_layer_specs``, ``unetr_layer_specs``), so
+counting a model draws nothing.
 """
 
 from __future__ import annotations
@@ -204,6 +205,26 @@ def _block(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
     return relu(x)
 
 
+def _lay_out_unet(b: _SpecBuilder, in_channels: int, depth: int, base_width: int) -> None:
+    """Lays the U-Net's layers out on ``b``, encoder first."""
+    if b.rank not in (2, 3):
+        raise ContractError("rank must be 2 or 3")
+    widths = [base_width * 2 ** i for i in range(depth + 1)]
+    c_prev = in_channels
+    for i in range(depth):
+        b.conv_block(f"enc{i}.c1", c_prev, widths[i])
+        b.conv_block(f"enc{i}.c2", widths[i], widths[i])
+        b.pool()
+        c_prev = widths[i]
+    b.conv_block("mid.c1", c_prev, widths[depth])
+    b.conv_block("mid.c2", widths[depth], widths[depth])
+    for i in reversed(range(depth)):
+        b.tconv(f"dec{i}.up", widths[i + 1], widths[i])
+        b.conv_block(f"dec{i}.c1", 2 * widths[i], widths[i])
+        b.conv_block(f"dec{i}.c2", widths[i], widths[i])
+    b.final_conv("head", widths[0])
+
+
 class UNet:
     """Vanilla U-Net: two conv+norm+relu per stage, max-pool downsampling,
     transposed-conv upsampling with skip concatenation, one logit channel.
@@ -213,26 +234,11 @@ class UNet:
 
     def __init__(self, rank: int, in_channels: int = 2, depth: int = 4,
                  base_width: int = 16, seed: int = 0):
-        if rank not in (2, 3):
-            raise ContractError("rank must be 2 or 3")
         self.rank = rank
         self.in_channels = in_channels
         self.depth = depth
         b = _ParamBuilder(rank, seed)
-        widths = [base_width * 2 ** i for i in range(depth + 1)]
-        c_prev = in_channels
-        for i in range(depth):
-            b.conv_block(f"enc{i}.c1", c_prev, widths[i])
-            b.conv_block(f"enc{i}.c2", widths[i], widths[i])
-            b.pool()
-            c_prev = widths[i]
-        b.conv_block("mid.c1", c_prev, widths[depth])
-        b.conv_block("mid.c2", widths[depth], widths[depth])
-        for i in reversed(range(depth)):
-            b.tconv(f"dec{i}.up", widths[i + 1], widths[i])
-            b.conv_block(f"dec{i}.c1", 2 * widths[i], widths[i])
-            b.conv_block(f"dec{i}.c2", widths[i], widths[i])
-        b.final_conv("head", widths[0])
+        _lay_out_unet(b, in_channels, depth, base_width)
         self.params = b.params
         self._specs = b.specs
 
@@ -262,6 +268,14 @@ class UNet:
             x = _block(p, x, f"dec{i}.c1")
             x = _block(p, x, f"dec{i}.c2")
         return conv(x, p["head.w"], bias=p["head.b"])
+
+
+def unet_layer_specs(rank: int, in_channels: int, depth: int,
+                     base_width: int) -> list[LayerSpec]:
+    """``UNet``'s layer specs, for accounting only: nothing is drawn."""
+    b = _SpecBuilder(rank)
+    _lay_out_unet(b, in_channels, depth, base_width)
+    return b.specs
 
 
 def _lay_out_unetr_decoder(b: _SpecBuilder, enc_cfg: EncoderConfig, width: int) -> int:

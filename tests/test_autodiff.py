@@ -336,6 +336,33 @@ class TestBackward:
         g = backward(tape, loss)
         assert np.array_equal(g[y].data, np.zeros(3))
 
+    def test_intermediate_lookup_refused(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            y = x * 2.0
+            loss = (y * y).sum()
+        g = backward(tape, loss)
+        with pytest.raises(ContractError, match="not a leaf"):
+            g[y]
+        with pytest.raises(ContractError, match="not a leaf"):
+            g[loss]
+        assert np.array_equal(g[x].data, np.full(3, 8.0))
+
+    def test_second_backward_refused(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = (x * x).sum()
+        backward(tape, loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(tape, loss)
+
+    def test_unrecorded_tensor_gets_zeros(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = (x * x).sum()
+        g = backward(tape, loss)
+        assert np.array_equal(g[Tensor(np.ones((2, 2)))].data, np.zeros((2, 2)))
+
     def test_three_layer_mlp_matches_differences(self):
         sizes = [(4, 8), (8,), (8, 6), (6,), (6, 1), (1,)]
         params = [RNG.normal(size=s) * 0.5 for s in sizes]
@@ -362,6 +389,14 @@ def _backward_out_of_place(tape, loss):
             if g is not None:
                 table[in_id] = g if in_id not in table else table[in_id] + g
     return GradMap(tape, table)
+
+
+def _recording(backward_fn, out_id, received):
+    """``backward_fn`` that first keeps a copy of the gradient it is given."""
+    def bw(g):
+        received[out_id] = np.array(g)
+        return backward_fn(g)
+    return bw
 
 
 _W = np.random.default_rng(77).normal(size=(6, 4))
@@ -399,11 +434,18 @@ class TestInPlaceAccumulation:
         inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
         with Tape() as tape:
             loss = f(*inputs)
-        grads = backward(tape, loss)
         reference = _backward_out_of_place(tape, loss)
-        for t in tape._tensors:
-            assert grads[t].shape == reference[t].shape
-            assert grads[t].data.tobytes() == reference[t].data.tobytes()
+        # backward frees intermediate gradients, so each node records the
+        # output gradient it receives: that intermediate's final gradient
+        received: dict[int, np.ndarray] = {}
+        for node in tape._nodes:
+            node.backward_fn = _recording(node.backward_fn, node.out_id, received)
+        grads = backward(tape, loss)
+        assert received.keys() == {node.out_id for node in tape._nodes}
+        for nid, t in enumerate(tape._tensors):
+            got = Tensor(received[nid]) if nid in received else grads[t]
+            assert got.shape == reference[t].shape
+            assert got.data.tobytes() == reference[t].data.tobytes()
 
     @pytest.mark.parametrize("case", sorted(ALIASED))
     def test_gradient_matches_differences(self, case):

@@ -90,6 +90,21 @@ def test_prep_and_convert_roundtrip(tmp_path):
     assert (back / "a_ct.mvol").read_bytes() == (prepped / "a_ct.mvol").read_bytes()
 
 
+def test_prep_refuses_its_own_output(tmp_path, capsys):
+    raw, prepped = tmp_path / "raw", tmp_path / "prepped"
+    raw.mkdir()
+    rng = np.random.default_rng(1)
+    write_volume(Volume(rng.uniform(-1000, 123, (4, 4, 6)).astype(np.float32),
+                        (1, 1, 1), "CT"), raw / "a_ct.mvol")
+    write_volume(Volume(np.abs(rng.normal(1, 1, (4, 4, 6))).astype(np.float32),
+                        (1, 1, 1), "PET"), raw / "a_pet.mvol")
+    assert main(["prep", "--input", str(raw), "--out", str(prepped)]) == 0
+    first = {p.name: p.read_bytes() for p in prepped.iterdir()}
+    assert main(["prep", "--input", str(prepped), "--out", str(prepped)]) == 3
+    assert f"{prepped / 'a_ct.mvol'}: every CT value lies in [-1, 1]" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in prepped.iterdir()} == first
+
+
 def test_convert_bad_grid_exit_code(tmp_path):
     raw = tmp_path / "raw"
     raw.mkdir()

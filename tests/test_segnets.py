@@ -13,6 +13,7 @@ from oncokit.segnets import (
     UnetrDecoder,
     model_stats,
     predict_mask,
+    unet_layer_specs,
     unetr_layer_specs,
 )
 from oncokit.vit import EncoderConfig, ViTEncoder
@@ -49,6 +50,23 @@ class TestUNetForward:
             loss = (out * out).sum()
         for name, p in net.params.items():
             assert tape._lookup(p) is not None, name
+
+    @pytest.mark.parametrize("args", [(3, 2, 3, 8), (2, 1, 2, 4), (2, 2, 0, 3)])
+    def test_spec_layout_matches_built_unet(self, args):
+        # unet_layer_specs lays the U-Net out without drawing its weights
+        assert unet_layer_specs(*args) == UNet(*args).layer_specs()
+
+    @pytest.mark.parametrize("args, digest", [
+        ((3, 2, 3, 8), "8685144638dbf2042ef2cde7107c5eb3235f589f5492f6018957e5a15cf0d158"),
+        ((2, 1, 2, 4), "47776cfdcda2f390f6a20241c4428d4052f70be055b376deb3f6a6c22b4962da"),
+    ])
+    def test_drawn_weights_pinned(self, args, digest):
+        net = UNet(*args, seed=3)
+        h = hashlib.sha256()
+        for name, param in net.params.items():
+            h.update(name.encode())
+            h.update(param.data.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPredictMask:
