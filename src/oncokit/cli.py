@@ -9,9 +9,10 @@ Verbs:
     eval          compare predictions against ground truth
     stats model   parameter / MAC accounting for an architecture
 
-Exit codes: 0 success, 2 configuration error, 3 data/format error,
-4 numeric divergence. ``ONCOKIT_THREADS`` caps the numeric worker pools;
-importing the package applies it (see ``oncokit/__init__.py``).
+Exit codes: 0 success, 2 configuration error, 3 data/format error (a
+metric the data leave undefined included), 4 numeric divergence.
+``ONCOKIT_THREADS`` caps the numeric worker pools; importing the package
+applies it (see ``oncokit/__init__.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ContractError,
     DataError,
     DivergenceError,
+    EvaluationError,
     FormatError,
     NumericError,
     OncokitError,
@@ -264,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FormatError) as exc:
+    except (DataError, FormatError, EvaluationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NumericError) as exc:

@@ -4,7 +4,9 @@ Both formats are read and written here and nowhere else. A cohort file has
 the header ``id,time,event,center`` and any number of feature columns
 after it. Columns whose values all parse as numbers stay numeric and must
 be finite; anything else is treated as categorical and expanded one-hot
-(one column per level, level-sorted) in the original column order. An
+(one column per level, level-sorted) in the original column order.
+``load_labels`` reads only a cohort file's ids, times and events, checked
+as ``load_ehr`` checks them, and leaves its other columns unparsed. An
 ``id,risk`` file, as ``oncokit predict`` writes it and ``oncokit eval``
 reads it, holds one finite risk per id, in columns of any order. Both are
 UTF-8 CSV (a leading byte-order mark is accepted) with each column named
@@ -56,7 +58,7 @@ class Subject(NamedTuple):
 
 def _column(values, n: int, dtype=object, blank=None) -> np.ndarray:
     """A read-only copy of one column; ``values=None`` fills it with ``blank``."""
-    arr = np.array([blank] * n if values is None else values, dtype=dtype)
+    arr = np.full(n, blank, dtype) if values is None else np.array(values, dtype=dtype)
     if arr.shape != (n,):
         raise DataError(f"column of shape {arr.shape} for {n} subjects")
     arr.setflags(write=False)
@@ -255,19 +257,33 @@ def _unique():
     return check
 
 
-def load_ehr(path) -> Cohort:
-    """Read a cohort CSV."""
-    path = Path(path)
-    raw, lines = read_rows(path, REQUIRED_COLUMNS)
+def _labels(path: Path, raw, lines) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The stripped ids, the times and the events of a cohort file's
+    columns; a bad time or event or a repeated id is refused, naming its
+    ``path:line``."""
     n = len(lines)
-    ids, centers, event_text = (list(map(str.strip, raw[name]))
-                                for name in ("id", "center", "event"))
+    ids, event_text = (list(map(str.strip, raw[name])) for name in ("id", "event"))
     times = _floats(raw["time"], n)     # float() ignores what strip() removes
     if times is None or not (np.isfinite(times) & (times > 0)).all() \
             or not set(event_text) <= {"0", "1"} or len(set(ids)) != n:
         _first_bad_row(path, raw, lines, [("time", _time_problem), ("event", _event_problem),
                                           ("id", _unique())])
-    events = np.fromiter(map(int, event_text), np.int64, n)
+    return ids, times, np.fromiter(map(int, event_text), np.int64, n)
+
+
+def load_labels(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids, times and events of a cohort CSV, checked as ``load_ehr``
+    checks them; the center and feature columns are not read."""
+    path = Path(path)
+    return _labels(path, *read_rows(path, REQUIRED_COLUMNS))
+
+
+def load_ehr(path) -> Cohort:
+    """Read a cohort CSV."""
+    path = Path(path)
+    raw, lines = read_rows(path, REQUIRED_COLUMNS)
+    n = len(lines)
+    ids, times, events = _labels(path, raw, lines)
 
     feature_names: list[str] = []
     numeric: list[str] = []
@@ -290,7 +306,7 @@ def load_ehr(path) -> Cohort:
     x = np.hstack(blocks) if blocks else np.empty((n, 0))
     if not np.isfinite(x).all():
         _first_bad_row(path, raw, lines, [(name, _feature_problem) for name in numeric])
-    return Cohort(ids, times, events, x, feature_names, centers)
+    return Cohort(ids, times, events, x, feature_names, list(map(str.strip, raw["center"])))
 
 
 def load_predictions(path) -> tuple[list[str], np.ndarray]:

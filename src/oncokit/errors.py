@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit, and its file-safety helpers.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError and
-FormatError -> 3, NumericError and DivergenceError -> 4.
+The CLI maps these onto exit codes: ConfigError -> 2, DataError,
+FormatError and EvaluationError -> 3, NumericError and DivergenceError -> 4.
 """
 
 import os

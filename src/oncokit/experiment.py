@@ -31,7 +31,7 @@ from .augment import augment
 from .autodiff import Tensor, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
-from .ehr import Cohort, load_ehr, load_predictions, save_ehr
+from .ehr import Cohort, load_ehr, load_labels, load_predictions, save_ehr
 from .errors import ConfigError, DataError, OncokitError, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
@@ -554,16 +554,16 @@ def evaluate_segmentation_dirs(pred_dir, truth_dir) -> dict:
 
 
 def evaluate_survival_files(pred_csv, truth_csv) -> dict:
-    """C-index of a predictions CSV (id,risk) against cohort labels."""
-    cohort = load_ehr(truth_csv)
+    """C-index of a predictions CSV (id,risk) against the labels of a
+    cohort CSV; only the truth file's id, time and event columns are read."""
+    truth_ids, times, events = load_labels(truth_csv)
     ids, risks = load_predictions(pred_csv)
-    row = dict(zip(cohort.ids, range(len(cohort))))
+    row = dict(zip(truth_ids, range(len(truth_ids))))
     rows = np.fromiter((row.get(sid, -1) for sid in ids), np.intp, len(ids))
     found = rows >= 0
     if found.sum() < 2:
         raise DataError("fewer than two matched predictions")
-    report = _survival_metrics(cohort.times()[rows[found]], risks[found],
-                               cohort.events()[rows[found]])
+    report = _survival_metrics(times[rows[found]], risks[found], events[rows[found]])
     report["missing"] = [sid for sid, hit in zip(ids, found.tolist()) if not hit]
     return report
 

@@ -504,3 +504,48 @@ def test_undecodable_or_oversized_csv_is_data_error(tmp_path, capsys, bad, named
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {named_file}{named}"), (argv, err[:200])
+
+
+def test_eval_survival_reads_only_the_truth_labels(tmp_path, capsys):
+    # a feature value load_ehr refuses and a categorical column leave the
+    # eval report unchanged; train still refuses the file
+    data, copy = tmp_path / "data", tmp_path / "copy"
+    main(["synth", "--out", str(data), "--n", "30", "--seed", "5"])
+    header, *rows = (data / "ehr.csv").read_bytes().split(b"\r\n")[:-1]
+    rows = [row + (b",I" if k % 3 else b",II") for k, row in enumerate(rows)]
+    fields = rows[2].split(b",")
+    fields[4] = b"inf"                                            # x0 of the third row
+    rows[2] = b",".join(fields)
+    copy.mkdir()
+    (copy / "ehr.csv").write_bytes(b"\r\n".join([header + b",stage", *rows]) + b"\r\n")
+    pred = tmp_path / "risks.csv"
+    pred.write_text("id,risk\n" + "".join(f"s{i:05d},{(7 * i) % 11 / 10}\n" for i in range(30)))
+    reports = []
+    for truth in (data, copy):
+        out = tmp_path / f"{truth.name}.json"
+        capsys.readouterr()
+        assert main(["eval", "--task", "surv", "--pred", str(pred),
+                     "--truth", str(truth / "ehr.csv"), "--out", str(out)]) == 0
+        reports.append((out.read_bytes(), capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][0])["n"] == 30
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "surv-cox", "data_dir": str(copy),
+                               "output_dir": str(tmp_path / "out"), "seed": 1,
+                               "cv_folds": 2}))
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {copy / 'ehr.csv'}:4: feature 'x0' must be finite")
+
+
+@pytest.mark.parametrize("truth", [
+    "a,1,0,c\nb,2,0,c\nc,3,0,c\n",                                  # all censored
+    "a,5,1,c\nb,5,1,c\nc,2,0,c\n",                                  # events at one time
+], ids=["all-censored", "tied-events"])
+def test_eval_survival_without_comparable_pairs_is_data_error(tmp_path, capsys, truth):
+    ehr, pred = tmp_path / "ehr.csv", tmp_path / "risks.csv"
+    ehr.write_text("id,time,event,center\n" + truth)
+    pred.write_text("id,risk\na,0.1\nb,0.2\nc,0.3\n")
+    assert main(["eval", "--task", "surv", "--pred", str(pred), "--truth", str(ehr)]) == 3
+    assert capsys.readouterr().err.startswith("data error: no comparable pairs")

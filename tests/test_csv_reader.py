@@ -1,5 +1,6 @@
 """``ehr.read_rows``: plain files are split as text, and every file gives
-the same cohort or predictions, or the same error, as ``csv.reader``."""
+the same cohort, labels or predictions, or the same error, as
+``csv.reader``."""
 
 import builtins
 import csv
@@ -7,11 +8,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oncokit import ehr
 from oncokit.cli import main
-from oncokit.ehr import load_ehr, load_predictions
+from oncokit.ehr import load_ehr, load_labels, load_predictions
 from oncokit.errors import DataError
 from oncokit.experiment import evaluate_survival_files
 
@@ -115,6 +117,14 @@ def _cohort_outcome(path):
             c.covariate_matrix().shape, c.covariate_matrix().tobytes())
 
 
+def _labels_outcome(path):
+    try:
+        ids, times, events = load_labels(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return "labels", ids, times.dtype, times.tobytes(), events.dtype, events.tobytes()
+
+
 def _pred_outcome(path):
     try:
         ids, risks = load_predictions(path)
@@ -157,6 +167,30 @@ def test_predictions_split_matches_walker(tmp_path, monkeypatch, name, data, pla
     assert _is_plain(data) == plain
     split, walked = _both_paths(monkeypatch, _pred_outcome, path)
     assert split == walked
+
+
+# the files whose only fault is a feature value, load_labels reads them;
+# 1.8e308 is past the largest double, so it reads as inf
+FEATURE_VALUE_ONLY = {f"number {text!r}" for text in ("nan", "inf", "-inf", "1e999", "1.8e308")}
+
+
+@pytest.mark.parametrize("name, data, plain", COHORT_FILES, ids=[c[0] for c in COHORT_FILES])
+def test_labels_match_cohort(tmp_path, monkeypatch, name, data, plain):
+    path = tmp_path / "ehr.csv"
+    path.write_bytes(data)
+    labels = _both_paths(monkeypatch, _labels_outcome, path)
+    cohorts = _both_paths(monkeypatch, _cohort_outcome, path)
+    for got, cohort in zip(labels, cohorts):
+        feature_only = cohort[0] == "error" and ": feature 'age' must be finite" in cohort[1]
+        assert feature_only == (name in FEATURE_VALUE_ONLY)
+        if cohort[0] == "cohort":
+            assert got == ("labels", cohort[1], *cohort[4:8])
+        elif feature_only:
+            times, events = np.array([1.0, 2.0]), np.array([1, 0])
+            assert got == ("labels", ["a", "b"], times.dtype, times.tobytes(),
+                           events.dtype, events.tobytes())
+        else:
+            assert got == cohort
 
 
 def test_grid_errors_name_the_line(tmp_path):

@@ -122,6 +122,19 @@ def test_cohort_columns_are_read_only(tmp_path):
             column[0] = 0
 
 
+def test_absent_columns_are_blank_and_read_only(tmp_path):
+    p = _write(tmp_path, "id,time,event,center,age\na,10,1,c1,61\nb,12,0,c2,55\n")
+    cohort = load_ehr(p)
+    for c in (cohort, cohort.subset([1, 0]), cohort.subset([1])):
+        for column in (c.ct_paths, c.pet_paths, c.mask_paths):
+            assert column.dtype == object and column.tolist() == [None] * len(c)
+            with pytest.raises(ValueError):
+                column[0] = "x.mvol"
+    bare = Cohort(["a", "b"], [1.0, 2.0], [1, 0], np.zeros((2, 0)), [])
+    assert bare.centers.dtype == object and bare.centers.tolist() == ["", ""]
+    assert not bare.centers.flags.writeable
+
+
 def test_ragged_row_named_before_an_earlier_bad_value(tmp_path):
     # every row's width is checked before any value is
     p = _write(tmp_path, "id,time,event,center,age\na,soon,1,c,5\nb,2,0,c\n")

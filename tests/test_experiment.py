@@ -343,6 +343,32 @@ class TestEvaluate:
                                       cohort.events()).value
         assert report["c_index"] == pytest.approx(expected)
 
+    def test_survival_csv_matches_the_full_cohort_read(self, tmp_path):
+        # eval reads the truth's labels only; the report is what the whole
+        # cohort, as load_ehr reads it, gives
+        from oncokit.ehr import load_ehr, save_ehr, save_predictions
+        from oncokit.metrics import concordance_detail
+        from oncokit.synthetic import gen_synthetic_cohort
+
+        truth, pred = tmp_path / "ehr.csv", tmp_path / "risks.csv"
+        save_ehr(gen_synthetic_cohort(5000, 4, [1.0, -0.5, 0.3], censor_frac=0.3), truth)
+        rng = np.random.default_rng(4)
+        cohort = load_ehr(truth)
+        ids = [*rng.permutation(cohort.ids)[:4000].tolist(), "zz1", "zz2"]
+        rng.shuffle(ids)
+        risks = rng.standard_normal(len(ids))
+        save_predictions(ids, risks, pred)
+
+        row = {sid: i for i, sid in enumerate(cohort.ids)}
+        hits = [k for k, sid in enumerate(ids) if sid in row]
+        rows = [row[ids[k]] for k in hits]
+        res = concordance_detail(cohort.times()[rows], risks[hits], cohort.events()[rows])
+        expected = {"c_index": res.value, "n": 4000, "comparable_pairs": res.comparable_pairs,
+                    "orientation": "hazard",
+                    "missing": [sid for sid in ids if sid not in row]}
+        report = evaluate_survival_files(pred, truth)
+        assert report == expected and sorted(report["missing"]) == ["zz1", "zz2"]
+
 
 class TestConvertSi:
     def test_roundtrip_bit_exact(self, tmp_path):
