@@ -32,7 +32,7 @@ from .autodiff import Tensor, sigmoid
 from .checkpoint import save_checkpoint
 from .cox import cox_cohort_risks, cox_fit, save_cox
 from .ehr import Cohort, load_ehr, load_labels, load_predictions, save_ehr
-from .errors import ConfigError, DataError, OncokitError, write_atomic
+from .errors import ConfigError, DataError, OncokitError, malformed, write_atomic
 from .fusion import deep_fusion_risk
 from .losses import combined_loss
 from .metrics import concordance_detail, confusion, dsc
@@ -122,7 +122,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        obj = json.loads(Path(path).read_text())
+        try:
+            obj = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
         obj.update(overrides or {})
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
@@ -601,12 +606,14 @@ def invert_si_dir(in_dir, out_dir) -> list[str]:
         try:
             if not sidecar.exists():
                 raise DataError(f"missing sidecar {sidecar.name}")
-            meta = json.loads(sidecar.read_text())
-            layout = SuperImageLayout.from_json(meta)
+            with malformed(sidecar.name):
+                meta = json.loads(sidecar.read_text())
+                layout = SuperImageLayout.from_json(meta)
+                spacing = tuple(float(s) for s in meta["spacing"])
+                modality = str(meta["modality"])
             flat = read_volume(path)
             volume = from_super_image(flat.data[:, :, 0][:, :, None], layout)
-            restored = Volume(volume[:, :, :, 0], tuple(meta["spacing"]),
-                              meta["modality"])
+            restored = Volume(volume[:, :, :, 0], spacing, modality)
             write_volume(restored, out_dir / path.name)
         except OncokitError as exc:
             errors.append(f"{path.name}: {exc}")

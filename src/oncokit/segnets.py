@@ -16,29 +16,30 @@ convolution emits one logit channel. Deeper taps enter later and therefore
 pass through fewer upsampling stages; the raw input joins at full
 resolution through a small convolutional stem.
 
-``model_stats`` walks a network's layer specs, checking that shapes resolve
-and summing learnable parameters and multiply-accumulates:
+Each network is laid out once, as one list of ``LayerSpec``s
+(``unet_layer_specs``, ``unetr_layer_specs``), and two walkers read it:
+``_draw`` draws the weights in layout order from one seeded generator, and
+``model_stats`` checks that shapes resolve and sums learnable parameters
+and multiply-accumulates, so counting a model draws nothing:
 
-    conv           k^rank * C_in * C_out * prod(output extents)
-    transposed     k^rank * C_in * C_out * prod(input extents)
+    conv           k^rank * C_in * C_out * prod(extents), extents kept
+    transposed     k^rank * C_in * C_out * prod(input extents), doubled
+    pool           0 MACs, 0 parameters, extents halved
     linear         in * out (parameters add out for the bias)
     norm           0 MACs, 2 * C parameters
     table          0 MACs, rows * width parameters (the positional rows)
     branch         0 MACs, 0 parameters; the walk restarts at the input
-                   extents divided by ``stride``
+                   extents divided by the patch, the spec's ``kernel``
 
 A ``branch`` is how the decoder's parallel paths fit one walk: each tap
 chain and the ladder start from the token grid, so each is preceded by
-``branch(patch)``. One layout function lays each network out, either on a
-builder that also draws its weights (``UNet``, ``UnetrDecoder``) or on one
-that only records specs (``unet_layer_specs``, ``unetr_layer_specs``), so
-counting a model draws nothing.
+``branch(patch)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -57,14 +58,14 @@ from .vit import EncoderConfig, EncoderOutput, tokens_to_grid
 
 @dataclass(frozen=True)
 class LayerSpec:
-    # kind: conv | transposed_conv | norm | activation | pool | linear | table | branch
+    # kind: conv | transposed_conv | norm | pool | linear | table | branch
     kind: str
     rank: int = 0
     c_in: int = 0
     c_out: int = 0
-    kernel: int = 0
-    stride: int = 1        # for branch: the divisor of the input extents
-    padding: int = 0
+    kernel: int = 0        # for branch: the patch, the divisor of the input extents
+    _: KW_ONLY
+    name: str = ""         # the prefix of the layer's parameter names
     bias: bool = True      # linear only
 
 
@@ -73,7 +74,7 @@ def model_stats(net_or_specs, input_shape) -> dict:
 
     Walks the spec chain once. Spatial specs (conv, transposed_conv, pool,
     branch) must see ``spec.rank`` extents; a ``branch`` restarts the walk at
-    the input extents divided by its ``stride``.
+    the input extents divided by its ``kernel``.
     """
     specs = net_or_specs.layer_specs() if hasattr(net_or_specs, "layer_specs") \
         else list(net_or_specs)
@@ -87,30 +88,23 @@ def model_stats(net_or_specs, input_shape) -> dict:
             raise ShapeError(f"layer {index} ({spec.kind}): expected rank-{spec.rank} "
                              f"extents, got {spatial}")
         if spec.kind == "conv":
-            out_sp = tuple((s + 2 * spec.padding - spec.kernel) // spec.stride + 1
-                           for s in spatial)
-            if any(e < 1 for e in out_sp):
-                raise ShapeError(f"layer {index} ({spec.kind}): extents {spatial} collapse")
             params += spec.c_out * spec.c_in * spec.kernel ** spec.rank + spec.c_out
-            macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * math.prod(out_sp)
-            spatial = out_sp
+            macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * math.prod(spatial)
         elif spec.kind == "transposed_conv":
             params += spec.c_in * spec.c_out * spec.kernel ** spec.rank
             macs += spec.kernel ** spec.rank * spec.c_in * spec.c_out * math.prod(spatial)
-            spatial = tuple((s - 1) * spec.stride + spec.kernel for s in spatial)
+            spatial = tuple(2 * s for s in spatial)
         elif spec.kind == "norm":
             params += 2 * spec.c_in
-        elif spec.kind == "activation":
-            pass
         elif spec.kind == "pool":
             if any(s % 2 for s in spatial):
                 raise ShapeError(f"layer {index} (pool): odd extents {spatial}")
             spatial = tuple(s // 2 for s in spatial)
         elif spec.kind == "branch":
-            if any(s % spec.stride for s in inputs):
+            if any(s % spec.kernel for s in inputs):
                 raise ShapeError(f"layer {index} (branch): extents {inputs} "
-                                 f"not divisible by {spec.stride}")
-            spatial = tuple(s // spec.stride for s in inputs)
+                                 f"not divisible by {spec.kernel}")
+            spatial = tuple(s // spec.kernel for s in inputs)
         elif spec.kind == "linear":
             params += spec.c_in * spec.c_out + (spec.c_out if spec.bias else 0)
             macs += spec.c_in * spec.c_out
@@ -128,101 +122,71 @@ def predict_mask(logits) -> np.ndarray:
     return (prob > 0.5).astype(np.float32)
 
 
-def _conv_init(rng, c_out, c_in, k, rank):
-    fan_in = c_in * k ** rank
-    w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(c_out, c_in) + (k,) * rank)
-    return Tensor(w, requires_grad=True), Tensor(np.zeros(c_out), requires_grad=True)
+def _draw(specs: list[LayerSpec], seed: int) -> dict[str, Tensor]:
+    """Each layer's parameters, named by its spec's prefix and drawn in
+    layout order from one seeded generator: He-normal (conv or transposed)
+    weights, zero biases, unit norm gains."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for s in specs:
+        if s.kind in ("conv", "transposed_conv"):
+            fan_in = s.c_in * s.kernel ** s.rank
+            channels = (s.c_out, s.c_in) if s.kind == "conv" else (s.c_in, s.c_out)
+            params[s.name + ".w"] = rng.normal(0.0, math.sqrt(2.0 / fan_in),
+                                               size=channels + (s.kernel,) * s.rank)
+            if s.kind == "conv":
+                params[s.name + ".b"] = np.zeros(s.c_out)
+        elif s.kind == "norm":
+            params[s.name + ".gain"] = np.ones(s.c_in)
+            params[s.name + ".bias"] = np.zeros(s.c_in)
+    return {name: Tensor(value, requires_grad=True) for name, value in params.items()}
 
 
-def _tconv_init(rng, c_in, c_out, k, rank):
-    fan_in = c_in * k ** rank
-    w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(c_in, c_out) + (k,) * rank)
-    return Tensor(w, requires_grad=True)
+def _conv_block(rank: int, name: str, c_in: int, c_out: int) -> list[LayerSpec]:
+    """A 3-sided conv + instance norm (+ relu, which has no parameters)."""
+    return [LayerSpec("conv", rank, c_in, c_out, 3, name=name),
+            LayerSpec("norm", rank, c_out, c_out, name=name + ".norm")]
 
 
-def _norm_init(c):
-    return Tensor(np.ones(c), requires_grad=True), Tensor(np.zeros(c), requires_grad=True)
+def _stage(rank: int, name: str, c_in: int, c_out: int) -> list[LayerSpec]:
+    """Two conv blocks, ``name.c1`` from ``c_in`` and ``name.c2``."""
+    return _conv_block(rank, name + ".c1", c_in, c_out) \
+        + _conv_block(rank, name + ".c2", c_out, c_out)
 
 
-class _SpecBuilder:
-    """Records the layer specs of a network as its layers are laid out."""
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.specs: list[LayerSpec] = []
-
-    def conv_block(self, name, c_in, c_out):
-        self.specs.append(LayerSpec("conv", self.rank, c_in, c_out, 3, 1, 1))
-        self.specs.append(LayerSpec("norm", self.rank, c_out, c_out))
-        self.specs.append(LayerSpec("activation", self.rank, c_out, c_out))
-
-    def final_conv(self, name, c_in):
-        self.specs.append(LayerSpec("conv", self.rank, c_in, 1, 1, 1, 0))
-
-    def tconv(self, name, c_in, c_out):
-        self.specs.append(LayerSpec("transposed_conv", self.rank, c_in, c_out, 2, 2))
-
-    def pool(self):
-        self.specs.append(LayerSpec("pool", self.rank, 0, 0, 2, 2))
-
-    def branch(self, stride):
-        self.specs.append(LayerSpec("branch", self.rank, stride=stride))
+def _tconv(rank: int, name: str, c_in: int, c_out: int) -> LayerSpec:
+    return LayerSpec("transposed_conv", rank, c_in, c_out, 2, name=name)
 
 
-class _ParamBuilder(_SpecBuilder):
-    """A ``_SpecBuilder`` that also draws each layer's parameters, in layout
-    order, from one seeded generator."""
-
-    def __init__(self, rank, seed):
-        super().__init__(rank)
-        self.rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
-
-    def conv_block(self, name, c_in, c_out):
-        w, b = _conv_init(self.rng, c_out, c_in, 3, self.rank)
-        self.params[name + ".w"] = w
-        self.params[name + ".b"] = b
-        gain, bias = _norm_init(c_out)
-        self.params[name + ".norm.gain"] = gain
-        self.params[name + ".norm.bias"] = bias
-        super().conv_block(name, c_in, c_out)
-
-    def final_conv(self, name, c_in):
-        w, b = _conv_init(self.rng, 1, c_in, 1, self.rank)
-        self.params[name + ".w"] = w
-        self.params[name + ".b"] = b
-        super().final_conv(name, c_in)
-
-    def tconv(self, name, c_in, c_out):
-        self.params[name + ".w"] = _tconv_init(self.rng, c_in, c_out, 2, self.rank)
-        super().tconv(name, c_in, c_out)
+def _head(rank: int, c_in: int) -> LayerSpec:
+    """The 1-sided conv that emits the one logit channel."""
+    return LayerSpec("conv", rank, c_in, 1, 1, name="head")
 
 
 def _block(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
-    """The 3-sided conv + instance norm + relu laid out by ``conv_block``."""
+    """The forward pass of ``_conv_block``: conv, instance norm, relu."""
     x = conv(x, params[name + ".w"], bias=params[name + ".b"])
     x = channel_norm(x, params[name + ".norm.gain"], params[name + ".norm.bias"])
     return relu(x)
 
 
-def _lay_out_unet(b: _SpecBuilder, in_channels: int, depth: int, base_width: int) -> None:
-    """Lays the U-Net's layers out on ``b``, encoder first."""
-    if b.rank not in (2, 3):
+def unet_layer_specs(rank: int, in_channels: int, depth: int,
+                     base_width: int) -> list[LayerSpec]:
+    """``UNet``'s layout, encoder first."""
+    if rank not in (2, 3):
         raise ContractError("rank must be 2 or 3")
     widths = [base_width * 2 ** i for i in range(depth + 1)]
+    specs = []
     c_prev = in_channels
     for i in range(depth):
-        b.conv_block(f"enc{i}.c1", c_prev, widths[i])
-        b.conv_block(f"enc{i}.c2", widths[i], widths[i])
-        b.pool()
+        specs += _stage(rank, f"enc{i}", c_prev, widths[i])
+        specs.append(LayerSpec("pool", rank, kernel=2))
         c_prev = widths[i]
-    b.conv_block("mid.c1", c_prev, widths[depth])
-    b.conv_block("mid.c2", widths[depth], widths[depth])
+    specs += _stage(rank, "mid", c_prev, widths[depth])
     for i in reversed(range(depth)):
-        b.tconv(f"dec{i}.up", widths[i + 1], widths[i])
-        b.conv_block(f"dec{i}.c1", 2 * widths[i], widths[i])
-        b.conv_block(f"dec{i}.c2", widths[i], widths[i])
-    b.final_conv("head", widths[0])
+        specs.append(_tconv(rank, f"dec{i}.up", widths[i + 1], widths[i]))
+        specs += _stage(rank, f"dec{i}", 2 * widths[i], widths[i])
+    return specs + [_head(rank, widths[0])]
 
 
 class UNet:
@@ -237,10 +201,8 @@ class UNet:
         self.rank = rank
         self.in_channels = in_channels
         self.depth = depth
-        b = _ParamBuilder(rank, seed)
-        _lay_out_unet(b, in_channels, depth, base_width)
-        self.params = b.params
-        self._specs = b.specs
+        self._specs = unet_layer_specs(rank, in_channels, depth, base_width)
+        self.params = _draw(self._specs, seed)
 
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
@@ -270,61 +232,51 @@ class UNet:
         return conv(x, p["head.w"], bias=p["head.b"])
 
 
-def unet_layer_specs(rank: int, in_channels: int, depth: int,
-                     base_width: int) -> list[LayerSpec]:
-    """``UNet``'s layer specs, for accounting only: nothing is drawn."""
-    b = _SpecBuilder(rank)
-    _lay_out_unet(b, in_channels, depth, base_width)
-    return b.specs
-
-
-def _lay_out_unetr_decoder(b: _SpecBuilder, enc_cfg: EncoderConfig, width: int) -> int:
-    """Lays the UNETR decoder's layers out on ``b`` and returns its number of
-    2x upsampling steps, log2 of the patch size."""
-    steps = int(round(math.log2(enc_cfg.patch)))
-    if 2 ** steps != enc_cfg.patch or steps < 1:
-        raise ContractError(f"patch size {enc_cfg.patch} must be a power of two >= 2")
+def _ladder_steps(patch: int) -> int:
+    """The decoder's number of 2x upsampling steps, log2 of the patch size."""
+    steps = int(round(math.log2(patch)))
+    if 2 ** steps != patch or steps < 1:
+        raise ContractError(f"patch size {patch} must be a power of two >= 2")
     if steps - 1 > 3:
         raise ContractError("at most three intermediate taps are available")
-    k = enc_cfg.embed_dim
+    return steps
+
+
+def _decoder_specs(cfg: EncoderConfig, width: int) -> list[LayerSpec]:
+    """``UnetrDecoder``'s layout: stem, tap chains, then the ladder."""
+    rank, k, steps = cfg.rank, cfg.embed_dim, _ladder_steps(cfg.patch)
     widths = [width * 2 ** i for i in range(steps)]
 
     # full-resolution stem over the raw input
-    b.conv_block("stem.c1", enc_cfg.channels, widths[0])
-    b.conv_block("stem.c2", widths[0], widths[0])
+    specs = _stage(rank, "stem", cfg.channels, widths[0])
 
     # per-tap processing: one deconv off the grid, then conv+deconv
     # pairs until the tap reaches its ladder level
     for level in range(1, steps):
         name = f"tap{level}"
-        b.branch(enc_cfg.patch)
-        b.tconv(f"{name}.up{steps - 1}", k, widths[steps - 1])
+        specs += [LayerSpec("branch", rank, kernel=cfg.patch),
+                  _tconv(rank, f"{name}.up{steps - 1}", k, widths[steps - 1])]
         for r in range(steps - 1, level, -1):
-            b.conv_block(f"{name}.c{r}", widths[r], widths[r])
-            b.tconv(f"{name}.up{r - 1}", widths[r], widths[r - 1])
+            specs += _conv_block(rank, f"{name}.c{r}", widths[r], widths[r])
+            specs.append(_tconv(rank, f"{name}.up{r - 1}", widths[r], widths[r - 1]))
 
     # ladder from the final tap back to full resolution
-    b.branch(enc_cfg.patch)
-    b.tconv("ladder.up_final", k, widths[steps - 1])
+    specs += [LayerSpec("branch", rank, kernel=cfg.patch),
+              _tconv(rank, "ladder.up_final", k, widths[steps - 1])]
     for level in range(steps - 1, 0, -1):
-        b.conv_block(f"ladder{level}.c1", 2 * widths[level], widths[level])
-        b.conv_block(f"ladder{level}.c2", widths[level], widths[level])
-        b.tconv(f"ladder{level}.up", widths[level], widths[level - 1])
-    b.conv_block("out.c1", 2 * widths[0], widths[0])
-    b.conv_block("out.c2", widths[0], widths[0])
-    b.final_conv("head", widths[0])
-    return steps
+        specs += _stage(rank, f"ladder{level}", 2 * widths[level], widths[level])
+        specs.append(_tconv(rank, f"ladder{level}.up", widths[level], widths[level - 1]))
+    return specs + _stage(rank, "out", 2 * widths[0], widths[0]) + [_head(rank, widths[0])]
 
 
 class UnetrDecoder:
     """Convolutional decoder over transformer taps plus the raw input."""
 
     def __init__(self, enc_cfg: EncoderConfig, width: int = 16, seed: int = 0):
-        b = _ParamBuilder(enc_cfg.rank, seed)
         self.cfg = enc_cfg
-        self.steps = _lay_out_unetr_decoder(b, enc_cfg, width)
-        self.params = b.params
-        self._specs = b.specs
+        self._specs = _decoder_specs(enc_cfg, width)
+        self.steps = _ladder_steps(enc_cfg.patch)
+        self.params = _draw(self._specs, seed)
 
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
@@ -385,6 +337,4 @@ def unetr_layer_specs(cfg: EncoderConfig, width: int = 16) -> list[LayerSpec]:
         specs.append(LayerSpec("norm", 1, k, k))
         specs.append(LayerSpec("linear", 1, k, cfg.mlp_ratio * k))
         specs.append(LayerSpec("linear", 1, cfg.mlp_ratio * k, k))
-    decoder = _SpecBuilder(cfg.rank)
-    _lay_out_unetr_decoder(decoder, cfg, width)
-    return specs + decoder.specs
+    return specs + _decoder_specs(cfg, width)

@@ -321,7 +321,7 @@ def test_criterion_06_toy_segmentation_comparability(tmp_path):
 def test_criterion_07_model_stats():
     """Closed-form parameter counts, the ~3x rank ratio, and brute-force
     MAC verification on probe inputs."""
-    stats = model_stats([LayerSpec("conv", 3, 1, 8, 3, 1, 1)], (6, 6, 6))
+    stats = model_stats([LayerSpec("conv", 3, 1, 8, 3)], (6, 6, 6))
     assert stats["params"] == 27 * 8 + 8
     assert model_stats([], (4, 4)) == {"params": 0, "macs": 0}
 
@@ -335,10 +335,11 @@ def test_criterion_07_model_stats():
     assert 2.5 <= s3["params"] / s2["params"] <= 3.5
 
     # brute-force MAC counting on probes: one multiply per kernel element,
-    # input channel, output channel and output position
+    # input channel, output channel and output position; a conv pads by
+    # (k - 1) // 2, so it keeps its input's extents
     for rank, probe in ((2, (6, 6)), (3, (6, 6, 6))):
         c_in, c_out, k, pad = 2, 3, 3, 1
-        spec = LayerSpec("conv", rank, c_in, c_out, k, 1, pad)
+        spec = LayerSpec("conv", rank, c_in, c_out, k)
         out_sp = tuple(s + 2 * pad - k + 1 for s in probe)
         brute = 0
         for _ in np.ndindex(*out_sp):

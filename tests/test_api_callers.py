@@ -12,7 +12,9 @@ An option is a parameter with a default. It counts as set when a call of
 the definition's name, in the same places, passes it by keyword, passes
 enough positional arguments to reach it, or unpacks ``*`` or ``**`` into
 the call. An option no program call sets is a configuration that only
-tests exercise. A defaulted ``init`` field of a public dataclass or
+tests exercise. A public class's ``__init__`` options are the class's,
+set by calls of the class's name outside ``__init__``, its other methods
+included. A defaulted ``init`` field of a public dataclass or
 NamedTuple is held to the same rule, with its class's constructor calls:
 the class's name outside the class, and ``cls(...)`` inside it.
 
@@ -96,24 +98,29 @@ def _calls():
 
 
 def _options():
-    """(module.qualified name, parameter, path, node, position) for every
-    defaulted parameter of a public function or method. ``position`` is the
-    parameter's index among a call's positional arguments, or None when it
-    is keyword-only."""
+    """(module.qualified name, parameter, path, node, position, callee) for
+    every defaulted parameter of a public function or method, and of the
+    ``__init__`` of a public class, whose options are the class's and whose
+    callee is the class's name. ``position`` is the parameter's index among
+    a call's positional arguments, or None when it is keyword-only."""
     for qualname, path, node in _definitions():
-        if not isinstance(node, ast.FunctionDef):
-            continue
+        callee = node.name
+        if isinstance(node, ast.ClassDef):
+            node = next((sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+                         and sub.name == "__init__"), None)
+            if node is None:
+                continue
         args = node.args
         positional = args.posonlyargs + args.args
         first_default = len(positional) - len(args.defaults)
-        # a bound call fills a method's self or cls
-        bound = qualname.count(".") == 2 and not any(
+        # a bound call fills a method's or constructor's self or cls
+        bound = (qualname.count(".") == 2 or node.name == "__init__") and not any(
             getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
         for i, arg in enumerate(positional[first_default:], first_default):
-            yield qualname, arg.arg, path, node, i - bound
+            yield qualname, arg.arg, path, node, i - bound, callee
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield qualname, arg.arg, path, node, None
+                yield qualname, arg.arg, path, node, None, callee
 
 
 def _argument(call: ast.Call, name: str, position: int | None):
@@ -141,13 +148,17 @@ def _fields():
     """(module.class.field, field, path, node, position) for every
     defaulted ``init`` field of a public dataclass or NamedTuple.
     ``position`` is the field's index among a constructor call's positional
-    arguments."""
+    arguments, or None when it follows ``KW_ONLY``."""
     for qualname, path, node in _definitions():
         if not (isinstance(node, ast.ClassDef) and _is_record(node)):
             continue
         position = 0
         for stmt in node.body:
             if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            if "KW_ONLY" in (getattr(stmt.annotation, "id", None),
+                             getattr(stmt.annotation, "attr", None)):
+                position = None      # the fields after it are keyword-only
                 continue
             default = stmt.value
             if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
@@ -157,7 +168,8 @@ def _fields():
                 default = spec.get("default", spec.get("default_factory"))
             if default is not None:
                 yield f"{qualname}.{stmt.target.id}", stmt.target.id, path, node, position
-            position += 1
+            if position is not None:
+                position += 1
 
 
 def _settings():
@@ -165,9 +177,9 @@ def _settings():
     call sites). A field's class is called by its name outside the class,
     or as ``cls`` inside it."""
     calls = _calls()
-    for qualname, name, path, node, position in _options():
+    for qualname, name, path, node, position, callee in _options():
         yield f"{qualname}({name})", name, path, node, position, \
-            _outside(calls.get(node.name, []), path, node)
+            _outside(calls.get(callee, []), path, node)
     for field, name, path, node, position in _fields():
         inside = [site for site in calls.get("cls", [])
                   if site[0] == path and node.lineno <= site[1] <= node.end_lineno]
@@ -181,7 +193,7 @@ def _unset() -> set[str]:
     options, by its bare name, sets the callee's option or field only if
     the caller's option is set."""
     own: dict[tuple, dict[str, str]] = {}      # (path, node) -> {parameter: option}
-    for qualname, name, path, node, _ in _options():
+    for qualname, name, path, node, *_ in _options():
         own.setdefault((path, node), {})[name] = f"{qualname}({name})"
 
     def passed_on(path, line, arg) -> str | None:
@@ -231,9 +243,15 @@ def test_every_option_is_set_by_a_caller():
 
 
 def test_option_allowlist_holds_only_unset_options():
-    defined = {f"{qualname}({name})" for qualname, name, _, _, _ in _options()}
+    defined = {f"{qualname}({name})" for qualname, name, *_ in _options()}
     assert set(ALLOWED_OPTIONS) <= defined
     assert set(ALLOWED_OPTIONS) <= _unset_options()
+
+
+def test_constructor_options_are_audited():
+    defined = {f"{qualname}({name})" for qualname, name, *_ in _options()}
+    assert {"segnets.UNet(seed)", "ehr.Cohort(ct_paths)", "autodiff.Tensor(requires_grad)"} \
+        <= defined
 
 
 def test_every_field_is_set_by_a_caller():

@@ -50,6 +50,22 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("{\"task\": \"surv-cox\",", "Expecting"),
+    ("[1, 2]", "expected a JSON object, got list"),
+])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("report.json"))
+
+
 @pytest.mark.parametrize("setting", [
     "batch_size=0", "schedule_period=0", "fit_iterations=0", "fit_lr=-1", "epochs=true",
     "decoder_width=1.5", "learning_rate=NaN", "weight_decay=-1e-5", "smoothing=Infinity",
@@ -88,6 +104,30 @@ def test_prep_and_convert_roundtrip(tmp_path):
     assert main(["convert", "si", "--input", str(si), "--out", str(back),
                  "--invert"]) == 0
     assert (back / "a_ct.mvol").read_bytes() == (prepped / "a_ct.mvol").read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: '{"sh": 2}', "missing field 'sw'"),
+    (lambda meta: "not json", "Expecting value"),
+    (lambda meta: json.dumps(dict(meta, spacing=1.0)), "not iterable"),
+    (lambda meta: json.dumps(dict(meta, sh="two")), "invalid literal"),
+], ids=["missing-field", "not-json", "spacing-type", "grid-type"])
+def test_invert_malformed_sidecar_is_listed(tmp_path, capsys, edit, message):
+    # the bad sidecar is named and the command exits 3; the good one inverts
+    raw, si, back = tmp_path / "raw", tmp_path / "si", tmp_path / "back"
+    raw.mkdir()
+    for name in ("a", "b"):
+        write_volume(Volume(np.ones((4, 4, 6), dtype=np.float32), (1, 1, 2), "CT"),
+                     raw / f"{name}.mvol")
+    assert main(["convert", "si", "--input", str(raw), "--out", str(si)]) == 0
+    sidecar = si / "b.si.json"
+    sidecar.write_text(edit(json.loads(sidecar.read_text())))
+    assert main(["convert", "si", "--input", str(si), "--out", str(back), "--invert"]) == 3
+    err = capsys.readouterr().err
+    assert "error: b.mvol: b.si.json: " in err and message in err
+    assert "Traceback" not in err
+    assert (back / "a.mvol").read_bytes() == (raw / "a.mvol").read_bytes()
+    assert not (back / "b.mvol").exists()
 
 
 def test_prep_refuses_its_own_output(tmp_path, capsys):

@@ -85,7 +85,7 @@ class TestPredictMask:
 
 class TestModelStats:
     def test_single_conv_closed_form(self):
-        specs = [LayerSpec("conv", 3, 1, 8, 3, 1, 1)]
+        specs = [LayerSpec("conv", 3, 1, 8, 3)]
         stats = model_stats(specs, (6, 6, 6))
         assert stats["params"] == 27 * 8 + 8 == 224
         assert stats["macs"] == 27 * 1 * 8 * 6 * 6 * 6
@@ -94,17 +94,23 @@ class TestModelStats:
         assert model_stats([], (4, 4)) == {"params": 0, "macs": 0}
 
     def test_conv_macs_equal_brute_force(self):
-        # count multiplications one output element at a time on a probe
+        # count multiplications one output element at a time on a probe; a
+        # conv is same-size, so there is one output element per input one
         c_in, c_out, k = 2, 3, 3
-        spec = LayerSpec("conv", 2, c_in, c_out, k, 1, 0)
-        probe = (6, 6)
-        out_sp = (probe[0] - k + 1, probe[1] - k + 1)
+        spec = LayerSpec("conv", 2, c_in, c_out, k)
+        probe = (6, 5)
         brute = 0
         for _ in range(c_out):
-            for _ in range(out_sp[0]):
-                for _ in range(out_sp[1]):
+            for _ in range(probe[0]):
+                for _ in range(probe[1]):
                     brute += c_in * k * k
         assert model_stats([spec], probe)["macs"] == brute
+
+    def test_positional_stride_and_padding_refused(self):
+        # name and bias are keyword-only, so the old (..., kernel, stride,
+        # padding) call cannot bind its two trailing numbers to them
+        with pytest.raises(TypeError):
+            LayerSpec("conv", 2, 1, 8, 3, 1, 1)
 
     def test_params_match_actual_arrays(self):
         for net in (UNet(2, 2, depth=2, base_width=4), UNet(3, 2, depth=2, base_width=4)):
@@ -129,10 +135,10 @@ class TestModelStats:
         assert model_stats(linear, (1,))["macs"] == 139264
 
     def test_unresolvable_shape_names_layer(self):
-        specs = [LayerSpec("conv", 2, 1, 1, 3, 1, 0),
-                 LayerSpec("conv", 2, 1, 1, 3, 1, 0)]
+        # 6x6 pools to 3x3, which the second pool cannot halve
+        specs = [LayerSpec("pool", 2, kernel=2), LayerSpec("pool", 2, kernel=2)]
         with pytest.raises(ShapeError) as e:
-            model_stats(specs, (3, 3))
+            model_stats(specs, (6, 6))
         assert "layer 1" in str(e.value)
 
 
