@@ -65,9 +65,23 @@ def _extents(text: str, flag: str, rank: int) -> tuple[int, ...]:
     return extents
 
 
+def _check(ok: bool, flag: str, wanted: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{flag} must be {wanted}, got {value!r}")
+
+
+def _input_dir(text: str) -> Path:
+    _check(Path(text).is_dir(), "--input", "an existing directory", text)
+    return Path(text)
+
+
 def cmd_synth(args) -> int:
     from .experiment import write_synthetic_dataset
 
+    _check(args.n >= 2, "--n", "at least 2", args.n)
+    _check(args.seed >= 0, "--seed", "at least 0", args.seed)
+    _check(0.0 <= args.censor_frac < 1.0, "--censor-frac", "in [0, 1)", args.censor_frac)
+    _check(args.centers >= 1, "--centers", "at least 1", args.centers)
     shape = _extents(args.volume_shape, "--volume-shape", 3)
     try:
         beta = [float(b) for b in args.beta.split(",")]
@@ -87,7 +101,8 @@ def cmd_prep(args) -> int:
     from .preprocess import ct_window_normalize, pet_zscore, resample_isotropic
     from .volume import read_volume, write_volume
 
-    in_dir, out_dir = Path(args.input), Path(args.out)
+    _check(0.0 < args.spacing < math.inf, "--spacing", "a positive number", args.spacing)
+    in_dir, out_dir = _input_dir(args.input), Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
     for path in sorted(in_dir.glob("*.mvol")):
@@ -109,11 +124,12 @@ def cmd_prep(args) -> int:
 def cmd_convert_si(args) -> int:
     from .experiment import convert_si_dir, invert_si_dir
 
+    grid = None if args.invert or args.grid == "auto" else _extents(args.grid, "--grid", 2)
+    in_dir = _input_dir(args.input)
     if args.invert:
-        errors = invert_si_dir(args.input, args.out)
+        errors = invert_si_dir(in_dir, args.out)
     else:
-        grid = None if args.grid == "auto" else _extents(args.grid, "--grid", 2)
-        errors = convert_si_dir(args.input, args.out, grid=grid)
+        errors = convert_si_dir(in_dir, args.out, grid=grid)
     for line in errors:
         print(f"error: {line}", file=sys.stderr)
     return EXIT_DATA if errors else 0
@@ -176,8 +192,8 @@ def cmd_stats_model(args) -> int:
 
     for flag, least in (("width", 1), ("patch", 1), ("embed", 1), ("layers", 1),
                         ("heads", 1), ("depth", 0)):
-        if getattr(args, flag) < least:
-            raise ConfigError(f"--{flag} must be at least {least}, got {getattr(args, flag)}")
+        _check(getattr(args, flag) >= least, f"--{flag}", f"at least {least}",
+               getattr(args, flag))
     rank = 2 if args.arch == "unet2d" else 3
     extents = _extents(args.input, "--input", rank)
     try:

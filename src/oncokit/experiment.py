@@ -606,8 +606,12 @@ def invert_si_dir(in_dir, out_dir) -> list[str]:
         try:
             if not sidecar.exists():
                 raise DataError(f"missing sidecar {sidecar.name}")
+            try:
+                raw = sidecar.read_bytes()
+            except OSError as exc:
+                raise DataError(f"{sidecar.name}: cannot read: {exc.strerror or exc}") from None
             with malformed(sidecar.name):
-                meta = json.loads(sidecar.read_text())
+                meta = json.loads(raw)
                 layout = SuperImageLayout.from_json(meta)
                 spacing = tuple(float(s) for s in meta["spacing"])
                 modality = str(meta["modality"])

@@ -16,11 +16,12 @@ convolution emits one logit channel. Deeper taps enter later and therefore
 pass through fewer upsampling stages; the raw input joins at full
 resolution through a small convolutional stem.
 
-Each network is laid out once, as one list of ``LayerSpec``s
-(``unet_layer_specs``, ``unetr_layer_specs``), and two walkers read it:
-``_draw`` draws the weights in layout order from one seeded generator, and
-``model_stats`` checks that shapes resolve and sums learnable parameters
-and multiply-accumulates, so counting a model draws nothing:
+Every network is laid out once, as one list of ``LayerSpec``s (the U-Net,
+the transformer encoder that ``vit`` draws, the decoder, and the whole
+UNETR for counting), and two walkers read it: ``draw`` draws the weights in
+layout order from one seeded generator, and ``model_stats`` checks that
+shapes resolve and sums learnable parameters and multiply-accumulates, so
+counting a model draws nothing:
 
     conv           k^rank * C_in * C_out * prod(extents), extents kept
     transposed     k^rank * C_in * C_out * prod(input extents), doubled
@@ -31,15 +32,17 @@ and multiply-accumulates, so counting a model draws nothing:
     branch         0 MACs, 0 parameters; the walk restarts at the input
                    extents divided by the patch, the spec's ``kernel``
 
-A ``branch`` is how the decoder's parallel paths fit one walk: each tap
-chain and the ladder start from the token grid, so each is preceded by
-``branch(patch)``.
+A spec's ``name`` is the prefix of its parameters' names: ``draw`` calls a
+weight ``name.w`` and a bias ``name.b``, and a norm's gain and bias
+``name.gain`` and ``name.bias``. A ``branch`` is how the decoder's parallel
+paths fit one walk: each tap chain and the ladder start from the token
+grid, so each is preceded by ``branch(patch)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -48,12 +51,15 @@ from .autodiff import (
     channel_norm,
     concat,
     conv,
+    matmul,
     maxpool,
     relu,
+    reshape,
+    transpose,
     transposed_conv,
+    trunc_normal,
 )
 from .errors import ContractError, ShapeError
-from .vit import EncoderConfig, EncoderOutput, tokens_to_grid
 
 
 @dataclass(frozen=True)
@@ -122,10 +128,11 @@ def predict_mask(logits) -> np.ndarray:
     return (prob > 0.5).astype(np.float32)
 
 
-def _draw(specs: list[LayerSpec], seed: int) -> dict[str, Tensor]:
+def draw(specs: list[LayerSpec], seed: int) -> dict[str, Tensor]:
     """Each layer's parameters, named by its spec's prefix and drawn in
     layout order from one seeded generator: He-normal (conv or transposed)
-    weights, zero biases, unit norm gains."""
+    weights, truncated-normal (std 0.02) linear weights and tables, zero
+    biases, unit norm gains."""
     rng = np.random.default_rng(seed)
     params = {}
     for s in specs:
@@ -134,12 +141,20 @@ def _draw(specs: list[LayerSpec], seed: int) -> dict[str, Tensor]:
             channels = (s.c_out, s.c_in) if s.kind == "conv" else (s.c_in, s.c_out)
             params[s.name + ".w"] = rng.normal(0.0, math.sqrt(2.0 / fan_in),
                                                size=channels + (s.kernel,) * s.rank)
-            if s.kind == "conv":
-                params[s.name + ".b"] = np.zeros(s.c_out)
+        elif s.kind in ("linear", "table"):
+            params[s.name + ".w"] = trunc_normal(rng, (s.c_in, s.c_out)).data
         elif s.kind == "norm":
             params[s.name + ".gain"] = np.ones(s.c_in)
             params[s.name + ".bias"] = np.zeros(s.c_in)
+        if s.kind == "conv" or (s.kind == "linear" and s.bias):
+            params[s.name + ".b"] = np.zeros(s.c_out)
     return {name: Tensor(value, requires_grad=True) for name, value in params.items()}
+
+
+def linear(params: dict[str, Tensor], x: Tensor, name: str) -> Tensor:
+    """The forward pass of a ``linear`` spec: ``x @ name.w`` (+ ``name.b``)."""
+    y = matmul(x, params[name + ".w"])
+    return y + params[name + ".b"] if name + ".b" in params else y
 
 
 def _conv_block(rank: int, name: str, c_in: int, c_out: int) -> list[LayerSpec]:
@@ -202,7 +217,7 @@ class UNet:
         self.in_channels = in_channels
         self.depth = depth
         self._specs = unet_layer_specs(rank, in_channels, depth, base_width)
-        self.params = _draw(self._specs, seed)
+        self.params = draw(self._specs, seed)
 
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
@@ -242,7 +257,17 @@ def _ladder_steps(patch: int) -> int:
     return steps
 
 
-def _decoder_specs(cfg: EncoderConfig, width: int) -> list[LayerSpec]:
+def tokens_to_grid(tokens: Tensor, cfg: "EncoderConfig") -> Tensor:
+    """Reshape an (N, K) tap to a channels-first spatial grid (K, H/P, ...)."""
+    grid = cfg.grid
+    if tokens.shape != (cfg.tokens, cfg.embed_dim):
+        raise ShapeError(
+            f"tap shape {tokens.shape} does not match ({cfg.tokens}, {cfg.embed_dim})")
+    t = reshape(tokens, (*grid, cfg.embed_dim))
+    return transpose(t, (len(grid),) + tuple(range(len(grid))))
+
+
+def _decoder_specs(cfg: "EncoderConfig", width: int) -> list[LayerSpec]:
     """``UnetrDecoder``'s layout: stem, tap chains, then the ladder."""
     rank, k, steps = cfg.rank, cfg.embed_dim, _ladder_steps(cfg.patch)
     widths = [width * 2 ** i for i in range(steps)]
@@ -272,16 +297,16 @@ def _decoder_specs(cfg: EncoderConfig, width: int) -> list[LayerSpec]:
 class UnetrDecoder:
     """Convolutional decoder over transformer taps plus the raw input."""
 
-    def __init__(self, enc_cfg: EncoderConfig, width: int = 16, seed: int = 0):
+    def __init__(self, enc_cfg: "EncoderConfig", width: int = 16, seed: int = 0):
         self.cfg = enc_cfg
         self._specs = _decoder_specs(enc_cfg, width)
         self.steps = _ladder_steps(enc_cfg.patch)
-        self.params = _draw(self._specs, seed)
+        self.params = draw(self._specs, seed)
 
     def layer_specs(self) -> list[LayerSpec]:
         return list(self._specs)
 
-    def forward(self, enc_out: EncoderOutput, x: Tensor) -> Tensor:
+    def forward(self, enc_out: "EncoderOutput", x: Tensor) -> Tensor:
         """Decode taps to one logit channel at the input's resolution.
 
         ``x`` is the encoder's (C, spatial...) input, which also feeds the
@@ -319,7 +344,27 @@ class UnetrDecoder:
         return conv(current, p["head.w"], bias=p["head.b"])
 
 
-def unetr_layer_specs(cfg: EncoderConfig, width: int = 16) -> list[LayerSpec]:
+def encoder_layer_specs(cfg: "EncoderConfig") -> list[LayerSpec]:
+    """``vit.ViTEncoder``'s layout: the patch projection, the positional
+    table (a row more for an EHR slot), the EHR projection, then per block
+    a norm, the q, k, v and output projections, a norm and the MLP pair."""
+    k, hidden, ehr = cfg.embed_dim, cfg.mlp_ratio * cfg.embed_dim, cfg.ehr_dim
+    specs = [LayerSpec("linear", 1, cfg.patch_elems, k, name="embed", bias=False),
+             LayerSpec("table", 1, cfg.tokens + int(ehr is not None), k, name="pos")]
+    if ehr is not None:
+        specs.append(LayerSpec("linear", 1, ehr, k, name="ehr"))
+    for i in range(cfg.layers):
+        p = f"blocks.{i}."
+        specs.append(LayerSpec("norm", 1, k, k, name=p + "ln1"))
+        specs += [LayerSpec("linear", 1, k, k, name=p + part) for part in "qkv"]
+        specs += [LayerSpec("linear", 1, k, k, name=p + "msa"),
+                  LayerSpec("norm", 1, k, k, name=p + "ln2"),
+                  LayerSpec("linear", 1, k, hidden, name=p + "mlp1"),
+                  LayerSpec("linear", 1, hidden, k, name=p + "mlp2")]
+    return specs
+
+
+def unetr_layer_specs(cfg: "EncoderConfig", width: int = 16) -> list[LayerSpec]:
     """Specs for the full transformer + decoder model, for accounting only:
     the encoder's, then the decoder's.
 
@@ -327,14 +372,4 @@ def unetr_layer_specs(cfg: EncoderConfig, width: int = 16) -> list[LayerSpec]:
     than layers; as elsewhere, only parameterized maps are counted. An EHR
     slot's projection and positional row are left out.
     """
-    k = cfg.embed_dim
-    specs = [LayerSpec("linear", 1, cfg.patch_elems, k, bias=False),
-             LayerSpec("table", 1, cfg.tokens, k)]
-    for _ in range(cfg.layers):
-        specs.append(LayerSpec("norm", 1, k, k))
-        for _ in range(4):   # q, k, v, output mix
-            specs.append(LayerSpec("linear", 1, k, k))
-        specs.append(LayerSpec("norm", 1, k, k))
-        specs.append(LayerSpec("linear", 1, k, cfg.mlp_ratio * k))
-        specs.append(LayerSpec("linear", 1, cfg.mlp_ratio * k, k))
-    return specs + _decoder_specs(cfg, width)
+    return encoder_layer_specs(replace(cfg, ehr_dim=None)) + _decoder_specs(cfg, width)

@@ -8,6 +8,8 @@ image-token outputs, and maps it linearly to per-boundary scores for the
 discretized survival likelihood. One backward pass reaches both heads:
 
     loss = dice + focal (mask)  +  beta * survival NLL
+
+The head is one ``linear`` spec, ``surv``, drawn by ``segnets.draw``.
 """
 
 from __future__ import annotations
@@ -16,21 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    concat,
-    matmul,
-    narrow,
-    sigmoid,
-    tmean,
-    trunc_normal,
-    zeros,
-)
+from .autodiff import Tensor, concat, narrow, sigmoid, tmean
 from .errors import ContractError
 from .losses import combined_loss
 from .mtlr import mtlr_nll_from_scores
 from .optim import share_params
-from .segnets import UnetrDecoder
+from .segnets import LayerSpec, UnetrDecoder, draw, linear
 from .vit import EncoderConfig, ViTEncoder
 
 @dataclass
@@ -50,13 +43,9 @@ class TmssModel:
         self.boundaries = np.asarray(boundaries, dtype=np.float64)
         self.encoder = ViTEncoder(enc_cfg, seed=seed)
         self.decoder = UnetrDecoder(enc_cfg, width=decoder_width, seed=seed + 1)
-        rng = np.random.default_rng(seed + 2)
-        m = self.boundaries.shape[0]
-        k = enc_cfg.embed_dim
-        self.params = {
-            "surv.w": trunc_normal(rng, (2 * k, m), std=0.02),
-            "surv.b": zeros((m,), requires_grad=True),
-        }
+        head = LayerSpec("linear", 1, 2 * enc_cfg.embed_dim, self.boundaries.shape[0],
+                         name="surv")
+        self.params = draw([head], seed + 2)
         share_params(self.encoder, self.decoder, self)
 
     def set_params(self, values: dict[str, Tensor]) -> None:
@@ -82,8 +71,7 @@ class TmssModel:
         ehr_out = narrow(final, 0, 0, 1)                          # (1, K)
         img_mean = tmean(narrow(final, 0, 1, final.shape[0] - 1), axis=0, keepdims=True)
         feats = concat([ehr_out, img_mean], axis=1)               # (1, 2K)
-        scores = matmul(feats, self.params["surv.w"]) + self.params["surv.b"]
-        return TmssOutput(logits=logits, scores=scores)
+        return TmssOutput(logits=logits, scores=linear(self.params, feats, "surv"))
 
 
 def tmss_loss(logits: Tensor, mask: Tensor, scores: Tensor, time: float,

@@ -16,6 +16,10 @@ configuration) for decoders that want multi-scale features.
 Tabular covariates can join the sequence as one linearly projected token
 prepended at position 0, whose positional row is reserved in the table. The
 taps hold the image tokens only; the final layer keeps the whole sequence.
+
+The layout is ``segnets.encoder_layer_specs``, drawn by ``segnets.draw``:
+``embed.w``, the table ``pos.w`` and ``ehr.*``, then per block ``blocks.i.``
++ ``ln1``, ``q``, ``k``, ``v``, ``msa``, ``ln2``, ``mlp1`` and ``mlp2``.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from .autodiff import (
     reshape,
     softmax,
     transpose,
-    trunc_normal,
-    zeros,
 )
 from .errors import ContractError, ShapeError
+from .segnets import draw, encoder_layer_specs, linear
 
 
 @dataclass(frozen=True)
@@ -126,36 +129,7 @@ class ViTEncoder:
 
     def __init__(self, cfg: EncoderConfig, seed: int = 0):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        k = cfg.embed_dim
-        pos_rows = cfg.tokens + (1 if cfg.ehr_dim is not None else 0)
-        params: dict[str, Tensor] = {
-            "embed.proj": trunc_normal(rng, (cfg.patch_elems, k)),
-            "embed.pos": trunc_normal(rng, (pos_rows, k)),
-        }
-        if cfg.ehr_dim is not None:
-            params["ehr.proj"] = trunc_normal(rng, (cfg.ehr_dim, k))
-            params["ehr.bias"] = zeros((k,), requires_grad=True)
-        hidden = cfg.mlp_ratio * k
-        for i in range(cfg.layers):
-            p = f"blocks.{i}."
-            params[p + "ln1.gain"] = Tensor(np.ones(k), requires_grad=True)
-            params[p + "ln1.bias"] = zeros((k,), requires_grad=True)
-            params[p + "wq"] = trunc_normal(rng, (k, k))
-            params[p + "wk"] = trunc_normal(rng, (k, k))
-            params[p + "wv"] = trunc_normal(rng, (k, k))
-            params[p + "bq"] = zeros((k,), requires_grad=True)
-            params[p + "bk"] = zeros((k,), requires_grad=True)
-            params[p + "bv"] = zeros((k,), requires_grad=True)
-            params[p + "w_msa"] = trunc_normal(rng, (k, k))
-            params[p + "b_msa"] = zeros((k,), requires_grad=True)
-            params[p + "ln2.gain"] = Tensor(np.ones(k), requires_grad=True)
-            params[p + "ln2.bias"] = zeros((k,), requires_grad=True)
-            params[p + "mlp.w1"] = trunc_normal(rng, (k, hidden))
-            params[p + "mlp.b1"] = zeros((hidden,), requires_grad=True)
-            params[p + "mlp.w2"] = trunc_normal(rng, (hidden, k))
-            params[p + "mlp.b2"] = zeros((k,), requires_grad=True)
-        self.params = params
+        self.params = draw(encoder_layer_specs(cfg), seed)
 
     # ----------------------------------------------------------------- embed
     def patch_embed(self, x: Tensor) -> Tensor:
@@ -167,11 +141,9 @@ class ViTEncoder:
         if tuple(x.shape[1:]) != tuple(cfg.input_shape):
             raise ShapeError(
                 f"input spatial extents {x.shape[1:]} do not match config {cfg.input_shape}")
-        patches = extract_patches(x, cfg.patch)
-        projected = matmul(patches, self.params["embed.proj"])
+        projected = linear(self.params, extract_patches(x, cfg.patch), "embed")
         offset = 1 if cfg.ehr_dim is not None else 0
-        pos = narrow(self.params["embed.pos"], 0, offset, cfg.tokens)
-        return projected + pos
+        return projected + narrow(self.params["pos.w"], 0, offset, cfg.tokens)
 
     def ehr_token(self, covariates: Tensor) -> Tensor:
         """Project a covariate vector to one (1, K) token at position 0."""
@@ -182,9 +154,8 @@ class ViTEncoder:
         if cov.shape != (cfg.ehr_dim,):
             raise ContractError(
                 f"covariate width {cov.shape} does not match projection ({cfg.ehr_dim},)")
-        tok = matmul(reshape(cov, (1, cfg.ehr_dim)), self.params["ehr.proj"])
-        tok = tok + self.params["ehr.bias"]
-        return tok + narrow(self.params["embed.pos"], 0, 0, 1)
+        tok = linear(self.params, reshape(cov, (1, cfg.ehr_dim)), "ehr")
+        return tok + narrow(self.params["pos.w"], 0, 0, 1)
 
     # ----------------------------------------------------------------- blocks
     def _msa(self, z: Tensor, prefix: str) -> Tensor:
@@ -196,13 +167,11 @@ class ViTEncoder:
         def split(t: Tensor) -> Tensor:
             return transpose(reshape(t, (n, heads, kh)), (1, 0, 2))
 
-        q = split(matmul(z, p[prefix + "wq"]) + p[prefix + "bq"])
-        k = split(matmul(z, p[prefix + "wk"]) + p[prefix + "bk"])
-        v = split(matmul(z, p[prefix + "wv"]) + p[prefix + "bv"])
+        q, k, v = (split(linear(p, z, prefix + part)) for part in "qkv")
         att = softmax(matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(kh)))
         mixed = matmul(att, v)                                  # (heads, N, kh)
         merged = reshape(transpose(mixed, (1, 0, 2)), (n, heads * kh))
-        return matmul(merged, p[prefix + "w_msa"]) + p[prefix + "b_msa"]
+        return linear(p, merged, prefix + "msa")
 
     def block(self, z: Tensor, index: int) -> Tensor:
         p = self.params
@@ -210,8 +179,8 @@ class ViTEncoder:
         normed = layer_norm(z, p[prefix + "ln1.gain"], p[prefix + "ln1.bias"])
         z = self._msa(normed, prefix) + z
         normed = layer_norm(z, p[prefix + "ln2.gain"], p[prefix + "ln2.bias"])
-        hidden = gelu(matmul(normed, p[prefix + "mlp.w1"]) + p[prefix + "mlp.b1"])
-        return matmul(hidden, p[prefix + "mlp.w2"]) + p[prefix + "mlp.b2"] + z
+        hidden = gelu(linear(p, normed, prefix + "mlp1"))
+        return linear(p, hidden, prefix + "mlp2") + z
 
     def encode(self, z0: Tensor) -> EncoderOutput:
         """Run all blocks, recording taps at the quarter-point layers; with an
@@ -237,13 +206,3 @@ class ViTEncoder:
             raise ContractError("encoder expects covariates for its EHR slot")
         return self.encode(tokens)
 
-
-def tokens_to_grid(tokens: Tensor, cfg: EncoderConfig) -> Tensor:
-    """Reshape an (N, K) tap to a channels-first spatial grid (K, H/P, ...)."""
-    grid = cfg.grid
-    if tokens.shape != (cfg.tokens, cfg.embed_dim):
-        raise ShapeError(
-            f"tap shape {tokens.shape} does not match ({cfg.tokens}, {cfg.embed_dim})")
-    t = reshape(tokens, (*grid, cfg.embed_dim))
-    axes = (len(grid),) + tuple(range(len(grid)))
-    return transpose(t, axes)

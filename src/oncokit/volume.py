@@ -84,7 +84,10 @@ def write_volume(volume: Volume, path) -> None:
 
 
 def read_volume(path) -> Volume:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:           # a directory, a missing or unreadable file
+        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if len(raw) < HEADER_SIZE:
         raise FormatError(f"{path}: truncated header, {len(raw)} bytes (need {HEADER_SIZE})")
     if raw[:4] != MAGIC:

@@ -369,8 +369,8 @@ def test_criterion_08_transformer_invariants():
     assert np.abs(permuted - plain[perm]).max() <= 1e-9
 
     for i in range(cfg.layers):
-        for name in (f"blocks.{i}.w_msa", f"blocks.{i}.b_msa",
-                     f"blocks.{i}.mlp.w2", f"blocks.{i}.mlp.b2"):
+        for name in (f"blocks.{i}.msa.w", f"blocks.{i}.msa.b",
+                     f"blocks.{i}.mlp2.w", f"blocks.{i}.mlp2.b"):
             enc.params[name] = zeros(enc.params[name].shape, requires_grad=True)
     zin = Tensor(RNG.normal(size=(n, 16)))
     assert np.array_equal(enc.block(zin, 0).data, zin.data)

@@ -443,6 +443,66 @@ def test_malformed_values_exit_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--out", "OUT", "--n", "1", "--seed", "1"], "--n"),
+    (["synth", "--out", "OUT", "--n", "5", "--seed", "-1"], "--seed"),
+    (["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--censor-frac", "1.5"],
+     "--censor-frac"),
+    (["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--censor-frac", "nan"],
+     "--censor-frac"),
+    (["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--centers", "0"], "--centers"),
+    (["synth", "--out", "OUT", "--n", "5", "--seed", "1", "--centers", "-1"], "--centers"),
+    (["prep", "--input", "IN", "--out", "OUT", "--spacing", "0"], "--spacing"),
+    (["prep", "--input", "IN", "--out", "OUT", "--spacing", "nan"], "--spacing"),
+    (["prep", "--input", "MISSING", "--out", "OUT"], "--input"),
+    (["convert", "si", "--input", "MISSING", "--out", "OUT"], "--input"),
+    (["convert", "si", "--input", "MISSING", "--out", "OUT", "--invert"], "--input"),
+], ids=["n-1", "seed-neg", "censor-1.5", "censor-nan", "centers-0", "centers-neg", "spacing-0",
+        "spacing-nan", "prep-missing", "convert-missing", "invert-missing"])
+def test_bad_flag_is_config_error(tmp_path, capsys, argv, flag):
+    # each is refused before anything is written, and the message names the flag
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.mkdir()
+    write_volume(Volume(np.full((4, 4, 6), 100.0, dtype=np.float32), (1, 1, 1), "CT"),
+                 src / "a.mvol")
+    paths = {"IN": str(src), "OUT": str(out), "MISSING": str(tmp_path / "missing")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag} must be " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["convert", "invert", "eval", "prep"])
+def test_unreadable_input_file_is_data_error(tmp_path, capsys, verb):
+    # a directory where a volume or a sidecar file should be: the path is
+    # named and the verb exits 3; convert still converts the readable file
+    src, si, out = tmp_path / "in", tmp_path / "si", tmp_path / "out"
+    src.mkdir()
+    mask = np.eye(4, dtype=np.float32)[:, :, None].repeat(6, axis=2)
+    vol = Volume(mask, (1, 1, 2), "MASK") if verb == "eval" \
+        else Volume(100 * mask, (1, 1, 2), "CT")
+    for name in ("a", "b"):
+        write_volume(vol, src / f"{name}.mvol")
+    bad = src / "b.mvol"
+    if verb == "invert":
+        assert main(["convert", "si", "--input", str(src), "--out", str(si)]) == 0
+        bad = si / "b.si.json"
+        src = si
+    elif verb == "eval":
+        out.mkdir()
+        write_volume(vol, out / "b.mvol")
+    bad.unlink()
+    bad.mkdir()
+    argv = {"convert": ["convert", "si", "--input", str(src), "--out", str(out)],
+            "invert": ["convert", "si", "--input", str(src), "--out", str(out), "--invert"],
+            "eval": ["eval", "--task", "seg", "--pred", str(src), "--truth", str(out)],
+            "prep": ["prep", "--input", str(src), "--out", str(out)]}[verb]
+    assert main(argv) == 3
+    assert f"{bad.name}: cannot read: " in capsys.readouterr().err
+    if verb in ("convert", "invert"):
+        assert (out / "a.mvol").exists() and not (out / "b.mvol").exists()
+
+
 @pytest.mark.parametrize("bad, named", [
     ("s00003,high", ":4: risk"),
     ("s00003,nan", ":4: risk"),

@@ -99,7 +99,7 @@ class TestTmss:
         grads = backward(tape, loss)
         dec_grad = grads[model.decoder.params["head.w"]].data
         surv_grad = grads[model.params["surv.w"]].data
-        ehr_grad = grads[model.encoder.params["ehr.proj"]].data
+        ehr_grad = grads[model.encoder.params["ehr.w"]].data
         assert np.abs(dec_grad).max() > 0
         assert np.abs(surv_grad).max() > 0
         assert np.abs(ehr_grad).max() > 0
@@ -120,8 +120,8 @@ class TestTmss:
         flat = model.params
         doubled = {k: Tensor(2.0 * v.data, requires_grad=True) for k, v in flat.items()}
         model.set_params(doubled)
-        assert np.allclose(model.encoder.params["embed.proj"].data,
-                           doubled["embed.proj"].data)
+        assert np.allclose(model.encoder.params["embed.w"].data,
+                           doubled["embed.w"].data)
         assert np.allclose(model.params["surv.w"].data, doubled["surv.w"].data)
 
     def _assert_set_params_refused(self, model, values, words):
@@ -134,12 +134,12 @@ class TestTmss:
         cfg = EncoderConfig((8, 8, 8), channels=2, patch=4, embed_dim=16,
                             layers=1, heads=2, mlp_ratio=2, ehr_dim=2)
         one_layer = TmssModel(cfg, boundaries=[1.0, 2.0, 3.0], decoder_width=4)
-        self._assert_set_params_refused(self._model(), one_layer.params, "blocks.1.wq")
+        self._assert_set_params_refused(self._model(), one_layer.params, "blocks.1.q.w")
 
     def test_set_params_refuses_unknown_names(self):
         model = self._model()
-        values = dict(model.params, **{"enc.embed.proj": model.params["embed.proj"]})
-        self._assert_set_params_refused(model, values, "enc.embed.proj")
+        values = dict(model.params, **{"enc.embed.w": model.params["embed.w"]})
+        self._assert_set_params_refused(model, values, "enc.embed.w")
 
     def test_set_params_refuses_mismatched_shapes(self):
         cfg = EncoderConfig((8, 8, 8), channels=2, patch=4, embed_dim=16,

@@ -201,7 +201,7 @@ class TestSharedParams:
         rng = np.random.default_rng(3)
         vol, cov = Tensor(rng.normal(size=(8, 8, 8, 2))), Tensor(rng.normal(size=2))
         mask = Tensor((rng.random((1, 8, 8, 8)) > 0.8).astype(float))
-        before = model.encoder.params["embed.proj"]
+        before = model.encoder.params["embed.w"]
 
         def loss(index, epoch):
             out = model.forward(vol, cov)
@@ -210,11 +210,11 @@ class TestSharedParams:
         train(model.params, loss, 1, 1, 1, OptimState(), seed=0)
         assert model.encoder.params is model.params
         assert model.decoder.params is model.params
-        assert not np.array_equal(model.encoder.params["embed.proj"].data, before.data)
+        assert not np.array_equal(model.encoder.params["embed.w"].data, before.data)
 
     def test_parts_sharing_a_name_refused(self):
         a, b = ViTEncoder(self.CFG, seed=0), ViTEncoder(self.CFG, seed=1)
         own_a, own_b = a.params, b.params
-        with pytest.raises(ContractError, match="embed.proj"):
+        with pytest.raises(ContractError, match="embed.w"):
             share_params(a, b)
         assert a.params is own_a and b.params is own_b

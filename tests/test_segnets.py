@@ -11,11 +11,13 @@ from oncokit.segnets import (
     LayerSpec,
     UNet,
     UnetrDecoder,
+    encoder_layer_specs,
     model_stats,
     predict_mask,
     unet_layer_specs,
     unetr_layer_specs,
 )
+from oncokit.tmss import TmssModel
 from oncokit.vit import EncoderConfig, ViTEncoder
 
 RNG = np.random.default_rng(77)
@@ -172,7 +174,7 @@ class TestUnetrDecoder:
             out = dec.forward(enc.forward(x), x)
             loss = (out * out).sum()
         grads = backward(tape, loss)
-        g = grads[enc.params["embed.pos"]].data
+        g = grads[enc.params["pos.w"]].data
         assert np.abs(g).max() > 0
 
     def test_stats_params_match_actual(self):
@@ -227,6 +229,30 @@ class TestUnetrDecoder:
         x = Tensor(RNG.normal(size=(1, 16, 16)))
         out = dec.forward(enc.forward(x), x)
         assert out.shape == (1, 16, 16)
+
+
+class TestEncoderLayout:
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: ViTEncoder(EncoderConfig((16, 16, 8), 2, 4, 16, 2, 2, 2), seed=3),
+         "ed4becd51cf62b424041c87d6103ce43c86abb6a7cea0cf795c709b0609d5273"),
+        (lambda: ViTEncoder(EncoderConfig((16, 16, 8), 2, 4, 16, 2, 2, 2, ehr_dim=3), seed=3),
+         "47336540dbc4709470624c04d22374f66754a41d374c02d5ae5933af015d7216"),
+        (lambda: TmssModel(EncoderConfig((8, 8, 8), 2, 4, 16, 1, 2, 2, ehr_dim=2),
+                           [1.0, 2.0, 3.0], decoder_width=4, seed=3),
+         "e9ded9233f581fa0bb7e04ec6190bbb30a7277bfaac0f45c0b87fb85e9cb914a"),
+    ], ids=["encoder", "encoder-ehr", "tmss"])
+    def test_drawn_weights_pinned(self, build, digest):
+        h = hashlib.sha256()
+        for name, param in build().params.items():
+            h.update(name.encode())
+            h.update(param.data.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("ehr_dim", [None, 3])
+    def test_stats_params_match_drawn_encoder(self, ehr_dim):
+        cfg = EncoderConfig((16, 16, 8), 2, 4, 16, 2, 2, 2, ehr_dim=ehr_dim)
+        drawn = sum(p.data.size for p in ViTEncoder(cfg).params.values())
+        assert model_stats(encoder_layer_specs(cfg), cfg.input_shape)["params"] == drawn
 
 
 class TestOverfitSanity:

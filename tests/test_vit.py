@@ -9,12 +9,12 @@ from gradcheck import check_op
 
 from oncokit.autodiff import Tape, Tensor, backward, zeros
 from oncokit.errors import ContractError, ShapeError
+from oncokit.segnets import tokens_to_grid
 from oncokit.vit import (
     EncoderConfig,
     ViTEncoder,
     encoder_preset,
     extract_patches,
-    tokens_to_grid,
 )
 
 RNG = np.random.default_rng(2024)
@@ -29,8 +29,8 @@ def _toy(input_shape=(16, 16, 8), patch=8, embed=16, layers=2, heads=2,
 def _zero_block_outputs(enc):
     """Zero every block's output projections, making each block an identity."""
     for i in range(enc.cfg.layers):
-        for name in (f"blocks.{i}.w_msa", f"blocks.{i}.b_msa",
-                     f"blocks.{i}.mlp.w2", f"blocks.{i}.mlp.b2"):
+        for name in (f"blocks.{i}.msa.w", f"blocks.{i}.msa.b",
+                     f"blocks.{i}.mlp2.w", f"blocks.{i}.mlp2.b"):
             enc.params[name] = zeros(enc.params[name].shape, requires_grad=True)
 
 
@@ -42,7 +42,7 @@ class TestPatchEmbed:
 
     def test_zero_input_zero_pos_gives_zero_tokens(self):
         enc = _toy()
-        enc.params["embed.pos"] = zeros(enc.params["embed.pos"].shape, requires_grad=True)
+        enc.params["pos.w"] = zeros(enc.params["pos.w"].shape, requires_grad=True)
         z0 = enc.patch_embed(Tensor(np.zeros((1, 16, 16, 8))))
         assert np.allclose(z0.data, 0.0)
         assert z0.shape == (enc.cfg.tokens, 16)
@@ -60,8 +60,8 @@ class TestPatchEmbed:
         patches = extract_patches(x, 8)
         n = patches.shape[0]
         perm = RNG.permutation(n)
-        z0 = enc.patch_embed(x).data - enc.params["embed.pos"].data
-        proj = patches.data @ enc.params["embed.proj"].data
+        z0 = enc.patch_embed(x).data - enc.params["pos.w"].data
+        proj = patches.data @ enc.params["embed.w"].data
         assert np.allclose(z0[perm], proj[perm], atol=1e-12)
 
     def test_patch_order_is_raster(self):
@@ -74,7 +74,7 @@ class TestPatchEmbed:
 
     @pytest.mark.parametrize("shape", [(2, 8, 4, 4), (3, 4, 8)])
     def test_patch_layout_is_position_major_then_channel(self, shape):
-        # the layout embed.proj was trained on: a patch's positions in C
+        # the layout embed.w was trained on: a patch's positions in C
         # order, each position's channels together
         x = np.arange(np.prod(shape), dtype=float).reshape(shape)
         patches = extract_patches(Tensor(x), 4).data
@@ -91,8 +91,8 @@ def self_attention(z: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     output projection: plain scaled dot-product attention of width K."""
     k = wq.shape[0]
     enc = ViTEncoder(EncoderConfig((2, 2), 1, 2, k, 1, 1, 1))
-    enc.params.update({"blocks.0.wq": wq, "blocks.0.wk": wk, "blocks.0.wv": wv,
-                       "blocks.0.w_msa": Tensor(np.eye(k))})
+    enc.params.update({"blocks.0.q.w": wq, "blocks.0.k.w": wk, "blocks.0.v.w": wv,
+                       "blocks.0.msa.w": Tensor(np.eye(k))})
     return enc._msa(z, "blocks.0.")
 
 
@@ -148,8 +148,8 @@ class TestTransformerBlock:
     def test_gradient_through_block(self):
         enc = _toy(input_shape=(8, 8), patch=4, embed=8, layers=1, heads=2)
         z = RNG.normal(size=(4, 8))
-        names = ["blocks.0.wq", "blocks.0.wv", "blocks.0.w_msa",
-                 "blocks.0.mlp.w1", "blocks.0.ln1.gain"]
+        names = ["blocks.0.q.w", "blocks.0.v.w", "blocks.0.msa.w",
+                 "blocks.0.mlp1.w", "blocks.0.ln1.gain"]
 
         def run(*arrays):
             for name, arr in zip(names, arrays):
@@ -203,7 +203,7 @@ class TestEncode:
 class TestEhrToken:
     def test_zero_covariates_zero_bias_zero_token(self):
         enc = _toy(ehr_dim=3)
-        enc.params["embed.pos"] = zeros(enc.params["embed.pos"].shape, requires_grad=True)
+        enc.params["pos.w"] = zeros(enc.params["pos.w"].shape, requires_grad=True)
         tok = enc.ehr_token(Tensor(np.zeros(3)))
         assert np.allclose(tok.data, 0.0)
 
@@ -228,8 +228,8 @@ class TestEhrToken:
                               Tensor(RNG.normal(size=3)))
             loss = (out.final ** 2).sum()
         grads = backward(tape, loss)
-        assert np.abs(grads[enc.params["ehr.proj"]].data).max() > 0
-        assert np.abs(grads[enc.params["embed.proj"]].data).max() > 0
+        assert np.abs(grads[enc.params["ehr.w"]].data).max() > 0
+        assert np.abs(grads[enc.params["embed.w"]].data).max() > 0
 
 
 class TestEndToEndGradient:
