@@ -808,8 +808,10 @@ def conv(x, weight, bias=None) -> Tensor:
     the forward pass on the folded ``gd``: one
     (C_in, k * C_out) @ (k * C_out, L) GEMM per offset over the L flat
     positions from the first input position to the last, then cropped like
-    the output. No im2col matrix is built: the tape keeps ``xf`` (the input
-    itself when k is 1) and the weight, and the backward pass rebuilds ``xs``.
+    the output. No im2col matrix is built, and no padded copy is kept: the
+    tape keeps the input and the weight, and the backward pass lays ``xf``
+    out again as the forward pass does and rebuilds ``xs`` from it, freeing
+    ``xs`` once the weight gradient is done.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     sp_rank = weight.ndim - 2
@@ -834,11 +836,17 @@ def conv(x, weight, bias=None) -> Tensor:
     width = sp[0] * steps[0]
     span = 1 + sum((s - 1) * t for s, t in zip(sp, steps))   # L: last j + 1
     crop = (slice(None), slice(None), *(slice(0, s) for s in sp[1:]))   # a row's positions
-    if pad:
+    xd = x.data
+
+    def lay_out():
+        """The input on the padded flat grid, ``xf``: a zero fill and one
+        strided copy, or a view of the input when k is 1."""
+        if not pad:
+            return xd.reshape(c_in, -1)
         xf = np.zeros((c_in, n))
-        xf[:, start:start + width].reshape(c_in, sp[0], *rows)[crop] = x.data
-    else:
-        xf = x.data.reshape(c_in, -1)
+        xf[:, start:start + width].reshape(c_in, sp[0], *rows)[crop] = xd
+        return xf
+
     fold_len = n - k + 1
     # flat index of every offset whose last coordinate is 0, in weight order
     shifts = [sum(o * s for o, s in zip(off, steps))
@@ -849,7 +857,7 @@ def conv(x, weight, bias=None) -> Tensor:
 
     # j past span only reaches positions the crop drops, so it is never set
     acc = np.empty((c_out, width))
-    _gemm_sum(wf, _fold(xf, k, fold_len), shifts, acc, span)
+    _gemm_sum(wf, _fold(lay_out(), k, fold_len), shifts, acc, span)
     out_data = acc.reshape(c_out, sp[0], *rows)[crop]
     if bias is not None:
         bias = as_tensor(bias)
@@ -863,6 +871,8 @@ def conv(x, weight, bias=None) -> Tensor:
     wd = weight.data
 
     def bw(g):
+        # built first, so the padded input dies before ``gs`` is made
+        xs = _fold(lay_out(), k, fold_len) if needs[1] else None
         # gs[o] is gd shifted left by o, so gs.reshape(-1, lead + n) is gd
         # folded like ``xs``; g is written at its outputs in each copy
         lead = shifts[-1] + k - 1          # the largest shift
@@ -873,11 +883,11 @@ def conv(x, weight, bias=None) -> Tensor:
             flat.reshape(c_out, sp[0], *rows)[crop] = g
         gw = None
         if needs[1]:
-            xs = _fold(xf, k, fold_len)
             g_placed = gs[0, :, lead:lead + span]
             gwf = np.empty((len(shifts), c_out, k * c_in))
             for i, s in enumerate(shifts):
                 np.matmul(g_placed, xs[:, s:s + span].T, out=gwf[i])
+            del xs          # freed before the input gradient's buffers exist
             gw = gwf.reshape(-1, c_out, k, c_in).transpose(1, 3, 0, 2).reshape(wd.shape)
         gx = None
         if needs[0]:

@@ -75,6 +75,13 @@ def _input_dir(text: str) -> Path:
     return Path(text)
 
 
+def _out_file(text: str) -> Path:
+    """``--out`` as a file path whose directory exists, made if missing."""
+    path = Path(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def cmd_synth(args) -> int:
     from .experiment import write_synthetic_dataset
 
@@ -104,11 +111,17 @@ def cmd_prep(args) -> int:
     _check(0.0 < args.spacing < math.inf, "--spacing", "a positive number", args.spacing)
     in_dir, out_dir = _input_dir(args.input), Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
+    count, errors = 0, []
     for path in sorted(in_dir.glob("*.mvol")):
-        volume = read_volume(path)
+        try:
+            volume = read_volume(path)
+        except FormatError as exc:       # listed; the other files are still prepped
+            errors.append(f"{path.name}: {exc}")
+            continue
         if volume.modality == "CT":
             if volume.data.min() >= -1.0 and volume.data.max() <= 1.0:
+                # prep's own output: going on would normalize its other
+                # volumes twice, so the whole run stops here
                 raise DataError(f"{path}: every CT value lies in [-1, 1], as windowing "
                                 f"leaves them; prep reads raw volumes, not its own output")
             volume = ct_window_normalize(volume)
@@ -118,7 +131,9 @@ def cmd_prep(args) -> int:
         write_volume(volume, out_dir / path.name)
         count += 1
     print(f"prepped {count} volumes into {out_dir}")
-    return 0
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    return EXIT_DATA if errors else 0
 
 
 def cmd_convert_si(args) -> int:
@@ -167,7 +182,7 @@ def cmd_predict(args) -> int:
     if cohort.feature_names != model.feature_names:
         raise DataError(f"{args.ehr} has features {cohort.feature_names}, but "
                         f"{args.model} was fit on {model.feature_names}")
-    save_predictions(cohort.ids, cohort_risks(model, cohort), args.out)
+    save_predictions(cohort.ids, cohort_risks(model, cohort), _out_file(args.out))
     print(f"wrote {len(cohort)} risk predictions to {args.out}")
     return 0
 
@@ -181,7 +196,7 @@ def cmd_eval(args) -> int:
         report = evaluate_survival_files(args.pred, args.truth)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        write_atomic(args.out, text.encode("utf-8"))
+        write_atomic(_out_file(args.out), text.encode("utf-8"))
     print(text)
     return EXIT_DATA if report.get("missing") else 0
 

@@ -168,7 +168,10 @@ def read_rows(path, required) -> tuple[dict[str, Sequence[str]], Sequence[int]]:
     header that names each ``required`` column and no column twice, and
     every row must have the header's width. Nothing else is stripped."""
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:           # a directory, a missing or unreadable file
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
     content = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = content.decode("utf-8")

@@ -77,7 +77,9 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor | np.ndarray],
 
     Weight decay is decoupled: it scales the weights directly and never
     enters the moment estimates. Moments are bias-corrected with the shared
-    step counter, which this call increments.
+    step counter, which this call increments. ``state.m`` and ``state.v``
+    are updated in place, so a step allocates no new moment arrays; each
+    parameter gets a fresh array, and the tensors passed in stay unchanged.
     """
     state.step += 1
     t = state.step
@@ -94,14 +96,16 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, Tensor | np.ndarray],
             raise NumericError(f"NaN gradient for parameter {name!r}")
         m = state.m.get(name)
         if m is None:
-            m = np.zeros(p.shape)
-            v = np.zeros(p.shape)
+            m = state.m[name] = np.zeros(p.shape)
+            v = state.v[name] = np.zeros(p.shape)
         else:
             v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
+        # m = b1 * m + (1 - b1) * g and likewise v: the same operations in
+        # the same order, written into the state's own arrays
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
         update = (m / c1) / (np.sqrt(v / c2) + EPS)
         new = p.data - lr * update - lr * state.weight_decay * p.data
         out[name] = Tensor._wrap(new, requires_grad=True)
@@ -127,10 +131,13 @@ def train(params: dict[str, Tensor], loss, n: int, epochs: int, batch_size: int,
     epoch)`` builds one sample's scalar loss on its own tape from the tensors
     now in ``params``; that tape is freed before the next sample's forward
     pass, so one sample's tape is alive at a time. Gradients are summed over
-    the batch, in batch order, and divided by its size. When their norm is
-    at most ``grad_tol`` the loop stops before that update (the default
-    never stops). Returns the mean loss of each finished epoch, the number
-    of updates and the last batch-gradient norm.
+    the batch, in batch order, into one array per parameter, which is
+    divided by the batch size in place and handed to ``adamw_step``: beside
+    the parameters and moments, an update holds that sum, the new
+    parameters and one parameter's temporaries. When the batch gradient's
+    norm is at most ``grad_tol`` the loop stops before that update (the
+    default never stops). Returns the mean loss of each finished epoch, the
+    number of updates and the last batch-gradient norm.
     """
     rng = np.random.default_rng(seed)
     history: list[float] = []
@@ -145,15 +152,19 @@ def train(params: dict[str, Tensor], loss, n: int, epochs: int, batch_size: int,
             totals: dict[str, np.ndarray] = {}
             for idx in batch:
                 value, grads = _sample_grads(params, loss, int(idx), epoch)
-                if totals:     # rebinding drops this sample's dict: only the sum lives on
-                    grads = {name: totals[name] + g for name, g in grads.items()}
-                totals = grads
+                if totals:
+                    for name, g in grads.items():
+                        totals[name] += g
+                else:      # leaf gradients are read-only, and two may share one array
+                    totals = {name: g.copy() for name, g in grads.items()}
+                del grads           # dead before the next sample's forward pass
                 epoch_loss += value
-            gmap = {k: v / len(batch) for k, v in totals.items()}
-            grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in gmap.values())))
+            for g in totals.values():
+                g /= len(batch)
+            grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in totals.values())))
             if grad_norm <= grad_tol:
                 return history, updates, grad_norm
-            params.update(adamw_step(params, gmap, state, lr=lr_now))
+            params.update(adamw_step(params, totals, state, lr=lr_now))
             updates += 1
         history.append(epoch_loss / n)
     return history, updates, grad_norm

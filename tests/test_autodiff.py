@@ -1,6 +1,7 @@
 """Tensor/tape engine: forward semantics, gradient checks, adjoint identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestConv:
         every = Tensor(_every_second((3, 5, 6)))
         err = check_op(lambda a, c, d: (conv(a, c, bias=d) ** 2 * every).sum(), [x, w, b])
         assert err <= 1e-6
+
+    def test_taped_conv_keeps_no_padded_copy(self):
+        # the tape holds the input itself; the backward pass lays the padded
+        # copy out again, so a forward pass leaves little beyond its output
+        x = Tensor(RNG.normal(size=(4, 24, 24, 12)), requires_grad=True)
+        w = Tensor(RNG.normal(size=(4, 4, 3, 3, 3)), requires_grad=True)
+        with Tape():
+            tracemalloc.start()
+            try:
+                out = conv(x, w)
+                kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+        assert kept < 0.05 * x.data.nbytes
 
     @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1)])
     def test_bad_stride_or_padding(self, stride, padding):

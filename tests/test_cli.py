@@ -475,13 +475,14 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, flag):
 @pytest.mark.parametrize("verb", ["convert", "invert", "eval", "prep"])
 def test_unreadable_input_file_is_data_error(tmp_path, capsys, verb):
     # a directory where a volume or a sidecar file should be: the path is
-    # named and the verb exits 3; convert still converts the readable file
+    # named and the verb exits 3; convert and prep still write the readable
+    # files, sorted before and after the bad one
     src, si, out = tmp_path / "in", tmp_path / "si", tmp_path / "out"
     src.mkdir()
     mask = np.eye(4, dtype=np.float32)[:, :, None].repeat(6, axis=2)
     vol = Volume(mask, (1, 1, 2), "MASK") if verb == "eval" \
         else Volume(100 * mask, (1, 1, 2), "CT")
-    for name in ("a", "b"):
+    for name in ("a", "b", "c"):
         write_volume(vol, src / f"{name}.mvol")
     bad = src / "b.mvol"
     if verb == "invert":
@@ -499,8 +500,42 @@ def test_unreadable_input_file_is_data_error(tmp_path, capsys, verb):
             "prep": ["prep", "--input", str(src), "--out", str(out)]}[verb]
     assert main(argv) == 3
     assert f"{bad.name}: cannot read: " in capsys.readouterr().err
-    if verb in ("convert", "invert"):
-        assert (out / "a.mvol").exists() and not (out / "b.mvol").exists()
+    if verb in ("convert", "invert", "prep"):
+        assert sorted(p.name for p in out.glob("*.mvol")) == ["a.mvol", "c.mvol"]
+
+
+@pytest.mark.parametrize("case", ["missing-pred", "missing-truth", "predict-out", "eval-out"])
+def test_predict_and_eval_file_paths(tmp_path, capsys, case):
+    # a missing CSV is a data error that names it; an --out in a missing
+    # directory gets that directory, as train, prep, convert and synth do
+    data = tmp_path / "data"
+    main(["synth", "--out", str(data), "--n", "6", "--seed", "5"])
+    ehr = str(data / "ehr.csv")
+    model = tmp_path / "cox.json"
+    model.write_text(json.dumps({
+        "type": "cox", "coefficients": [1.0, -0.5], "feature_names": ["x0", "x1"],
+        "baseline_hazard": [[1.0, 0.1]], "iterations": 1, "log_likelihood": 0.0}))
+    pred = tmp_path / "risks.csv"
+    assert main(["predict", "--model", str(model), "--ehr", ehr, "--out", str(pred)]) == 0
+    missing, out = tmp_path / "nope.csv", tmp_path / "a" / "b" / "x"
+    argv = {"missing-pred": ["eval", "--task", "surv", "--pred", str(missing), "--truth", ehr],
+            "missing-truth": ["eval", "--task", "surv", "--pred", str(pred),
+                              "--truth", str(missing)],
+            "predict-out": ["predict", "--model", str(model), "--ehr", ehr, "--out", str(out)],
+            "eval-out": ["eval", "--task", "surv", "--pred", str(pred), "--truth", ehr,
+                         "--out", str(out)]}[case]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    if case.startswith("missing"):
+        assert code == 3
+        assert err.startswith(f"data error: {missing}: cannot read: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
+        if case == "predict-out":
+            assert out.read_bytes() == pred.read_bytes()
+        else:
+            assert "c_index" in json.loads(out.read_text())
 
 
 @pytest.mark.parametrize("bad, named", [

@@ -150,11 +150,13 @@ class TestTrain:
     def test_holds_one_sample_tape_at_a_time(self):
         """Traced peaks on the toy 3D U-Net at 16x16x8. ``backward`` frees
         intermediate gradients and saved arrays as it goes, so one sample's
-        forward and backward peaks at 1.62 times its forward alone; keeping
-        every intermediate gradient until the tape dies reads 2.39. ``train``
-        frees each sample's tape before the next sample's forward, so a batch
-        of 4 peaks at 1.36 times one sample; keeping the previous tape through
-        the next sample reads 2.16. ``grad_tol`` stops the batch before its
+        forward and backward peaks at 1.86 times its forward alone; keeping
+        every intermediate gradient until the tape dies reads 2.58. (Both
+        read lower, 1.62 and 2.39, while ``conv`` kept a padded copy of its
+        input on the tape, which raised the forward peak.) ``train`` frees
+        each sample's tape before the next sample's forward, so a batch of 4
+        peaks at 1.39 times one sample; keeping the previous tape through the
+        next sample reads 2.18. ``grad_tol`` stops the batch before its
         update, whose optimizer state is not what is measured here."""
         rng = np.random.default_rng(5)
         xs = [Tensor(rng.normal(size=(2, 16, 16, 8))) for _ in range(4)]
@@ -180,6 +182,28 @@ class TestTrain:
                                                 seed=0, grad_tol=math.inf))
         assert sample_peak <= 2.0 * forward_peak
         assert batch_peak <= 1.75 * sample_peak
+
+    def test_update_holds_few_parameter_copies(self):
+        """One update's traced peak above the resting parameters and moments,
+        in parameter-sized copies: four 500x500 parameters, the loss
+        sum(p * c) over them, a batch of 2, measured on the second call so
+        the moments exist. Summing into one array per parameter, dividing it
+        in place and updating the moments in place reads 4.25; a fresh sum
+        per sample, a divided copy and fresh moments every step read 5.75."""
+        rng = np.random.default_rng(2)
+        params = {f"p{i}": Tensor(rng.normal(size=(500, 500)), requires_grad=True)
+                  for i in range(4)}
+        consts = [Tensor(rng.normal(size=(500, 500))) for _ in range(4)]
+
+        def loss(index, epoch):
+            return sum((p * c).sum() for p, c in zip(params.values(), consts))
+
+        state = OptimState()
+        train(params, loss, 2, 1, 2, state, seed=0)
+        copy = sum(p.data.nbytes for p in params.values())
+        peak = _traced_peak(lambda: train(params, loss, 2, 1, 2, state, seed=0))
+        assert state.step == 2
+        assert peak / copy <= 5.0
 
 
 def _traced_peak(f) -> int:
